@@ -72,6 +72,11 @@ class EmbeddingModel:
             return np.zeros(self.dim, dtype=np.float64)
         return self.vectors[idx].astype(np.float64)
 
+    def rows(self, tokens: Sequence[str]) -> np.ndarray:
+        """Vectors of the in-vocabulary tokens, in token order, one row each."""
+        ids = [i for i in map(self.vocab.get, tokens) if i is not None]
+        return self.vectors[np.array(ids, dtype=np.intp)]
+
     def save(self, path: str | Path) -> None:
         header = json.dumps(
             {"dim": self.dim, "vocab_size": len(self.vocab), "train_config": self.train_config.to_json_obj()},
@@ -118,7 +123,7 @@ class EmbeddingModel:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: float | np.ndarray):
     return 1.0 / (1.0 + np.exp(-x))
 
 

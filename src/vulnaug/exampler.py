@@ -69,7 +69,7 @@ def retrieve_pool(target: TvdRecord, db: MappingDb, corpus: Corpus) -> ExamplePo
 
     from_cwe: set[str] = set()
     if target.cwe_id:
-        for rec in corpus:
+        for rec in corpus.records.values():
             if rec.cve_id != target.cve_id and rec.cwe_id == target.cwe_id:
                 from_cwe.add(rec.cve_id)
 

@@ -12,10 +12,12 @@ hallucinated values.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AspectKind, Corpus, TvdRecord
-from .embed import EmbeddingModel, tokenize
+from .embed import EmbeddingModel, _sigmoid, tokenize
 from .errors import DivergedTraining, EmptyTrainingSet, NotFound
 from .genprompt import CandidateAnswer
 from .ioutil import atomic_write_bytes, atomic_write_text
@@ -56,28 +58,34 @@ def build_training_pairs(corpus: Corpus, seed: int = 0) -> list[FeaturePair]:
     the pool is smaller). Sampling is uniform without replacement under the
     seed."""
     instances: list[tuple[str, str]] = []  # (cve_id, aspect text)
+    record_end: list[int] = []  # per instance: index one past its record's last instance
     positives: list[FeaturePair] = []
     for rec in corpus:
         texts = [v for v in (rec.aspects.get(k) for k in AspectKind) if v]
         for text in texts:
             instances.append((rec.cve_id, text))
+        record_end.extend([len(instances)] * len(texts))
         for a, b in itertools.combinations(texts, 2):
             positives.append(FeaturePair(a=a, b=b, label=1, origin=(rec.cve_id, rec.cve_id)))
     if not positives:
         raise EmptyTrainingSet("no record has two or more populated aspects")
 
-    cross: list[tuple[int, int]] = []
-    for i in range(len(instances)):
-        for j in range(i + 1, len(instances)):
-            if instances[i][0] != instances[j][0]:
-                cross.append((i, j))
+    # Instances of one record are contiguous, so the cross-record partners of
+    # instance i are exactly j in [record_end[i], len(instances)). A flat
+    # index over those rows, in (i, j) order, numbers every cross pair without
+    # listing them, and maps back to (i, j) by a search over the row starts.
+    end = np.array(record_end, dtype=np.int64)
+    per_row = len(instances) - end
+    row_start = np.concatenate(([0], np.cumsum(per_row)[:-1]))
+    total = int(per_row.sum())
     wanted = NEG_RATIO * len(positives)
     rng = np.random.default_rng(seed)
-    if len(cross) > wanted:
-        picked = rng.choice(len(cross), size=wanted, replace=False)
-        chosen = [cross[int(p)] for p in sorted(picked)]
+    if total > wanted:
+        flat = np.sort(rng.choice(total, size=wanted, replace=False))
     else:
-        chosen = cross
+        flat = np.arange(total)
+    rows = np.searchsorted(row_start, flat, side="right") - 1
+    cols = end[rows] + (flat - row_start[rows])
     negatives = [
         FeaturePair(
             a=instances[i][1],
@@ -85,32 +93,59 @@ def build_training_pairs(corpus: Corpus, seed: int = 0) -> list[FeaturePair]:
             label=0,
             origin=(instances[i][0], instances[j][0]),
         )
-        for i, j in chosen
+        for i, j in zip(rows.tolist(), cols.tolist())
     ]
     return positives + negatives
 
 
 @dataclass
 class BackgroundStore:
-    """Local keyword-searchable article collection (term -> body)."""
+    """Local keyword-searchable article collection (term -> body).
+
+    An inverted index (token -> terms of the articles whose title or body
+    holds it) and each body's token list are built once and kept current by
+    :meth:`add`, so a lookup touches only the articles it can match.
+    """
 
     articles: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._tokens: dict[str, frozenset[str]] = {
-            term: frozenset(tokenize(term) + tokenize(body))
-            for term, body in self.articles.items()
-        }
+        self._postings: dict[str, set[str]] = {}
+        self._body_tokens: dict[str, list[str]] = {}
+        for term, body in self.articles.items():
+            self._index(term, body)
+
+    def _index(self, term: str, body: str) -> None:
+        self._body_tokens[term] = tokenize(body)
+        for tok in self._distinct_tokens(term):
+            self._postings.setdefault(tok, set()).add(term)
+
+    def _distinct_tokens(self, term: str) -> set[str]:
+        return set(tokenize(term)) | set(self._body_tokens[term])
 
     def __len__(self) -> int:
         return len(self.articles)
 
     def add(self, term: str, body: str) -> None:
+        if term in self.articles:
+            for tok in self._distinct_tokens(term):
+                self._postings[tok].discard(term)
         self.articles[term] = body
-        self._tokens[term] = frozenset(tokenize(term) + tokenize(body))
+        self._index(term, body)
 
-    def article_tokens(self, term: str) -> frozenset[str]:
-        return self._tokens[term]
+    def best_terms(self, text: str, max_terms: int = 3) -> list[str]:
+        """Titles of the ``max_terms`` articles sharing the most distinct tokens
+        with ``text`` (title and body both count), ties broken by title.
+        Articles sharing none are never returned."""
+        overlap = Counter(itertools.chain.from_iterable(
+            self._postings.get(tok, ()) for tok in set(tokenize(text))
+        ))
+        return [term for _, term in heapq.nsmallest(
+            max_terms, ((-n, term) for term, n in overlap.items()))]
+
+    def body_tokens(self, term: str) -> list[str]:
+        """``tokenize`` of the article body, computed when the article was stored."""
+        return self._body_tokens[term]
 
     def save(self, path: str | Path) -> None:
         lines = [
@@ -139,18 +174,9 @@ def fetch_background(
     and body both count), ties broken by title. No overlap means no background,
     which is a normal empty result rather than an error.
     """
-    if store is None or not len(store):
+    if store is None:
         return ""
-    tokens = set(tokenize(aspect_text))
-    if not tokens:
-        return ""
-    scored: list[tuple[int, str]] = []
-    for term in store.articles:
-        overlap = len(tokens & store.article_tokens(term))
-        if overlap > 0:
-            scored.append((-overlap, term))
-    scored.sort()
-    return " ".join(store.articles[term] for _, term in scored[:max_terms])
+    return " ".join(store.articles[term] for term in store.best_terms(aspect_text, max_terms))
 
 
 @dataclass
@@ -186,19 +212,30 @@ class CorrelationModel:
     loss_history: list[float] = field(default_factory=list)
 
     def tower_vector(self, text: str, store: BackgroundStore | None) -> np.ndarray:
-        """Average word vector of the text enriched with its background."""
+        """Average word vector of the text enriched with its background.
+
+        The background tokens are those of ``fetch_background(text, store)``:
+        tokenizing the space-joined bodies gives the concatenation of each
+        body's cached token list. Out-of-vocabulary tokens count toward the
+        average as zero vectors. NumPy sums the gathered rows one row at a
+        time in token order, feature tokens first, so the result equals adding
+        the token vectors one by one; a one-dimensional embedding is the
+        exception, as NumPy sums a single column pairwise.
+        """
         feat_tokens = tokenize(text)
-        bg_model = self.background_embedding or self.embedding
-        bg_tokens = tokenize(fetch_background(text, store))
+        bg_tokens: list[str] = []
+        if store is not None:
+            for term in store.best_terms(text):
+                bg_tokens.extend(store.body_tokens(term))
         total = len(feat_tokens) + len(bg_tokens)
         if total == 0:
             return np.zeros(self.embedding.dim, dtype=np.float64)
-        acc = np.zeros(self.embedding.dim, dtype=np.float64)
-        for tok in feat_tokens:
-            acc += self.embedding.vector(tok)
-        for tok in bg_tokens:
-            acc += bg_model.vector(tok)
-        return acc / total
+        bg_model = self.background_embedding or self.embedding
+        if bg_model is self.embedding:
+            rows = self.embedding.rows(feat_tokens + bg_tokens)
+        else:
+            rows = np.concatenate([self.embedding.rows(feat_tokens), bg_model.rows(bg_tokens)])
+        return rows.sum(axis=0, dtype=np.float64) / total
 
     def save(self, path: str | Path) -> None:
         header = json.dumps(
@@ -246,20 +283,25 @@ class CorrelationModel:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+def _norm(u: np.ndarray) -> float:
+    return float(np.linalg.norm(u))
+
+
+def _interaction(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> np.ndarray:
+    """[u*v, |u-v|, cos(u, v)] for towers with Euclidean norms ``nu`` and ``nv``."""
+    cos = 0.0 if nu == 0.0 or nv == 0.0 else float(np.dot(u, v) / (nu * nv))
+    return np.concatenate([u * v, np.abs(u - v), [cos]])
 
 
 def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.concatenate([u * v, np.abs(u - v), [_cosine(u, v)]])
+    return _interaction(u, _norm(u), v, _norm(v))
 
 
-def _sigmoid(z: float | np.ndarray):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+def _probability(
+    model: "CorrelationModel", u: np.ndarray, nu: float, v: np.ndarray, nv: float
+) -> float:
+    logit = float(np.dot(model.weights, _interaction(u, nu, v, nv))) + model.bias
+    return float(_sigmoid(logit))
 
 
 def train_correlation(
@@ -322,7 +364,7 @@ def score(
     """Association probability between a known feature and a candidate value."""
     u = model.tower_vector(feature, store)
     v = model.tower_vector(candidate, store)
-    return float(_sigmoid(float(np.dot(model.weights, interaction_features(u, v))) + model.bias))
+    return _probability(model, u, _norm(u), v, _norm(v))
 
 
 def software_features(
@@ -384,17 +426,15 @@ def rank_candidates(
     if aggregation not in ("mean", "max", "sum"):
         raise ValueError(f"unknown aggregation: {aggregation!r}")
 
-    feature_vecs = [model.tower_vector(f, store) for f in features]
+    feature_towers = [(u, _norm(u)) for u in (model.tower_vector(f, store) for f in features)]
     ranked: list[RankedCandidate] = []
     for cand in candidates:
-        if not feature_vecs:
+        if not feature_towers:
             aggregate = 0.5
         else:
             v = model.tower_vector(cand.text, store)
-            scores = [
-                float(_sigmoid(float(np.dot(model.weights, interaction_features(u, v))) + model.bias))
-                for u in feature_vecs
-            ]
+            nv = _norm(v)
+            scores = [_probability(model, u, nu, v, nv) for u, nu in feature_towers]
             # fsum keeps aggregation exactly permutation-invariant.
             if aggregation == "mean":
                 aggregate = math.fsum(scores) / len(scores)

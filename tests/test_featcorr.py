@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import family_aspects, family_corpus, family_mapping, make_record
 from vulnaug.corpus import AspectKind, Corpus
-from vulnaug.embed import TrainConfig, train_embeddings
+from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.errors import EmptyTrainingSet
 from vulnaug.featcorr import (
+    NEG_RATIO,
     BackgroundStore,
     CorrelationModel,
     CorrTrainConfig,
+    FeaturePair,
     build_training_pairs,
     fetch_background,
     rank_candidates,
@@ -27,6 +30,96 @@ from vulnaug.mapping import MappingDb
 def candidate(text, round=1):
     return CandidateAnswer(aspect=AspectKind.ROOT_CAUSE, text=text,
                            strategy=PromptKind.SELECTION, round=round, backend_id="t")
+
+
+# --- reference implementations: the full scans the indexed code replaces ------
+
+
+def reference_training_pairs(corpus, seed=0):
+    """Enumerate every cross-record instance pair, then sample from the list."""
+    instances = []
+    positives = []
+    for rec in corpus:
+        texts = [v for v in (rec.aspects.get(k) for k in AspectKind) if v]
+        instances.extend((rec.cve_id, text) for text in texts)
+        positives.extend(
+            FeaturePair(a=texts[x], b=texts[y], label=1, origin=(rec.cve_id, rec.cve_id))
+            for x in range(len(texts)) for y in range(x + 1, len(texts))
+        )
+    if not positives:
+        raise EmptyTrainingSet("no record has two or more populated aspects")
+    cross = [
+        (i, j)
+        for i in range(len(instances))
+        for j in range(i + 1, len(instances))
+        if instances[i][0] != instances[j][0]
+    ]
+    wanted = NEG_RATIO * len(positives)
+    rng = np.random.default_rng(seed)
+    if len(cross) > wanted:
+        picked = rng.choice(len(cross), size=wanted, replace=False)
+        cross = [cross[int(p)] for p in sorted(picked)]
+    return positives + [
+        FeaturePair(a=instances[i][1], b=instances[j][1], label=0,
+                    origin=(instances[i][0], instances[j][0]))
+        for i, j in cross
+    ]
+
+
+def reference_fetch_background(aspect_text, store, max_terms=3):
+    """Score every article against the aspect and sort every overlap."""
+    if store is None or not len(store):
+        return ""
+    tokens = set(tokenize(aspect_text))
+    scored = []
+    for term, body in store.articles.items():
+        overlap = len(tokens & set(tokenize(term) + tokenize(body)))
+        if overlap > 0:
+            scored.append((-overlap, term))
+    scored.sort()
+    return " ".join(store.articles[term] for _, term in scored[:max_terms])
+
+
+def reference_tower_vector(model, text, store):
+    """Re-tokenize the joined background and add one token vector at a time."""
+    feat_tokens = tokenize(text)
+    bg_model = model.background_embedding or model.embedding
+    bg_tokens = tokenize(reference_fetch_background(text, store))
+    total = len(feat_tokens) + len(bg_tokens)
+    acc = np.zeros(model.embedding.dim, dtype=np.float64)
+    if total == 0:
+        return acc
+    for tok in feat_tokens:
+        acc += model.embedding.vector(tok)
+    for tok in bg_tokens:
+        acc += bg_model.vector(tok)
+    return acc / total
+
+
+# Few distinct tokens, so overlaps tie often; "omega" and "x9" stay out of
+# every test vocabulary, and "Beta" / "alpha-beta" tokenize to known words.
+WORDS = ["alpha", "beta", "gamma", "delta", "omega", "cve-2020-1", "x9", "Beta", "alpha-beta"]
+VOCAB = ["alpha", "beta", "gamma", "delta", "cve-2020-1"]
+phrases = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+titles = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
+article_maps = st.dictionaries(titles, phrases, max_size=8)
+store_edits = st.lists(st.tuples(titles, phrases), max_size=5)
+
+
+def edited_store(articles, edits):
+    """A store built from ``articles`` and then changed through ``add``,
+    which may overwrite existing titles."""
+    store = BackgroundStore(articles=dict(articles))
+    for term, body in edits:
+        store.add(term, body)
+    return store
+
+
+def random_embedding(rng, dim):
+    """Vectors whose entries span many binades, so summation order shows."""
+    vectors = rng.standard_normal((len(VOCAB), dim)) * 10.0 ** rng.uniform(-8, 8, (len(VOCAB), dim))
+    return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(VOCAB)},
+                          vectors=vectors.astype(np.float32))
 
 
 class TestTrainingPairs:
@@ -66,6 +159,37 @@ class TestTrainingPairs:
         assert a == b
         c = build_training_pairs(corpus, seed=10)
         assert a != c
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c d", "e"]), max_size=5), max_size=12),
+           st.integers(0, 2**32 - 1))
+    def test_matches_nested_loop_sampler(self, aspect_lists, seed):
+        kinds = list(AspectKind)
+        corpus = Corpus.from_records(
+            make_record(f"CVE-2020-{1000 + n}", "d.",
+                        aspects=dict(zip(kinds, texts)))
+            for n, texts in enumerate(aspect_lists)
+        )
+        try:
+            want = reference_training_pairs(corpus, seed)
+        except EmptyTrainingSet:
+            with pytest.raises(EmptyTrainingSet):
+                build_training_pairs(corpus, seed)
+            return
+        assert build_training_pairs(corpus, seed) == want
+
+    def test_large_corpus_memory_bounded(self):
+        # 5k records of 5 aspects: 25k instances and about 3.1e8 cross pairs,
+        # which the old enumerate-then-sample code held as tuples (tens of GB).
+        corpus = family_corpus(n_records=5000)
+        tracemalloc.start()
+        try:
+            pairs = build_training_pairs(corpus, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(p.label == 0 for p in pairs) == 2 * sum(p.label == 1 for p in pairs)
+        assert peak < 100 * 2**20
 
     def test_no_multi_aspect_record_raises(self):
         rec = make_record("CVE-2020-7001", "d.", aspects={AspectKind.IMPACT: "crash"})
@@ -115,6 +239,55 @@ class TestBackgroundStore:
 
     def test_none_store_is_empty_background(self):
         assert fetch_background("anything", None) == ""
+        assert fetch_background("anything", BackgroundStore()) == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(article_maps, store_edits, phrases, st.integers(0, 5))
+    def test_matches_full_scan(self, articles, edits, aspect, max_terms):
+        store = edited_store(articles, edits)
+        assert fetch_background(aspect, store, max_terms) == reference_fetch_background(
+            aspect, store, max_terms)
+
+    def test_overwritten_article_leaves_the_index(self):
+        store = BackgroundStore(articles={"alpha": "old words here"})
+        store.add("alpha", "new text")
+        assert fetch_background("old words", store) == ""
+        assert fetch_background("new", store) == "new text"
+
+
+class TestTowerVector:
+    @settings(max_examples=200, deadline=None)
+    @given(article_maps, store_edits, phrases, st.sampled_from([2, 3, 16]),
+           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_token_loop(self, articles, edits, text, dim, with_store,
+                                separate_background, seed):
+        rng = np.random.default_rng(seed)
+        model = CorrelationModel(
+            embedding=random_embedding(rng, dim),
+            weights=np.zeros(2 * dim + 1),
+            bias=0.0,
+            background_embedding=random_embedding(rng, dim) if separate_background else None,
+        )
+        store = edited_store(articles, edits) if with_store else None
+        assert np.array_equal(model.tower_vector(text, store),
+                              reference_tower_vector(model, text, store))
+
+    def test_one_dimensional_embedding_within_rounding(self):
+        # numpy sums a single column pairwise rather than in order, so only
+        # here the sum may differ from the token loop in the last bits.
+        rng = np.random.default_rng(0)
+        model = CorrelationModel(embedding=random_embedding(rng, 1), weights=np.zeros(3), bias=0.0)
+        text = " ".join(VOCAB * 8)
+        got = model.tower_vector(text, None)
+        want = reference_tower_vector(model, text, None)
+        scale = np.abs(model.embedding.vectors).max()
+        assert abs(got[0] - want[0]) <= 40 * np.finfo(np.float64).eps * scale
+
+    def test_empty_text_is_zero(self):
+        model = CorrelationModel(embedding=random_embedding(np.random.default_rng(1), 4),
+                                 weights=np.zeros(9), bias=0.0)
+        assert np.array_equal(model.tower_vector("", None), np.zeros(4))
+        assert np.array_equal(model.tower_vector("omega x9", None), np.zeros(4))
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +450,21 @@ class TestRankCandidates:
         forward = rank_candidates(model, features, cands)[0].score
         backward = rank_candidates(model, list(reversed(features)), cands)[0].score
         assert forward == backward
+
+    @pytest.mark.parametrize("aggregation", ["mean", "max", "sum"])
+    def test_aggregate_equals_per_pair_scores(self, family_setup, aggregation):
+        _, _, model, _ = family_setup
+        store = BackgroundStore(articles={
+            f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)
+        })
+        features = ["flaw0 rec0 rec0", "vector0 rec0 rec0", "impact1 rec3 rec3", "", "omega"]
+        cands = [candidate(text, round=r + 1) for r, text in enumerate(
+            ["cause0 rec0 rec0", "cause2 rec7 rec7", "omega", "flaw0 rec0 rec0"])]
+        for rc in rank_candidates(model, features, cands, store=store, aggregation=aggregation):
+            scores = [score(model, f, rc.candidate.text, store) for f in features]
+            want = {"mean": math.fsum(scores) / len(scores), "max": max(scores),
+                    "sum": math.fsum(scores)}[aggregation]
+            assert rc.score == want
 
     def test_unknown_aggregation_rejected(self, family_setup):
         _, _, model, _ = family_setup
