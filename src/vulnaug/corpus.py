@@ -46,14 +46,13 @@ class AspectKind(Enum):
     IMPACT = "impact"
     ROOT_CAUSE = "root cause"
 
+    def __init__(self, display_name: str) -> None:
+        #: Snake-case field name used in the feed format.
+        self.json_key = display_name.replace(" ", "_")
+
     @property
     def display_name(self) -> str:
         return self.value
-
-    @property
-    def json_key(self) -> str:
-        """Snake-case field name used in the feed format."""
-        return self.value.replace(" ", "_")
 
     @property
     def placeholder(self) -> str:
@@ -62,10 +61,16 @@ class AspectKind(Enum):
 
     @classmethod
     def from_key(cls, key: str) -> "AspectKind":
-        for kind in cls:
-            if key in (kind.json_key, kind.display_name):
-                return kind
-        raise ValueError(f"unknown aspect: {key!r}")
+        """The kind whose json_key or display name is ``key``."""
+        try:
+            return _ASPECT_BY_KEY[key]
+        except KeyError:
+            raise ValueError(f"unknown aspect: {key!r}") from None
+
+
+_ASPECT_BY_KEY = {
+    name: kind for kind in AspectKind for name in (kind.json_key, kind.display_name)
+}
 
 
 class Source(Enum):
@@ -161,20 +166,31 @@ class TvdRecord:
 
 @dataclass
 class Corpus:
-    """Records keyed by cve_id; duplicates are dropped keep-first."""
+    """Records keyed by cve_id; duplicates are dropped keep-first.
+
+    ``records`` must not change after construction: the cwe_id -> cve_ids map
+    behind :meth:`with_cwe` is built from them then.
+    """
 
     records: dict[str, TvdRecord] = field(default_factory=dict)
     duplicates_dropped: int = 0
 
+    def __post_init__(self) -> None:
+        self._by_cwe: dict[str, list[str]] = {}
+        for rec in self.records.values():
+            if rec.cwe_id:
+                self._by_cwe.setdefault(rec.cwe_id, []).append(rec.cve_id)
+
     @classmethod
     def from_records(cls, records: Iterable[TvdRecord]) -> "Corpus":
-        corpus = cls()
+        kept: dict[str, TvdRecord] = {}
+        dropped = 0
         for rec in records:
-            if rec.cve_id in corpus.records:
-                corpus.duplicates_dropped += 1
+            if rec.cve_id in kept:
+                dropped += 1
             else:
-                corpus.records[rec.cve_id] = rec
-        return corpus
+                kept[rec.cve_id] = rec
+        return cls(records=kept, duplicates_dropped=dropped)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -188,6 +204,10 @@ class Corpus:
 
     def get(self, cve_id: str) -> TvdRecord | None:
         return self.records.get(cve_id)
+
+    def with_cwe(self, cwe_id: str) -> list[str]:
+        """cve_ids of the records whose CWE is ``cwe_id``, in insertion order."""
+        return self._by_cwe.get(cwe_id, [])
 
 
 @dataclass(frozen=True)

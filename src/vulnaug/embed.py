@@ -190,11 +190,14 @@ def train_embeddings(
 
 
 def sentence_vector(model: EmbeddingModel, text: str) -> np.ndarray:
-    """Sum of word vectors; OOV tokens contribute zero, empty text is zero."""
-    out = np.zeros(model.dim, dtype=np.float64)
-    for token in tokenize(text):
-        out += model.vector(token)
-    return out
+    """Sum of word vectors; OOV tokens contribute zero, empty text is zero.
+
+    NumPy adds the gathered rows to a zero vector one row at a time in token
+    order, so the sum equals adding the token vectors one by one; a
+    one-dimensional embedding is the exception, as NumPy sums a single column
+    pairwise.
+    """
+    return model.rows(tokenize(text)).sum(axis=0, dtype=np.float64, initial=0.0)
 
 
 @dataclass

@@ -12,15 +12,13 @@ hallucinated values.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,46 +100,53 @@ def build_training_pairs(corpus: Corpus, seed: int = 0) -> list[FeaturePair]:
 class BackgroundStore:
     """Local keyword-searchable article collection (term -> body).
 
-    An inverted index (token -> terms of the articles whose title or body
-    holds it) and each body's token list are built once and kept current by
-    :meth:`add`, so a lookup touches only the articles it can match.
+    Each body's token list is kept from the time the article is stored. Lookups
+    read an inverted index of posting arrays: for each token, the indices (in
+    sorted-title order) of the articles whose title or body holds it. The index
+    is built by the first lookup after the articles change, so a run of
+    :meth:`add` calls costs no rebuild each, and a lookup touches only the
+    postings of its own tokens.
     """
 
     articles: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._postings: dict[str, set[str]] = {}
-        self._body_tokens: dict[str, list[str]] = {}
-        for term, body in self.articles.items():
-            self._index(term, body)
-
-    def _index(self, term: str, body: str) -> None:
-        self._body_tokens[term] = tokenize(body)
-        for tok in self._distinct_tokens(term):
-            self._postings.setdefault(tok, set()).add(term)
-
-    def _distinct_tokens(self, term: str) -> set[str]:
-        return set(tokenize(term)) | set(self._body_tokens[term])
+        self._body_tokens = {term: tokenize(body) for term, body in self.articles.items()}
+        # (titles in sorted order, token -> indices into them), or None when stale.
+        self._index: tuple[list[str], dict[str, np.ndarray]] | None = None
 
     def __len__(self) -> int:
         return len(self.articles)
 
     def add(self, term: str, body: str) -> None:
-        if term in self.articles:
-            for tok in self._distinct_tokens(term):
-                self._postings[tok].discard(term)
         self.articles[term] = body
-        self._index(term, body)
+        self._body_tokens[term] = tokenize(body)
+        self._index = None
 
-    def best_terms(self, text: str, max_terms: int = 3) -> list[str]:
-        """Titles of the ``max_terms`` articles sharing the most distinct tokens
-        with ``text`` (title and body both count), ties broken by title.
-        Articles sharing none are never returned."""
-        overlap = Counter(itertools.chain.from_iterable(
-            self._postings.get(tok, ()) for tok in set(tokenize(text))
-        ))
-        return [term for _, term in heapq.nsmallest(
-            max_terms, ((-n, term) for term, n in overlap.items()))]
+    def _build_index(self) -> tuple[list[str], dict[str, np.ndarray]]:
+        titles = sorted(self.articles)
+        postings: dict[str, list[int]] = {}
+        for i, term in enumerate(titles):
+            for tok in set(tokenize(term)) | set(self._body_tokens[term]):
+                postings.setdefault(tok, []).append(i)
+        return titles, {tok: np.array(ids, dtype=np.intp) for tok, ids in postings.items()}
+
+    def best_terms(self, tokens: Iterable[str], max_terms: int = 3) -> list[str]:
+        """Titles of the ``max_terms`` articles sharing the most distinct
+        ``tokens`` (title and body both count), ties broken by title. Articles
+        sharing none are never returned."""
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        titles, postings = index
+        hits = [postings[tok] for tok in set(tokens) if tok in postings]
+        if not hits or max_terms <= 0:
+            return []
+        overlap = np.bincount(np.concatenate(hits))
+        matched = np.flatnonzero(overlap)
+        # A stable sort keeps equal overlaps in title order.
+        best = matched[np.argsort(-overlap[matched], kind="stable")[:max_terms]]
+        return [titles[i] for i in best.tolist()]
 
     def body_tokens(self, term: str) -> list[str]:
         """``tokenize`` of the article body, computed when the article was stored."""
@@ -176,7 +181,8 @@ def fetch_background(
     """
     if store is None:
         return ""
-    return " ".join(store.articles[term] for term in store.best_terms(aspect_text, max_terms))
+    return " ".join(
+        store.articles[term] for term in store.best_terms(tokenize(aspect_text), max_terms))
 
 
 @dataclass
@@ -225,7 +231,7 @@ class CorrelationModel:
         feat_tokens = tokenize(text)
         bg_tokens: list[str] = []
         if store is not None:
-            for term in store.best_terms(text):
+            for term in store.best_terms(feat_tokens):
                 bg_tokens.extend(store.body_tokens(term))
         total = len(feat_tokens) + len(bg_tokens)
         if total == 0:
@@ -235,7 +241,7 @@ class CorrelationModel:
             rows = self.embedding.rows(feat_tokens + bg_tokens)
         else:
             rows = np.concatenate([self.embedding.rows(feat_tokens), bg_model.rows(bg_tokens)])
-        return rows.sum(axis=0, dtype=np.float64) / total
+        return rows.sum(axis=0, dtype=np.float64, initial=0.0) / total
 
     def save(self, path: str | Path) -> None:
         header = json.dumps(
@@ -283,25 +289,31 @@ class CorrelationModel:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _norm(u: np.ndarray) -> float:
-    return float(np.linalg.norm(u))
-
-
-def _interaction(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> np.ndarray:
-    """[u*v, |u-v|, cos(u, v)] for towers with Euclidean norms ``nu`` and ``nv``."""
-    cos = 0.0 if nu == 0.0 or nv == 0.0 else float(np.dot(u, v) / (nu * nv))
-    return np.concatenate([u * v, np.abs(u - v), [cos]])
-
-
 def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _interaction(u, _norm(u), v, _norm(v))
+    """Interaction rows [u*v, |u-v|, cos(u, v)] of paired towers.
+
+    ``u`` and ``v`` are towers of shape (d,) or stacks of towers of shape
+    (n, d) that broadcast against each other; the result has 2d+1 columns.
+    Norms and dot products take one ``np.vecdot`` row each, which runs the
+    same BLAS dot as ``np.dot`` and ``np.linalg.norm`` on that row alone, so
+    every row is bit-equal to building it by itself. A zero tower has cosine 0.
+    """
+    d = u.shape[-1]
+    nu = np.sqrt(np.vecdot(u, u))
+    nv = np.sqrt(np.vecdot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where((nu == 0.0) | (nv == 0.0), 0.0, np.vecdot(u, v) / (nu * nv))
+    x = np.empty(np.broadcast_shapes(u.shape, v.shape)[:-1] + (2 * d + 1,))
+    np.multiply(u, v, out=x[..., :d])
+    np.subtract(u, v, out=x[..., d : 2 * d])
+    np.abs(x[..., d : 2 * d], out=x[..., d : 2 * d])
+    x[..., 2 * d] = cos
+    return x
 
 
-def _probability(
-    model: "CorrelationModel", u: np.ndarray, nu: float, v: np.ndarray, nv: float
-) -> float:
-    logit = float(np.dot(model.weights, _interaction(u, nu, v, nv))) + model.bias
-    return float(_sigmoid(logit))
+def _probability(model: "CorrelationModel", u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Association probability of each pair of rows of ``u`` and ``v``."""
+    return _sigmoid(np.vecdot(interaction_features(u, v), model.weights) + model.bias)
 
 
 def train_correlation(
@@ -334,7 +346,8 @@ def train_correlation(
             tower_cache[text] = model.tower_vector(text, store)
         return tower_cache[text]
 
-    x = np.stack([interaction_features(tower(p.a), tower(p.b)) for p in pairs])
+    x = interaction_features(np.stack([tower(p.a) for p in pairs]),
+                             np.stack([tower(p.b) for p in pairs]))
     y = np.array([p.label for p in pairs], dtype=np.float64)
     n = len(pairs)
 
@@ -364,7 +377,7 @@ def score(
     """Association probability between a known feature and a candidate value."""
     u = model.tower_vector(feature, store)
     v = model.tower_vector(candidate, store)
-    return _probability(model, u, _norm(u), v, _norm(v))
+    return float(_probability(model, u, v))
 
 
 def software_features(
@@ -426,15 +439,13 @@ def rank_candidates(
     if aggregation not in ("mean", "max", "sum"):
         raise ValueError(f"unknown aggregation: {aggregation!r}")
 
-    feature_towers = [(u, _norm(u)) for u in (model.tower_vector(f, store) for f in features)]
+    towers = np.stack([model.tower_vector(f, store) for f in features]) if features else None
     ranked: list[RankedCandidate] = []
     for cand in candidates:
-        if not feature_towers:
+        if towers is None:
             aggregate = 0.5
         else:
-            v = model.tower_vector(cand.text, store)
-            nv = _norm(v)
-            scores = [_probability(model, u, nu, v, nv) for u, nu in feature_towers]
+            scores = _probability(model, towers, model.tower_vector(cand.text, store)).tolist()
             # fsum keeps aggregation exactly permutation-invariant.
             if aggregation == "mean":
                 aggregate = math.fsum(scores) / len(scores)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
 from .corpus import AspectKind, TvdRecord
-from .errors import BackendError, GenerationFailed
+from .errors import BackendError, GenerationFailed, MissingPrerequisite
 from .exampler import ExampleSet
 
 DEFAULT_ROUNDS = 5
@@ -451,17 +451,23 @@ class BackendConfig:
 
 
 class HttpBackend:
-    """OpenAI-style chat-completions client with retry and backoff."""
+    """OpenAI-style chat-completions client with retry and backoff.
+
+    Building one without an API key in ``config.api_key_env`` raises
+    :class:`MissingPrerequisite`, before any request is sent.
+    """
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self.identity = f"http:{config.model}"
+        self._api_key = os.environ.get(config.api_key_env, "")
+        if not self._api_key:
+            raise MissingPrerequisite("API key", f"environment variable {config.api_key_env}")
         self._limiter = (
             RateLimiter(config.rate_per_s) if config.rate_per_s else None
         )
 
     def complete(self, prompt: str, *, temperature: float = 0.0, seed: int = 0) -> str:
-        api_key = os.environ.get(self.config.api_key_env, "")
         payload = json.dumps(
             {
                 "model": self.config.model,
@@ -479,7 +485,7 @@ class HttpBackend:
                 data=payload,
                 headers={
                     "Content-Type": "application/json",
-                    "Authorization": f"Bearer {api_key}",
+                    "Authorization": f"Bearer {self._api_key}",
                 },
             )
             try:

@@ -119,6 +119,29 @@ class TestPrerequisites:
         assert result.exit_code == 3
         assert "mapping file" in result.output
 
+    def test_http_backend_without_api_key_exits_three(self, runner, tmp_path, monkeypatch):
+        corpus, mapping, embedding, correlation = build_artifacts(
+            runner, tmp_path, small_feed_records(6))
+        config = tmp_path / "backend.json"
+        config.write_text(json.dumps({"endpoint": "http://localhost:9/v1", "model": "m",
+                                      "api_key_env": "VULNAUG_TEST_KEY"}))
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the backend must not send a request")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        args = ["augment", "--corpus", str(corpus), "--map", str(mapping),
+                "--embed", str(embedding), "--corr", str(correlation),
+                "--backend", "http", "--backend-config", str(config),
+                "-o", str(tmp_path / "out.jsonl")]
+        for unset in (lambda: monkeypatch.delenv("VULNAUG_TEST_KEY", raising=False),
+                      lambda: monkeypatch.setenv("VULNAUG_TEST_KEY", "")):
+            unset()
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 3, result.output
+            assert "VULNAUG_TEST_KEY" in result.output
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 class TestCost:
     def test_effective_case(self, runner):

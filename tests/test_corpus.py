@@ -268,6 +268,19 @@ class TestClassifyLongTail:
             assert (name in report.non_long_tail) == (count > threshold)
 
 
+class TestAspectKind:
+    @pytest.mark.parametrize("kind", list(AspectKind))
+    def test_both_spellings_round_trip(self, kind):
+        assert AspectKind.from_key(kind.json_key) is kind
+        assert AspectKind.from_key(kind.display_name) is kind
+        assert kind.json_key == kind.display_name.replace(" ", "_")
+
+    @pytest.mark.parametrize("key", ["", "Impact", "root-cause", "unknown impact", "impact "])
+    def test_unknown_key_raises(self, key):
+        with pytest.raises(ValueError, match="unknown aspect"):
+            AspectKind.from_key(key)
+
+
 class TestCorpus:
     def test_duplicate_cve_keeps_first(self):
         a = make_record("CVE-2020-0100", "first.")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_record
 from vulnaug.corpus import Corpus
@@ -70,6 +72,28 @@ class TestTraining:
             train_embeddings(corpus)
 
 
+def reference_sentence_vector(model, text):
+    """Add one token vector at a time to a zero vector."""
+    out = np.zeros(model.dim, dtype=np.float64)
+    for token in tokenize(text):
+        out += model.vector(token)
+    return out
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "zero", "oov", "Beta", "alpha-beta"]
+
+
+def spread_embedding(seed, dim):
+    """Entries across many binades plus some signed zeros, so summation
+    order and the sign of zero both show."""
+    rng = np.random.default_rng(seed)
+    tokens = ["alpha", "beta", "gamma", "delta", "zero"]
+    vectors = rng.standard_normal((len(tokens), dim)) * 10.0 ** rng.uniform(-8, 8, (len(tokens), dim))
+    vectors[tokens.index("zero")] = -0.0
+    return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(tokens)},
+                          vectors=vectors.astype(np.float32))
+
+
 @pytest.fixture(scope="module")
 def model():
     return train_embeddings(cooccurrence_corpus(), TrainConfig(seed=7))
@@ -101,6 +125,29 @@ class TestSentenceVector:
             sentence_vector(model, "gamma alpha beta"),
             atol=1e-9,
         )
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(WORDS), max_size=60).map(" ".join), st.integers(2, 16),
+           st.integers(0, 2**32 - 1))
+    def test_matches_token_loop(self, text, dim, seed):
+        model = spread_embedding(seed, dim)
+        got = sentence_vector(model, text)
+        assert got.tobytes() == reference_sentence_vector(model, text).tobytes()
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        model = spread_embedding(0, 4)
+        assert sentence_vector(model, "zero oov zero").tobytes() == np.zeros(4).tobytes()
+
+    def test_one_dimensional_embedding_within_rounding(self):
+        # numpy sums a single column pairwise rather than in order, so only
+        # here the sum may differ from the token loop in the last bits.
+        model = spread_embedding(0, 1)
+        text = " ".join(WORDS * 20)
+        got = sentence_vector(model, text)[0]
+        want = reference_sentence_vector(model, text)[0]
+        scale = np.abs(model.vectors).max()
+        assert abs(got - want) <= 200 * np.finfo(np.float64).eps * scale
 
 
 class TestPersistence:

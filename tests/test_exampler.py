@@ -53,6 +53,22 @@ class TestRetrievePool:
         assert pool.from_software < pool.from_cwe
         assert len(pool.union) == len(pool.from_cwe)
 
+    def test_cwe_siblings_skip_records_without_cwe(self):
+        db = MappingDb()
+        records = []
+        for i in range(12):
+            cve = f"CVE-2010-{1400 + i}"
+            records.append(make_record(cve, f"record {i}.", cwe_id=[None, "CWE-79", "CWE-89"][i % 3]))
+            if i % 4 == 0:
+                db.insert("Mixed Tool", cve)
+        corpus = Corpus.from_records(reversed(records))
+        for target in records:
+            pool = retrieve_pool(target, db, corpus)
+            want = {rec.cve_id for rec in records
+                    if target.cwe_id and rec.cwe_id == target.cwe_id} - {target.cve_id}
+            assert pool.from_cwe == want
+            assert pool.union == sorted(want | pool.from_software)
+
     def test_union_is_sorted_and_deduplicated(self, big_pool):
         target, db, corpus, _ = big_pool
         pool = retrieve_pool(target, db, corpus)

@@ -18,6 +18,7 @@ from vulnaug.featcorr import (
     FeaturePair,
     build_training_pairs,
     fetch_background,
+    interaction_features,
     rank_candidates,
     score,
     software_features,
@@ -96,14 +97,52 @@ def reference_tower_vector(model, text, store):
     return acc / total
 
 
+def reference_interaction(u, v):
+    """One pair's [u*v, |u-v|, cos(u, v)], norms from ``np.linalg.norm``."""
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    cos = 0.0 if nu == 0.0 or nv == 0.0 else float(np.dot(u, v) / (nu * nv))
+    return np.concatenate([u * v, np.abs(u - v), [cos]])
+
+
+def reference_probability(model, u, v):
+    """Score one (feature, candidate) pair of towers with its own NumPy calls."""
+    logit = float(np.dot(model.weights, reference_interaction(u, v))) + model.bias
+    return float(1.0 / (1.0 + np.exp(-logit)))
+
+
+def reference_rank(model, features, candidates, store, aggregation):
+    """The per-pair loop: each candidate against each feature tower in turn."""
+    towers = [model.tower_vector(f, store) for f in features]
+    ranked = []
+    for cand in candidates:
+        if not towers:
+            aggregate = 0.5
+        else:
+            v = model.tower_vector(cand.text, store)
+            scores = [reference_probability(model, u, v) for u in towers]
+            if aggregation == "mean":
+                aggregate = math.fsum(scores) / len(scores)
+            elif aggregation == "max":
+                aggregate = max(scores)
+            else:
+                aggregate = math.fsum(scores)
+        ranked.append((aggregate, cand.round, cand.text))
+    ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
+    return ranked
+
+
 # Few distinct tokens, so overlaps tie often; "omega" and "x9" stay out of
 # every test vocabulary, and "Beta" / "alpha-beta" tokenize to known words.
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "cve-2020-1", "x9", "Beta", "alpha-beta"]
 VOCAB = ["alpha", "beta", "gamma", "delta", "cve-2020-1"]
 phrases = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
 titles = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
+candidate_texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
 article_maps = st.dictionaries(titles, phrases, max_size=8)
-store_edits = st.lists(st.tuples(titles, phrases), max_size=5)
+# A leading "0" sorts before every word title, so such an edit shifts the
+# position of every stored title.
+store_edits = st.lists(st.tuples(st.one_of(titles, titles.map("0 {}".format)), phrases),
+                       max_size=5)
 
 
 def edited_store(articles, edits):
@@ -115,11 +154,26 @@ def edited_store(articles, edits):
     return store
 
 
-def random_embedding(rng, dim):
+def random_embedding(rng, dim, binades=8):
     """Vectors whose entries span many binades, so summation order shows."""
-    vectors = rng.standard_normal((len(VOCAB), dim)) * 10.0 ** rng.uniform(-8, 8, (len(VOCAB), dim))
+    scale = 10.0 ** rng.uniform(-binades, binades, (len(VOCAB), dim))
+    vectors = rng.standard_normal((len(VOCAB), dim)) * scale
     return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(VOCAB)},
                           vectors=vectors.astype(np.float32))
+
+
+def random_model(seed, dim, separate_background=False):
+    """A correlation model whose logits stay small enough that the sigmoid
+    does not saturate, so every bit of the logit shows in the score."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(2 * dim + 1) * 10.0 ** rng.uniform(-3, 0, 2 * dim + 1)
+    return CorrelationModel(
+        embedding=random_embedding(rng, dim, binades=1),
+        weights=weights,
+        bias=float(rng.standard_normal()),
+        background_embedding=(random_embedding(rng, dim, binades=1)
+                              if separate_background else None),
+    )
 
 
 class TestTrainingPairs:
@@ -244,9 +298,20 @@ class TestBackgroundStore:
     @settings(max_examples=300, deadline=None)
     @given(article_maps, store_edits, phrases, st.integers(0, 5))
     def test_matches_full_scan(self, articles, edits, aspect, max_terms):
-        store = edited_store(articles, edits)
-        assert fetch_background(aspect, store, max_terms) == reference_fetch_background(
-            aspect, store, max_terms)
+        # A lookup before and after every edit, so each edit lands on a built index.
+        store = BackgroundStore(articles=dict(articles))
+        for term, body in [*edits, (None, None)]:
+            assert fetch_background(aspect, store, max_terms) == reference_fetch_background(
+                aspect, store, max_terms)
+            if term is not None:
+                store.add(term, body)
+
+    def test_title_inserted_before_looked_up_ones(self):
+        store = BackgroundStore(articles={"m flaw": "shared", "z flaw": "shared"})
+        assert store.best_terms(["shared"]) == ["m flaw", "z flaw"]
+        store.add("a flaw", "shared")
+        assert store.best_terms(["shared"]) == ["a flaw", "m flaw", "z flaw"]
+        assert store.best_terms(["shared", "z"], max_terms=1) == ["z flaw"]
 
     def test_overwritten_article_leaves_the_index(self):
         store = BackgroundStore(articles={"alpha": "old words here"})
@@ -465,6 +530,42 @@ class TestRankCandidates:
             want = {"mean": math.fsum(scores) / len(scores), "max": max(scores),
                     "sum": math.fsum(scores)}[aggregation]
             assert rc.score == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(phrases, min_size=1, max_size=6),
+           st.lists(candidate_texts, min_size=1, max_size=4),
+           st.sampled_from(["mean", "max", "sum"]), st.integers(1, 8), st.booleans(),
+           st.booleans(), article_maps, st.integers(0, 2**32 - 1))
+    def test_matches_per_pair_loop(self, features, texts, aggregation, dim, with_store,
+                                   separate_background, articles, seed):
+        # Phrases of only "omega" / "x9" give zero towers, on either side.
+        model = random_model(seed, dim, separate_background)
+        store = BackgroundStore(articles=articles) if with_store else None
+        cands = [candidate(text, round=r % 3 + 1) for r, text in enumerate(texts)]
+        got = [(rc.score, rc.candidate.round, rc.candidate.text) for rc in
+               rank_candidates(model, features, cands, store=store, aggregation=aggregation)]
+        assert got == reference_rank(model, features, cands, store, aggregation)
+
+    @settings(max_examples=100, deadline=None)
+    @given(phrases, phrases, st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_score_matches_per_pair_probability(self, feature, text, dim, seed):
+        model = random_model(seed, dim)
+        want = reference_probability(model, model.tower_vector(feature, None),
+                                     model.tower_vector(text, None))
+        assert score(model, feature, text) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_stacked_interactions_match_rows(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-8, 8, (n, dim))
+        v = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-8, 8, (n, dim))
+        u[0] = 0.0
+        v[-1] = 0.0
+        want = np.stack([reference_interaction(a, b) for a, b in zip(u, v)])
+        assert interaction_features(u, v).tobytes() == want.tobytes()
+        assert interaction_features(u, v[0]).tobytes() == np.stack(
+            [reference_interaction(a, v[0]) for a in u]).tobytes()
 
     def test_unknown_aggregation_rejected(self, family_setup):
         _, _, model, _ = family_setup
