@@ -1,9 +1,13 @@
 """Corpus word embeddings and clustering.
 
 Embeddings are trained from scratch with skip-gram plus negative sampling,
-single-threaded so a fixed seed reproduces vectors bit for bit. Sentence
-vectors are plain sums of word vectors; representative records come out of
-Lloyd's k-means (k-means++ seeding) as the medoid nearest each centroid.
+single-threaded so a fixed seed reproduces vectors bit for bit. Each center
+token costs one gather, one sigmoid and one flat scatter, and each sentence
+draws its negatives in one block; the operands and the order of every
+floating-point operation are those of a row-by-row update, so the vectors are
+bitwise the same as that simpler loop would give. Sentence vectors are plain
+sums of word vectors; representative records come out of Lloyd's k-means
+(k-means++ seeding) as the medoid nearest each centroid.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ class TrainConfig:
     epochs: int = 5
     negative_samples: int = 5
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        for name in ("window", "epochs", "negative_samples"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -127,6 +137,17 @@ def _sigmoid(x: float | np.ndarray):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _windows(sent: np.ndarray, window: int) -> tuple[np.ndarray, list[int]]:
+    """Context ids of every position of one sentence, one block after another
+    (left, then right, in sentence order), and the size of each block."""
+    blocks = [
+        np.concatenate((sent[max(0, pos - window) : pos], sent[pos + 1 : pos + window + 1]))
+        for pos in range(len(sent))
+    ]
+    contexts = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return contexts, [b.size for b in blocks]
+
+
 def train_embeddings(
     corpus: Corpus, config: TrainConfig | None = None, dim: int = 64
 ) -> EmbeddingModel:
@@ -137,8 +158,33 @@ def train_embeddings(
     runs with the same seed produce bitwise-identical vectors. Negatives are
     drawn from the unigram^0.75 distribution; the learning rate decays linearly
     over all (epoch, position) steps.
+
+    Context windows are built once. The negatives of a whole sentence come
+    from one ``rng.random`` block: PCG64 yields the same doubles in blocks as
+    one center at a time, and a sentence's block stays small where a whole
+    epoch's would not. Each center token then gathers the output rows of its
+    context and its negatives at once, scores them into one buffer and takes
+    one sigmoid. The row updates go in with one ``np.add.at`` on the flat view
+    of the output matrix, which applies the adds in the same order as a
+    per-row scatter of the context rows followed by one of the negative rows.
+    Every product and sum keeps its operands, its shape and its association
+    (``-lr * g_pos`` times ``v`` for the context rows, ``-lr`` times
+    ``g_neg * v`` for the negatives, and the two gradient terms summed apart),
+    so the vectors are bitwise those of updating one row at a time.
     """
     cfg = config or TrainConfig()
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    vocab, w_in = _train_vectors(corpus, cfg, dim)
+    return EmbeddingModel(
+        dim=dim, vocab=vocab, vectors=w_in.astype(np.float32), train_config=cfg
+    )
+
+
+def _train_vectors(
+    corpus: Corpus, cfg: TrainConfig, dim: int
+) -> tuple[dict[str, int], np.ndarray]:
+    """Vocabulary and float64 input vectors of :func:`train_embeddings`."""
     sentences = [tokenize(rec.description) for rec in corpus]
     counts = Counter(tok for sent in sentences for tok in sent)
     if len(counts) < 2:
@@ -156,37 +202,45 @@ def train_embeddings(
     size = len(vocab)
     w_in = (rng.random((size, dim)) - 0.5) / dim
     w_out = np.zeros((size, dim))
+    flat_out = w_out.reshape(-1)
+    cell_ids = np.arange(size * dim).reshape(size, dim)  # flat index of each w_out cell
 
     encoded = [np.array([vocab[t] for t in sent], dtype=np.int64) for sent in sentences]
     total_steps = max(1, cfg.epochs * sum(len(s) for s in encoded))
     step = 0
     k = cfg.negative_samples
+    windows = [_windows(sent, cfg.window) for sent in encoded]
     for _ in range(cfg.epochs):
-        for sent in encoded:
-            n = len(sent)
-            for pos in range(n):
+        for sent, (contexts, sizes) in zip(encoded, windows):
+            negatives = np.searchsorted(noise_cdf, rng.random((contexts.size, k)))
+            start = 0
+            for center, m in zip(sent.tolist(), sizes):
                 lr = max(_LR_MIN, _LR_INITIAL * (1.0 - step / total_steps))
                 step += 1
-                lo = max(0, pos - cfg.window)
-                hi = min(n, pos + cfg.window + 1)
-                ctx = np.concatenate([sent[lo:pos], sent[pos + 1 : hi]])
-                if ctx.size == 0:
+                if m == 0:
                     continue
-                center = sent[pos]
+                end = start + m
+                idx = np.concatenate((contexts[start:end], negatives[start:end].ravel()))
+                start = end
+                rows = w_out[idx]  # (m + m*k, dim): context rows, then negative rows
                 v = w_in[center]
-                pos_vecs = w_out[ctx]  # (m, dim)
-                g_pos = _sigmoid(pos_vecs @ v) - 1.0  # (m,)
-                neg = np.searchsorted(noise_cdf, rng.random((ctx.size, k)))
-                neg_vecs = w_out[neg]  # (m, k, dim)
-                g_neg = _sigmoid(neg_vecs @ v)  # (m, k)
-                grad_v = g_pos @ pos_vecs + np.einsum("mk,mkd->d", g_neg, neg_vecs)
-                np.add.at(w_out, ctx, -lr * g_pos[:, None] * v)
-                np.add.at(w_out, neg.ravel(), -lr * (g_neg.reshape(-1, 1) * v))
+                # OpenBLAS sums a row's dot product in an order that depends on
+                # the row's place in the matrix, so the context and the negative
+                # rows keep their own (m, dim) and (m, k, dim) products.
+                g = np.empty(idx.size)
+                np.matmul(rows[:m], v, out=g[:m])
+                np.matmul(rows[m:].reshape(m, k, dim), v, out=g[m:].reshape(m, k))
+                g = _sigmoid(g)
+                g[:m] -= 1.0  # g[:m] is g_pos, g[m:] is g_neg
+                grad_v = g[:m] @ rows[:m] + np.einsum(
+                    "mk,mkd->d", g[m:].reshape(m, k), rows[m:].reshape(m, k, dim)
+                )
+                g[:m] *= -lr
+                np.multiply(g[:, None], v, out=rows)
+                rows[m:] *= -lr
+                np.add.at(flat_out, cell_ids[idx].ravel(), rows.ravel())
                 w_in[center] = v - lr * grad_v
-
-    return EmbeddingModel(
-        dim=dim, vocab=vocab, vectors=w_in.astype(np.float32), train_config=cfg
-    )
+    return vocab, w_in
 
 
 def sentence_vector(model: EmbeddingModel, text: str) -> np.ndarray:

@@ -16,6 +16,7 @@ import random
 import re
 import threading
 import time
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
@@ -110,6 +111,66 @@ def _render_known(known: Mapping[AspectKind, str]) -> str:
     return "\n".join(lines)
 
 
+def _context(
+    examples_block: str, known: Mapping[AspectKind, str], tvd_text: str, target_cve: str
+) -> str:
+    """The lines every chain prompt carries between its task line and its
+    question: target, examples, the TVD and the known aspects."""
+    return "\n".join(
+        [f"target: {target_cve}", examples_block, f"TVD: {tvd_text}", _render_known(known)]
+    )
+
+
+def _direct_text(context: str, missing: list[AspectKind]) -> str:
+    return "\n".join(
+        [
+            "reason target: infer the missing key aspects of the vulnerability"
+            " description below from the examples.",
+            context,
+            f"Question: what is the {_names(missing)} of the TVD?"
+            " Answer with a short phrase.",
+        ]
+    )
+
+
+def _blank(tvd_text: str, missing: list[AspectKind]) -> str:
+    for kind in missing:
+        if kind.placeholder in tvd_text:
+            tvd_text = tvd_text.replace(kind.placeholder, MASK_TOKEN, 1)
+        else:
+            tvd_text = f"{tvd_text} the {kind.display_name} is {MASK_TOKEN}."
+    return tvd_text
+
+
+def _fill_text(context: str, missing: list[AspectKind]) -> str:
+    return "\n".join(
+        [
+            "fill in the blank: the vulnerability description below has its"
+            " missing key aspects masked out.",
+            context,
+            f"Question: the masked content could be the {_names(missing)}."
+            " Answer with the masked content as a short phrase.",
+        ]
+    )
+
+
+def _selection_text(
+    context: str, missing: list[AspectKind], ans_direct: str, ans_fill: str
+) -> str:
+    if not ans_direct or not ans_fill:
+        raise ValueError("selection requires two non-empty candidate answers")
+    return "\n".join(
+        [
+            f"selection: choose the better value for the {_names(missing)}"
+            " of the vulnerability description below.",
+            context,
+            f"option A: {ans_direct}",
+            f"option B: {ans_fill}",
+            "Question: reply with the exact text of the better option.",
+        ]
+    )
+
+
 def build_direct(
     examples: ExampleSet | None,
     known: Mapping[AspectKind, str],
@@ -119,21 +180,10 @@ def build_direct(
 ) -> Prompt:
     """Direct-generation prompt: task line, examples, the TVD, and a question
     naming each missing aspect."""
-    text = "\n".join(
-        [
-            "reason target: infer the missing key aspects of the vulnerability"
-            " description below from the examples.",
-            f"target: {target_cve}",
-            _render_examples(examples),
-            f"TVD: {tvd_text}",
-            _render_known(known),
-            f"Question: what is the {_names(missing)} of the TVD?"
-            " Answer with a short phrase.",
-        ]
-    )
+    context = _context(_render_examples(examples), known, tvd_text, target_cve)
     return Prompt(
         kind=PromptKind.DIRECT_GENERATION,
-        text=text,
+        text=_direct_text(context, missing),
         target_cve=target_cve,
         missing=list(missing),
         known=dict(known),
@@ -154,27 +204,10 @@ def build_fill(
     appended "the <name> is (mask)." sentence so the one-mask-per-aspect shape
     always holds.
     """
-    blanked = tvd_text
-    for kind in missing:
-        if kind.placeholder in blanked:
-            blanked = blanked.replace(kind.placeholder, MASK_TOKEN, 1)
-        else:
-            blanked = f"{blanked} the {kind.display_name} is {MASK_TOKEN}."
-    text = "\n".join(
-        [
-            "fill in the blank: the vulnerability description below has its"
-            " missing key aspects masked out.",
-            f"target: {target_cve}",
-            _render_examples(examples),
-            f"TVD: {blanked}",
-            _render_known(known),
-            f"Question: the masked content could be the {_names(missing)}."
-            " Answer with the masked content as a short phrase.",
-        ]
-    )
+    context = _context(_render_examples(examples), known, _blank(tvd_text, missing), target_cve)
     return Prompt(
         kind=PromptKind.FILL_IN_THE_BLANK,
-        text=text,
+        text=_fill_text(context, missing),
         target_cve=target_cve,
         missing=list(missing),
         known=dict(known),
@@ -192,24 +225,10 @@ def build_selection(
 ) -> Prompt:
     """Selection prompt: option A is always the direct-generation answer,
     option B the fill-in answer."""
-    if not ans_direct or not ans_fill:
-        raise ValueError("selection requires two non-empty candidate answers")
-    text = "\n".join(
-        [
-            f"selection: choose the better value for the {_names(missing)}"
-            " of the vulnerability description below.",
-            f"target: {target_cve}",
-            _render_examples(examples),
-            f"TVD: {tvd_text}",
-            _render_known(known),
-            f"option A: {ans_direct}",
-            f"option B: {ans_fill}",
-            "Question: reply with the exact text of the better option.",
-        ]
-    )
+    context = _context(_render_examples(examples), known, tvd_text, target_cve)
     return Prompt(
         kind=PromptKind.SELECTION,
-        text=text,
+        text=_selection_text(context, missing, ans_direct, ans_fill),
         target_cve=target_cve,
         missing=list(missing),
         known=dict(known),
@@ -300,26 +319,29 @@ def generate_candidates(
         raise ValueError("rounds must be >= 1")
     known, _ = extract_known_aspects(record)
     missing = [kind]
+    # The examples and known aspects are the same in every prompt of the
+    # chain, and the two generator prompts the same in every round.
+    block = _render_examples(examples)
+    context = _context(block, known, record.description, record.cve_id)
+    direct_text = _direct_text(context, missing)
+    fill_text = _fill_text(
+        _context(block, known, _blank(record.description, missing), record.cve_id), missing
+    )
     outcome = GenerationOutcome(candidates=[])
     for r in range(1, rounds + 1):
         seed = base_seed + r
         try:
-            direct = build_direct(examples, known, missing, record.description, record.cve_id)
             ans_direct = postprocess_answer(
-                backend.complete(direct.text, temperature=temperature, seed=seed)
+                backend.complete(direct_text, temperature=temperature, seed=seed)
             )
-            fill = build_fill(examples, known, missing, record.description, record.cve_id)
             ans_fill = postprocess_answer(
-                backend.complete(fill.text, temperature=temperature, seed=seed)
+                backend.complete(fill_text, temperature=temperature, seed=seed)
             )
             if not ans_direct or not ans_fill:
                 raise BackendError("empty completion from generator prompt")
-            selection = build_selection(
-                examples, known, missing, ans_direct, ans_fill,
-                tvd_text=record.description, target_cve=record.cve_id,
-            )
+            selection_text = _selection_text(context, missing, ans_direct, ans_fill)
             final = postprocess_answer(
-                backend.complete(selection.text, temperature=temperature, seed=seed)
+                backend.complete(selection_text, temperature=temperature, seed=seed)
             )
             if final.upper() == "A":
                 final = ans_direct
@@ -453,6 +475,9 @@ class BackendConfig:
 class HttpBackend:
     """OpenAI-style chat-completions client with retry and backoff.
 
+    Network failures, rate limiting (HTTP 429) and server errors are retried
+    up to ``config.max_retries`` times; any other 4xx fails at once.
+
     Building one without an API key in ``config.api_key_env`` raises
     :class:`MissingPrerequisite`, before any request is sent.
     """
@@ -492,10 +517,16 @@ class HttpBackend:
                 with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
                     body = json.loads(resp.read().decode("utf-8"))
                 return body["choices"][0]["message"]["content"]
+            except urllib.error.HTTPError as exc:
+                # A client error other than rate limiting fails the same way
+                # on every retry (bad key, wrong endpoint or model).
+                if 400 <= exc.code < 500 and exc.code != 429:
+                    raise BackendError(f"backend call rejected: {exc}") from exc
+                last_error = exc
             except Exception as exc:  # noqa: BLE001 - network failures vary widely
                 last_error = exc
-                if attempt < self.config.max_retries:
-                    time.sleep(2.0**attempt)
+            if attempt < self.config.max_retries:
+                time.sleep(2.0**attempt)
         raise BackendError(f"backend call failed after retries: {last_error}")
 
 

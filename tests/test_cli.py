@@ -143,6 +143,27 @@ class TestPrerequisites:
         assert not (tmp_path / "out.jsonl").exists()
 
 
+class TestTrainEmbedSettings:
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--dim", "0", "dim"),
+        ("--epochs", "0", "epochs"),
+        ("--window", "0", "window"),
+        ("--window", "-2", "window"),
+        ("--negative", "0", "negative_samples"),
+        ("--negative", "-1", "negative_samples"),
+    ])
+    def test_setting_that_trains_nothing_exits_two(self, runner, tmp_path, flag, value, name):
+        feed = write_feed(tmp_path, small_feed_records(4))
+        corpus = tmp_path / "corpus.jsonl"
+        runner.invoke(cli, ["ingest", str(feed), "-o", str(corpus)])
+        out = tmp_path / "embed.bin"
+        result = runner.invoke(
+            cli, ["train-embed", "--corpus", str(corpus), flag, value, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert name in result.output
+        assert not out.exists()
+
+
 class TestCost:
     def test_effective_case(self, runner):
         result = runner.invoke(cli, ["cost", "--n", "2", "--x", "0.6"])

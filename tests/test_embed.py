@@ -1,9 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record
+from helpers import feed_text, make_record
+from vulnaug import embed
+from vulnaug.cli import cli
 from vulnaug.corpus import Corpus
 from vulnaug.embed import (
     EmbeddingModel,
@@ -70,6 +75,125 @@ class TestTraining:
         corpus = Corpus.from_records([make_record("CVE-2020-9000", "word word word")])
         with pytest.raises(InsufficientVocabulary):
             train_embeddings(corpus)
+
+
+def reference_vectors(corpus, cfg, dim=64):
+    """Vocabulary and float64 input vectors of skip-gram training one center
+    token and one row scatter at a time, drawing each center's negatives on
+    their own."""
+    sentences = [tokenize(rec.description) for rec in corpus]
+    counts = Counter(tok for sent in sentences for tok in sent)
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    vocab = {tok: i for i, (tok, _) in enumerate(ordered)}
+    freq = np.array([n for _, n in ordered], dtype=np.float64)
+    noise = freq**0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+
+    rng = np.random.default_rng(cfg.seed)
+    size = len(vocab)
+    w_in = (rng.random((size, dim)) - 0.5) / dim
+    w_out = np.zeros((size, dim))
+
+    encoded = [np.array([vocab[t] for t in sent], dtype=np.int64) for sent in sentences]
+    total_steps = max(1, cfg.epochs * sum(len(s) for s in encoded))
+    step = 0
+    k = cfg.negative_samples
+    for _ in range(cfg.epochs):
+        for sent in encoded:
+            n = len(sent)
+            for pos in range(n):
+                lr = max(embed._LR_MIN, embed._LR_INITIAL * (1.0 - step / total_steps))
+                step += 1
+                lo = max(0, pos - cfg.window)
+                hi = min(n, pos + cfg.window + 1)
+                ctx = np.concatenate([sent[lo:pos], sent[pos + 1 : hi]])
+                if ctx.size == 0:
+                    continue
+                center = sent[pos]
+                v = w_in[center]
+                pos_vecs = w_out[ctx]  # (m, dim)
+                g_pos = embed._sigmoid(pos_vecs @ v) - 1.0  # (m,)
+                neg = np.searchsorted(noise_cdf, rng.random((ctx.size, k)))
+                neg_vecs = w_out[neg]  # (m, k, dim)
+                g_neg = embed._sigmoid(neg_vecs @ v)  # (m, k)
+                grad_v = g_pos @ pos_vecs + np.einsum("mk,mkd->d", g_neg, neg_vecs)
+                np.add.at(w_out, ctx, -lr * g_pos[:, None] * v)
+                np.add.at(w_out, neg.ravel(), -lr * (g_neg.reshape(-1, 1) * v))
+                w_in[center] = v - lr * grad_v
+    return vocab, w_in
+
+
+# A few words, so tokens repeat inside one window; "; ;" has no tokens at all.
+TRAIN_TEXTS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta", "eps"]),
+                 min_size=1, max_size=14).map(" ".join),
+        st.just("; ;"),
+    ),
+    min_size=1, max_size=6,
+).filter(lambda texts: len(set(tokenize(" ".join(texts)))) >= 2)
+
+
+def text_corpus(texts):
+    return Corpus.from_records(
+        [make_record(f"CVE-2021-{1000 + i}", text) for i, text in enumerate(texts)]
+    )
+
+
+class TestTrainingMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(TRAIN_TEXTS, st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+           st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_small_corpora_bitwise(self, texts, window, negatives, epochs, dim, seed):
+        corpus = text_corpus(texts)
+        cfg = TrainConfig(window=window, epochs=epochs, negative_samples=negatives, seed=seed)
+        # Compared before the float32 cast, which would hide last-bit changes.
+        vocab, w_in = embed._train_vectors(corpus, cfg, dim)
+        want_vocab, want = reference_vectors(corpus, cfg, dim)
+        assert vocab == want_vocab
+        assert w_in.tobytes() == want.tobytes()
+        model = train_embeddings(corpus, cfg, dim=dim)
+        assert model.vectors.tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 17, 64])
+    def test_wider_vectors_bitwise(self, dim):
+        # Wide enough for BLAS to sum a dot product in blocks, where the
+        # order depends on the row's place in the matrix.
+        rng = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(30)]
+        corpus = text_corpus([" ".join(rng.choice(words, int(rng.integers(1, 20))))
+                              for _ in range(40)])
+        cfg = TrainConfig(seed=dim)
+        assert embed._train_vectors(corpus, cfg, dim)[1].tobytes() == \
+            reference_vectors(corpus, cfg, dim)[1].tobytes()
+
+    def test_one_token_descriptions_train_nothing_but_keep_the_stream(self):
+        # Lone tokens have no context, so they draw no negatives: the rng
+        # stream the later sentences see must not shift.
+        corpus = text_corpus(["alpha", "beta gamma alpha beta", "delta", "gamma beta"])
+        cfg = TrainConfig(window=2, epochs=2, negative_samples=3, seed=5)
+        assert embed._train_vectors(corpus, cfg, 7)[1].tobytes() == \
+            reference_vectors(corpus, cfg, 7)[1].tobytes()
+
+    def test_cli_model_file_matches_reference_bytes(self, tmp_path):
+        records = [
+            make_record(f"CVE-2022-{1000 + i}",
+                        f"buffer overflow in widget{i % 4} lets remote attackers run code"
+                        f" via crafted packet{i % 3} because of missing bounds check {i}")
+            for i in range(30)
+        ]
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(feed_text(records), encoding="utf-8")
+        out = tmp_path / "embed.bin"
+        result = CliRunner().invoke(
+            cli, ["--seed", "9", "train-embed", "--corpus", str(corpus_path), "-o", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        cfg = TrainConfig(seed=9)
+        vocab, w_in = reference_vectors(Corpus.from_records(records), cfg)
+        EmbeddingModel(dim=64, vocab=vocab, vectors=w_in.astype(np.float32),
+                       train_config=cfg).save(tmp_path / "reference.bin")
+        assert out.read_bytes() == (tmp_path / "reference.bin").read_bytes()
 
 
 def reference_sentence_vector(model, text):

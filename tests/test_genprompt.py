@@ -1,3 +1,5 @@
+import io
+import urllib.error
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -9,13 +11,16 @@ from helpers import (
     prompt_example_set,
     prompt_target_record,
 )
+from vulnaug import genprompt
 from vulnaug.corpus import AspectKind, mask_aspect
-from vulnaug.errors import GenerationFailed
+from vulnaug.errors import BackendError, GenerationFailed
 from vulnaug.genprompt import (
     MASK_TOKEN,
+    BackendConfig,
     CandidateAnswer,
     ConstantBackend,
     EchoBackend,
+    HttpBackend,
     MockBackend,
     OracleBackend,
     PromptKind,
@@ -233,6 +238,28 @@ class TestGenerateCandidates:
         assert len(backend.calls) == 3 * 4
         assert sorted({seed for _, seed in backend.calls}) == [11, 12, 13, 14]
 
+    @pytest.mark.parametrize("with_examples", [True, False])
+    @pytest.mark.parametrize("kind", [AspectKind.VULNERABILITY_TYPE, AspectKind.IMPACT])
+    def test_prompts_equal_the_builders(self, with_examples, kind):
+        # IMPACT has no placeholder in the TVD, so the fill prompt appends its blank.
+        backend = CountingBackend()
+        masked, _, known, _ = masked_fixture()
+        examples = prompt_example_set() if with_examples else None
+        generate_candidates(backend, examples, masked, kind, rounds=3, base_seed=4)
+        missing = [kind]
+        prompts = [prompt for prompt, _ in backend.calls]
+        for r in range(3):
+            direct, fill, selection = prompts[3 * r : 3 * r + 3]
+            assert direct == build_direct(examples, known, missing, masked.description,
+                                          masked.cve_id).text
+            assert fill == build_fill(examples, known, missing, masked.description,
+                                      masked.cve_id).text
+            answers = [postprocess_answer(MockBackend().complete(p, temperature=0.7, seed=5 + r))
+                       for p in (direct, fill)]
+            assert selection == build_selection(examples, known, missing, *answers,
+                                                tvd_text=masked.description,
+                                                target_cve=masked.cve_id).text
+
     def test_echo_backend_selects_direct_answer(self):
         masked, _, known, missing = masked_fixture()
         backend = EchoBackend()
@@ -287,6 +314,46 @@ class TestBackends:
     def test_echo_returns_option_a_verbatim(self):
         prompt = "stuff\noption A: the right one\noption B: other\nQuestion: pick"
         assert EchoBackend().complete(prompt) == "the right one"
+
+
+class TestHttpBackend:
+    @pytest.fixture()
+    def attempts(self, monkeypatch):
+        """Patch out the network and the backoff. Returns the list of events
+        ("attempt", or the seconds of each sleep) and a dict whose "code" is
+        the HTTP status every attempt fails with."""
+        monkeypatch.setenv("VULNAUG_TEST_KEY", "secret")
+        events = []
+        status = {}
+
+        def fake_urlopen(request, timeout):
+            events.append("attempt")
+            raise urllib.error.HTTPError(request.full_url, status["code"], "failed", {},
+                                         io.BytesIO(b""))
+
+        monkeypatch.setattr(genprompt.urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(genprompt.time, "sleep", lambda s: events.append(s))
+        return events, status
+
+    def backend(self):
+        return HttpBackend(BackendConfig(endpoint="http://localhost:9/v1", model="m",
+                                         max_retries=3, api_key_env="VULNAUG_TEST_KEY"))
+
+    @pytest.mark.parametrize("code", [400, 401, 403, 404])
+    def test_client_error_fails_without_retry(self, attempts, code):
+        events, status = attempts
+        status["code"] = code
+        with pytest.raises(BackendError, match=str(code)):
+            self.backend().complete("prompt")
+        assert events == ["attempt"]
+
+    @pytest.mark.parametrize("code", [429, 500, 503])
+    def test_rate_limit_and_server_errors_are_retried(self, attempts, code):
+        events, status = attempts
+        status["code"] = code
+        with pytest.raises(BackendError, match=str(code)):
+            self.backend().complete("prompt")
+        assert events == ["attempt", 1.0, "attempt", 2.0, "attempt", 4.0, "attempt"]
 
 
 class TestCandidateAnswer:
