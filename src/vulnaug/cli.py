@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections import Counter
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+import dataclasses
 from pathlib import Path
 
 import click
@@ -31,8 +32,10 @@ EXIT_INTERNAL = 1
 EXIT_BAD_INPUT = 2
 EXIT_MISSING_PREREQ = 3
 
+BACKENDS = ("mock", "echo", "oracle", "http")
 
-@dataclass
+
+@dataclasses.dataclass
 class RunConfig:
     """Defaults for every stage; a JSON config file and flags override them."""
 
@@ -49,23 +52,30 @@ class RunConfig:
     example_strategy: str = "cluster"
     rounds: int = 5
     long_tail_threshold: int = 50
-    neg_ratio: int = featcorr.NEG_RATIO
     temperature: float = 0.7
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**obj)
 
     def override(self, **kwargs) -> "RunConfig":
         for key, value in kwargs.items():
             if value is not None:
                 setattr(self, key, value)
         return self
+
+
+def _load_settings(cls, path: str | Path):
+    """Build dataclass ``cls`` from a JSON object file; a ValueError names the
+    file and any keys ``cls`` does not declare or requires but did not get."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    declared = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in declared})
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}")
+    missing = [f.name for f in declared if f.name not in obj
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{path}: missing keys {missing}")
+    return cls(**obj)
 
 
 def _fmt_num(value: float) -> str:
@@ -124,10 +134,12 @@ def _make_backend(cfg: RunConfig) -> genprompt.LlmBackend:
         answers: dict[str, str] = {}
         if cfg.oracle_answers:
             answers = json.loads(Path(cfg.oracle_answers).read_text(encoding="utf-8"))
+            if not isinstance(answers, dict) or not all(isinstance(a, str) for a in answers.values()):
+                raise ValueError(f"{cfg.oracle_answers}: expected a JSON object of answer strings")
         backend = genprompt.OracleBackend(answers=answers)
     elif cfg.backend == "http":
         conf_path = _prereq(cfg.backend_config, "backend config")
-        backend = genprompt.HttpBackend(genprompt.BackendConfig.from_file(conf_path))
+        backend = genprompt.HttpBackend(_load_settings(genprompt.BackendConfig, conf_path))
     else:
         raise ValueError(f"unknown backend: {cfg.backend!r}")
     if cfg.audit:
@@ -142,13 +154,13 @@ def _make_backend(cfg: RunConfig) -> genprompt.LlmBackend:
 @click.option("--decode-seed", type=int, default=None, help="Base seed for backend rounds.")
 @click.option("--jobs", type=int, default=None, help="Worker threads for per-target stages.")
 @click.option("--output-dir", type=str, default=None)
-@click.option("--backend", type=click.Choice(["mock", "echo", "oracle", "http"]), default=None)
+@click.option("--backend", type=click.Choice(BACKENDS), default=None)
 @click.pass_context
 def cli(ctx, config_path, seed, decode_seed, jobs, output_dir, backend):
     """Augment missing key aspects in textual vulnerability descriptions."""
     try:
-        cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
-    except (ValueError, TypeError) as exc:
+        cfg = _load_settings(RunConfig, config_path) if config_path else RunConfig()
+    except ValueError as exc:
         _fail(EXIT_BAD_INPUT, f"bad config file: {exc}")
     cfg.override(seed=seed, decode_seed=decode_seed, jobs=jobs,
                  output_dir=output_dir, backend=backend)
@@ -272,8 +284,30 @@ def train_corr(cfg: RunConfig, corpus_path, embed_path, background_path, lr, epo
     )
 
 
+def _pipeline_options(fn):
+    """The artifact, backend and example options of ``augment`` and ``evaluate``."""
+    options = [
+        click.option("--corpus", "corpus_path", default=None),
+        click.option("--map", "map_path", default=None),
+        click.option("--embed", "embed_path", default=None),
+        click.option("--corr", "corr_path", default=None),
+        click.option("--background", "background_path", default=None),
+        click.option("--backend", type=click.Choice(BACKENDS), default=None),
+        click.option("--backend-config", default=None, help="JSON settings for the http backend."),
+        click.option("--oracle-answers", default=None, help="JSON answer table for the oracle backend."),
+        click.option("--example-strategy", type=click.Choice(["cluster", "similarity"]), default=None,
+                     help="Example selection; similarity is the evaluation baseline."),
+    ]
+    for option in reversed(options):
+        fn = option(fn)
+    return fn
+
+
 def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path,
-                    background_path) -> tuple[AugmentPipeline, Corpus]:
+                    background_path, backend, backend_config, oracle_answers,
+                    example_strategy) -> AugmentPipeline:
+    cfg.override(backend=backend, backend_config=backend_config,
+                 oracle_answers=oracle_answers, example_strategy=example_strategy)
     corpus = _load_corpus(_prereq(corpus_path, "corpus file"))
     db = mapping.load_mapping(_prereq(map_path, "mapping file"))
     embedding = embed_mod.EmbeddingModel.load(_prereq(embed_path, "embedding model"))
@@ -281,7 +315,7 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
     store = None
     if background_path:
         store = featcorr.BackgroundStore.from_file(_prereq(background_path, "background store"))
-    pipeline = AugmentPipeline(
+    return AugmentPipeline(
         corpus=corpus,
         db=db,
         embedding=embedding,
@@ -296,53 +330,31 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
         aggregation=cfg.aggregation,
         example_strategy=cfg.example_strategy,
     )
-    return pipeline, corpus
-
-
-def _parse_aspect(name: str) -> AspectKind:
-    try:
-        return AspectKind.from_key(name)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
 
 
 @cli.command()
-@click.option("--corpus", "corpus_path", default=None)
-@click.option("--map", "map_path", default=None)
-@click.option("--embed", "embed_path", default=None)
-@click.option("--corr", "corr_path", default=None)
-@click.option("--background", "background_path", default=None)
+@_pipeline_options
 @click.option("--targets", "targets_path", default=None,
               help="Feed-format file of records to augment; defaults to corpus records with gaps.")
 @click.option("--aspect", default=None, help="Only augment this aspect.")
-@click.option("--backend", type=click.Choice(["mock", "echo", "oracle", "http"]), default=None)
-@click.option("--backend-config", default=None, help="JSON settings for the http backend.")
-@click.option("--oracle-answers", default=None, help="JSON answer table for the oracle backend.")
 @click.option("--rounds", type=int, default=None)
 @click.option("--limit", "example_limit", type=int, default=None)
-@click.option("--example-strategy", type=click.Choice(["cluster", "similarity"]), default=None,
-              help="Example selection; similarity is the evaluation baseline.")
 @click.option("--audit", default=None, help="Append prompts/completions to this JSONL file.")
 @click.option("--dump-examples", is_flag=True,
               help="Include the chosen in-context example cve_ids in the output.")
 @click.option("-o", "--output", default=None)
 @click.pass_obj
 @_guard
-def augment(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path, background_path,
-            targets_path, aspect, backend, backend_config, oracle_answers, rounds,
-            example_limit, example_strategy, audit, dump_examples, output):
+def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
+            dump_examples, output, **shared):
     """Fill missing aspects for every target record."""
-    cfg.override(backend=backend, backend_config=backend_config,
-                 oracle_answers=oracle_answers, rounds=rounds,
-                 example_limit=example_limit, example_strategy=example_strategy, audit=audit)
-    pipeline, corpus = _build_pipeline(
-        cfg, corpus_path, map_path, embed_path, corr_path, background_path
-    )
+    cfg.override(rounds=rounds, example_limit=example_limit, audit=audit)
+    pipeline = _build_pipeline(cfg, **shared)
     if targets_path:
         targets = _load_records(_prereq(targets_path, "targets file"))
     else:
-        targets = [rec for rec in corpus if rec.missing_aspects()]
-    only = _parse_aspect(aspect) if aspect else None
+        targets = [rec for rec in pipeline.corpus if rec.missing_aspects()]
+    only = AspectKind.from_key(aspect) if aspect else None
 
     tasks: list[tuple[TvdRecord, AspectKind]] = []
     for rec in sorted(targets, key=lambda r: r.cve_id):
@@ -389,52 +401,47 @@ def augment(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path, backgr
 
 def _load_testset(path: Path) -> list[tuple[TvdRecord, AspectKind, str]]:
     testset = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        record = TvdRecord.from_json_obj(obj)
-        kind = AspectKind.from_key(obj["masked_aspect"])
-        testset.append((record, kind, obj["label"]))
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
+            record = TvdRecord.from_json_obj(obj)
+            kind = AspectKind.from_key(obj["masked_aspect"])
+            label = obj["label"]
+        except KeyError as exc:
+            raise FeedFormatError(f"missing field {exc} in {path}", line=line_no) from None
+        except json.JSONDecodeError as exc:
+            raise FeedFormatError(f"{exc.msg} in {path}", line=line_no) from None
+        except (TypeError, ValueError) as exc:
+            raise FeedFormatError(f"{exc} in {path}", line=line_no) from None
+        testset.append((record, kind, label))
     return testset
 
 
 @cli.command()
-@click.option("--corpus", "corpus_path", default=None)
-@click.option("--map", "map_path", default=None)
-@click.option("--embed", "embed_path", default=None)
-@click.option("--corr", "corr_path", default=None)
-@click.option("--background", "background_path", default=None)
+@_pipeline_options
 @click.option("--testset", "testset_path", default=None,
               help="Masked-testset JSONL; omit to mask --aspect over the corpus.")
 @click.option("--aspect", default=None)
-@click.option("--backend", type=click.Choice(["mock", "echo", "oracle", "http"]), default=None)
-@click.option("--backend-config", default=None, help="JSON settings for the http backend.")
-@click.option("--oracle-answers", default=None, help="JSON answer table for the oracle backend.")
 @click.option("--threshold", type=int, default=None, help="Long-tail threshold.")
-@click.option("--example-strategy", type=click.Choice(["cluster", "similarity"]), default=None,
-              help="Example selection; similarity is the evaluation baseline.")
 @click.option("-o", "--output", "out_prefix", default=None,
               help="Prefix for report files (.txt, .jsonl, .csv).")
 @click.pass_obj
 @_guard
-def evaluate(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path, background_path,
-             testset_path, aspect, backend, backend_config, oracle_answers, threshold,
-             example_strategy, out_prefix):
+def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shared):
     """Score the pipeline on a masked test set."""
-    cfg.override(backend=backend, backend_config=backend_config,
-                 oracle_answers=oracle_answers,
-                 long_tail_threshold=threshold, example_strategy=example_strategy)
-    pipeline, corpus = _build_pipeline(
-        cfg, corpus_path, map_path, embed_path, corr_path, background_path
-    )
+    cfg.override(long_tail_threshold=threshold)
+    pipeline = _build_pipeline(cfg, **shared)
     if testset_path:
         testset = _load_testset(_prereq(testset_path, "testset file"))
         dataset_id = str(testset_path)
     elif aspect:
-        kind = _parse_aspect(aspect)
+        kind = AspectKind.from_key(aspect)
         testset = []
-        for rec in corpus:
+        for rec in pipeline.corpus:
             try:
                 masked, label = corpus_mod.mask_aspect(rec, kind)
             except VulnaugError:
@@ -500,16 +507,8 @@ def stats(cfg: RunConfig, corpus_path, map_path, threshold, output):
     cfg.override(long_tail_threshold=threshold)
     corpus = _load_corpus(_prereq(corpus_path, "corpus file"))
     db = mapping.load_mapping(_prereq(map_path, "mapping file")) if map_path else None
-    counts: dict[str, int] = {}
-    unnamed = 0
-    for rec in corpus:
-        name = db.cve_to_name.get(rec.cve_id) if db else None
-        if name is None and rec.raw_software_names:
-            name = mapping.canonicalize_name(rec.raw_software_names[0])
-        if name is None:
-            unnamed += 1
-            continue
-        counts[name] = counts.get(name, 0) + 1
+    counts = Counter(mapping.software_name(rec, db) for rec in corpus)
+    unnamed = counts.pop(None, 0)
     if not counts:
         raise ValueError("no record carries a software name; cannot compute stats")
     report = corpus_mod.classify_long_tail(counts, cfg.long_tail_threshold)

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 from .corpus import AspectKind, TvdRecord, classify_long_tail
 from .embed import EmbeddingModel, tokenize
 from .errors import UndefinedScore
-from .mapping import MappingDb
+from .mapping import MappingDb, software_name
 
 LONG_TAIL = "long-tail"
 NON_LONG_TAIL = "non-long-tail"
@@ -158,29 +159,19 @@ def evaluate(
 
     Each answer is scored against its label and aggregated per aspect and
     software class. Classes come from long-tail classification over per-name
-    mapping link counts when a db is given, otherwise over raw software names
-    seen in the test set. Per-record pipeline failures are excluded from the
+    mapping link counts when a db is given, otherwise over ``software_name``
+    counts in the test set. Per-record pipeline failures are excluded from the
     means and reported separately.
     """
-    def name_of(rec: TvdRecord) -> str | None:
-        if db is not None:
-            name = db.cve_to_name.get(rec.cve_id)
-            if name is not None:
-                return name
-        return rec.raw_software_names[0] if rec.raw_software_names else None
-
-    counts: dict[str, int] = {}
     if db is not None:
         counts = {name: len(cves) for name, cves in db.name_to_cves.items()}
     else:
-        for rec, _, _ in testset:
-            name = name_of(rec)
-            if name is not None:
-                counts[name] = counts.get(name, 0) + 1
+        counts = Counter(software_name(rec, None) for rec, _, _ in testset)
+        counts.pop(None, None)
     report_classes = classify_long_tail(counts, threshold) if counts else None
 
     def class_of(rec: TvdRecord) -> str:
-        name = name_of(rec)
+        name = software_name(rec, db)
         if report_classes is not None and name in report_classes.non_long_tail:
             return NON_LONG_TAIL
         return LONG_TAIL

@@ -466,11 +466,6 @@ class BackendConfig:
     api_key_env: str = "VULNAUG_API_KEY"
     rate_per_s: float | None = None
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "BackendConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**obj)
-
 
 class HttpBackend:
     """OpenAI-style chat-completions client with retry and backoff.

@@ -190,15 +190,24 @@ def extend_with_fallback(db: MappingDb, records: Iterable[TvdRecord]) -> int:
     """
     added = 0
     for rec in records:
-        if rec.cve_id in db.cve_to_name or not rec.raw_software_names:
+        if rec.cve_id in db.cve_to_name:
             continue
-        name = canonicalize_name(rec.raw_software_names[0])
-        if not name:
+        name = software_name(rec, None)
+        if name is None:
             continue
         db.insert(name, rec.cve_id, source=None)
         db.fallback_cves.add(rec.cve_id)
         added += 1
     return added
+
+
+def software_name(record: TvdRecord, db: MappingDb | None) -> str | None:
+    """The record's mapping name, else its canonicalized first raw name; None
+    when neither gives one (an all-whitespace raw name gives none)."""
+    name = db.cve_to_name.get(record.cve_id) if db is not None else None
+    if name is None and record.raw_software_names:
+        name = canonicalize_name(record.raw_software_names[0]) or None
+    return name
 
 
 def resolve(db: MappingDb, query: str) -> tuple[str, list[str]]:

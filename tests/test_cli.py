@@ -201,6 +201,96 @@ class TestStats:
         assert "gini=0.0" in result.output
 
 
+    def test_software_named_like_evaluate(self, runner, tmp_path):
+        records = [
+            make_record(f"CVE-2023-{2000 + i}", f"flaw in foo bar {i}.", software=[name])
+            for i, name in enumerate(["Foo  Bar", "Foo Bar", "Foo Bar", "  ", "Baz"])
+        ]
+        feed = write_feed(tmp_path, records)
+        corpus = tmp_path / "corpus.jsonl"
+        assert runner.invoke(cli, ["ingest", str(feed), "-o", str(corpus)]).exit_code == 0
+        out = tmp_path / "stats.json"
+        result = runner.invoke(
+            cli, ["stats", "--corpus", str(corpus), "--threshold", "2", "-o", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["counts"] == {"Baz": 1, "Foo Bar": 3}
+        assert report["non_long_tail"] == ["Foo Bar"]
+        assert report["unnamed"] == 1
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("artifacts")
+    return build_artifacts(CliRunner(), tmp_path, small_feed_records(6))
+
+
+def pipeline_args(command, artifacts):
+    corpus, mapping, embedding, correlation = artifacts
+    return [command, "--corpus", str(corpus), "--map", str(mapping),
+            "--embed", str(embedding), "--corr", str(correlation)]
+
+
+def without(key):
+    return lambda good: json.dumps({k: v for k, v in good.items() if k != key})
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("settings,needle", [
+        ({"endpoint": "http://localhost:9/v1", "model": "m", "bogus": 1}, "bogus"),
+        ({"endpoint": "http://localhost:9/v1"}, "model"),
+        (["http://localhost:9/v1", "m"], "JSON object"),
+    ])
+    def test_backend_config_exits_two(self, runner, tmp_path, artifacts, settings, needle):
+        config = tmp_path / "backend.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--backend", "http", "--backend-config", str(config), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert needle in result.output and "backend.json" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("answers", [["x"], {"CVE-2023-1000": 1}, "remote attackers"])
+    def test_oracle_answers_not_an_object_of_strings_exits_two(
+        self, runner, tmp_path, artifacts, answers
+    ):
+        path = tmp_path / "answers.json"
+        path.write_text(json.dumps(answers))
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--backend", "oracle", "--oracle-answers", str(path), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "answers.json" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make_line,needle", [
+        (lambda good: "{not json", "line 2"),
+        (lambda good: "[1, 2]", "JSON object"),
+        (without("masked_aspect"), "masked_aspect"),
+        (without("label"), "label"),
+        (without("published"), "published"),
+        (lambda good: json.dumps({**good, "masked_aspect": "no such aspect"}), "no such aspect"),
+    ], ids=["not-json", "not-object", "no-aspect", "no-label", "no-published", "bad-aspect"])
+    def test_bad_testset_line_exits_two_with_line_number(
+        self, runner, tmp_path, artifacts, make_line, needle
+    ):
+        good = small_feed_records(1)[0].to_json_obj()
+        good["masked_aspect"] = "attacker_type"
+        good["label"] = "attacker group0"
+        lines = [json.dumps(good), make_line(good), json.dumps(good)]
+        testset = tmp_path / "testset.jsonl"
+        testset.write_text("\n".join(lines) + "\n")
+        prefix = tmp_path / "report"
+        result = runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
+                               + ["--testset", str(testset), "-o", str(prefix)])
+        assert result.exit_code == 2, result.output
+        assert "line 2" in result.output and needle in result.output
+        assert "column" not in result.output
+        assert not prefix.with_suffix(".txt").exists()
+
+
 class TestPipelineCommands:
     def test_full_chain_and_augment_determinism(self, runner, tmp_path):
         corpus, mapping, embedding, correlation = build_artifacts(
@@ -334,7 +424,6 @@ class TestRunConfig:
         assert cfg.example_limit == 30
         assert cfg.rounds == 5
         assert cfg.long_tail_threshold == 50
-        assert cfg.neg_ratio == 2
 
     def test_config_file_overridden_by_flags(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -349,3 +438,161 @@ class TestRunConfig:
         config.write_text(json.dumps({"bogus": 1}))
         result = runner.invoke(cli, ["--config", str(config), "cost", "--n", "2", "--x", "0.9"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("content,needle", [
+        # the 2:1 negative ratio is fixed (featcorr.NEG_RATIO), not a setting
+        ({"neg_ratio": 2}, "neg_ratio"),
+        (["seed", 5], "JSON object"),
+        ("{not json", "config.json"),
+    ])
+    def test_bad_config_file_exits_two(self, runner, tmp_path, content, needle):
+        config = tmp_path / "config.json"
+        config.write_text(content if isinstance(content, str) else json.dumps(content))
+        result = runner.invoke(cli, ["--config", str(config), "cost", "--n", "2", "--x", "0.9"])
+        assert result.exit_code == 2, result.output
+        assert "bad config file" in result.output
+        if needle != "config.json":
+            assert needle in result.output
+
+
+REQUIRED = "<required>"
+BACKEND_CHOICES = ("mock", "echo", "oracle", "http")
+STRATEGY_HELP = "Example selection; similarity is the evaluation baseline."
+
+# Every parameter of every command, by parameter name:
+# (option strings, type, default, Choice values, is_flag, help text).
+CLI_SURFACE = {
+    None: {
+        "config_path": (("--config",), "path", None, None, False,
+                        "JSON config file; flags override it."),
+        "seed": (("--seed",), "integer", None, None, False, "Global training/sampling seed."),
+        "decode_seed": (("--decode-seed",), "integer", None, None, False,
+                        "Base seed for backend rounds."),
+        "jobs": (("--jobs",), "integer", None, None, False,
+                 "Worker threads for per-target stages."),
+        "output_dir": (("--output-dir",), "text", None, None, False, None),
+        "backend": (("--backend",), "choice", None, BACKEND_CHOICES, False, None),
+    },
+    "ingest": {
+        "feeds": (("feeds",), "text", REQUIRED, None, False, None),
+        "source": (("--source",), "text", "CVE", None, False,
+                   "Source for feed lines lacking one."),
+        "output": (("-o", "--output"), "text", None, None, False, None),
+    },
+    "build-map": {
+        "corpus_path": (("--corpus",), "text", None, None, False, None),
+        "no_fallback": (("--no-fallback",), "boolean", False, None, True,
+                        "Skip raw-name fallback indexing."),
+        "output": (("-o", "--output"), "text", None, None, False, None),
+    },
+    "train-embed": {
+        "corpus_path": (("--corpus",), "text", None, None, False, None),
+        "dim": (("--dim",), "integer", 64, None, False, None),
+        "window": (("--window",), "integer", 5, None, False, None),
+        "epochs": (("--epochs",), "integer", 5, None, False, None),
+        "negative": (("--negative",), "integer", 5, None, False, None),
+        "export_text": (("--export-text",), "text", None, None, False, None),
+        "output": (("-o", "--output"), "text", None, None, False, None),
+    },
+    "train-corr": {
+        "corpus_path": (("--corpus",), "text", None, None, False, None),
+        "embed_path": (("--embed",), "text", None, None, False, None),
+        "background_path": (("--background",), "text", None, None, False, None),
+        "lr": (("--lr",), "float", 0.5, None, False, None),
+        "epochs": (("--epochs",), "integer", 300, None, False, None),
+        "export_text": (("--export-text",), "text", None, None, False, None),
+        "output": (("-o", "--output"), "text", None, None, False, None),
+    },
+    "augment": {
+        "corpus_path": (("--corpus",), "text", None, None, False, None),
+        "map_path": (("--map",), "text", None, None, False, None),
+        "embed_path": (("--embed",), "text", None, None, False, None),
+        "corr_path": (("--corr",), "text", None, None, False, None),
+        "background_path": (("--background",), "text", None, None, False, None),
+        "targets_path": (("--targets",), "text", None, None, False,
+                         "Feed-format file of records to augment;"
+                         " defaults to corpus records with gaps."),
+        "aspect": (("--aspect",), "text", None, None, False, "Only augment this aspect."),
+        "backend": (("--backend",), "choice", None, BACKEND_CHOICES, False, None),
+        "backend_config": (("--backend-config",), "text", None, None, False,
+                           "JSON settings for the http backend."),
+        "oracle_answers": (("--oracle-answers",), "text", None, None, False,
+                           "JSON answer table for the oracle backend."),
+        "rounds": (("--rounds",), "integer", None, None, False, None),
+        "example_limit": (("--limit",), "integer", None, None, False, None),
+        "example_strategy": (("--example-strategy",), "choice", None,
+                             ("cluster", "similarity"), False, STRATEGY_HELP),
+        "audit": (("--audit",), "text", None, None, False,
+                  "Append prompts/completions to this JSONL file."),
+        "dump_examples": (("--dump-examples",), "boolean", False, None, True,
+                          "Include the chosen in-context example cve_ids in the output."),
+        "output": (("-o", "--output"), "text", None, None, False, None),
+    },
+    "evaluate": {
+        "corpus_path": (("--corpus",), "text", None, None, False, None),
+        "map_path": (("--map",), "text", None, None, False, None),
+        "embed_path": (("--embed",), "text", None, None, False, None),
+        "corr_path": (("--corr",), "text", None, None, False, None),
+        "background_path": (("--background",), "text", None, None, False, None),
+        "testset_path": (("--testset",), "text", None, None, False,
+                         "Masked-testset JSONL; omit to mask --aspect over the corpus."),
+        "aspect": (("--aspect",), "text", None, None, False, None),
+        "backend": (("--backend",), "choice", None, BACKEND_CHOICES, False, None),
+        "backend_config": (("--backend-config",), "text", None, None, False,
+                           "JSON settings for the http backend."),
+        "oracle_answers": (("--oracle-answers",), "text", None, None, False,
+                           "JSON answer table for the oracle backend."),
+        "threshold": (("--threshold",), "integer", None, None, False, "Long-tail threshold."),
+        "example_strategy": (("--example-strategy",), "choice", None,
+                             ("cluster", "similarity"), False, STRATEGY_HELP),
+        "out_prefix": (("-o", "--output"), "text", None, None, False,
+                       "Prefix for report files (.txt, .jsonl, .csv)."),
+    },
+    "cost": {
+        "n": (("--n",), "integer", REQUIRED, None, False,
+              "Reference TVDs a maintainer would consult."),
+        "x": (("--x",), "float", REQUIRED, None, False, "Augmentation accuracy in [0,1]."),
+    },
+    "stats": {
+        "corpus_path": (("--corpus",), "text", None, None, False, None),
+        "map_path": (("--map",), "text", None, None, False, None),
+        "threshold": (("--threshold",), "integer", None, None, False, None),
+        "output": (("-o", "--output"), "text", None, None, False,
+                   "Also write the report as JSON."),
+    },
+    "fetch-background": {
+        "terms_path": (("--terms",), "text", REQUIRED, None, False,
+                       "File with one search term per line."),
+        "endpoint": (("--endpoint",), "text",
+                     "https://en.wikipedia.org/api/rest_v1/page/summary/{term}", None, False,
+                     "URL template with a {term} placeholder."),
+        "rate": (("--rate",), "float", 1.0, None, False, "Requests per second."),
+        "output": (("-o", "--output"), "text", None, None, False, None),
+    },
+}
+
+
+class TestCliSurface:
+    @staticmethod
+    def surface(command):
+        import click
+
+        return {
+            p.name: (
+                tuple(p.opts),
+                p.type.name,
+                REQUIRED if p.required else p.default,
+                tuple(p.type.choices) if isinstance(p.type, click.Choice) else None,
+                bool(getattr(p, "is_flag", False)),
+                getattr(p, "help", None),
+            )
+            for p in command.params
+        }
+
+    def test_commands_are_pinned(self):
+        assert set(cli.commands) == {name for name in CLI_SURFACE if name is not None}
+
+    @pytest.mark.parametrize("name", list(CLI_SURFACE), ids=lambda n: n or "group")
+    def test_options_are_pinned(self, name):
+        command = cli if name is None else cli.commands[name]
+        assert self.surface(command) == CLI_SURFACE[name]

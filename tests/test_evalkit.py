@@ -122,6 +122,16 @@ class TestEvaluate:
         classes = {row.software_class for row in report.rows}
         assert classes == {LONG_TAIL, NON_LONG_TAIL}
 
+    def test_raw_names_canonicalized_without_db(self, model):
+        testset = [
+            (make_record(f"CVE-2020-{7100 + i}", "buffer overflow.", software=[name]),
+             AspectKind.IMPACT, "crash")
+            for i, name in enumerate(["Foo  Bar", "Foo Bar", "Foo Bar", " ", "Baz"])
+        ]
+        report = evaluate(lambda rec, kind: "crash", testset, model, db=None, threshold=2)
+        counts = {row.software_class: row.count for row in report.rows}
+        assert counts == {NON_LONG_TAIL: 3, LONG_TAIL: 2}
+
     def test_pipeline_failure_recorded_and_excluded(self, model):
         _, db, testset = build_testset()
         labels = {rec.cve_id: label for rec, _, label in testset}

@@ -15,6 +15,7 @@ from vulnaug.mapping import (
     mapping_stats,
     resolve,
     save_mapping,
+    software_name,
 )
 
 T1, T2, T3 = DEFAULT_TEMPLATES
@@ -98,6 +99,24 @@ class TestBuildMapping:
         again = make_record("CVE-2017-9805", "z.", software=["Wrong Name"])
         assert extend_with_fallback(db, [again]) == 0
         assert db.cve_to_name["CVE-2017-9805"] == "Apache Struts"
+
+
+class TestSoftwareName:
+    def test_mapping_name_wins_over_raw_name(self):
+        db = build_mapping(struts_gov_records())
+        rec = make_record("CVE-2017-9805", "x.", software=["Other  Tool"])
+        assert software_name(rec, db) == "Apache Struts"
+
+    @pytest.mark.parametrize("raw,expected", [
+        (["  Foo   Bar "], "Foo Bar"),
+        (["Foo Bar", "Other"], "Foo Bar"),
+        ([" \t "], None),
+        ([], None),
+    ])
+    def test_falls_back_to_canonical_first_raw_name(self, raw, expected):
+        rec = make_record("CVE-2019-0004", "x.", software=raw)
+        assert software_name(rec, None) == expected
+        assert software_name(rec, MappingDb()) == expected
 
 
 class TestResolve:
