@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import types
+import typing
 from collections import Counter
 import urllib.parse
 import urllib.request
@@ -61,9 +63,22 @@ class RunConfig:
         return self
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a settings field's type: ``bool`` is not an
+    ``int``, an ``int`` is a ``float``, and ``None`` fits an optional field."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, arm) for arm in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _load_settings(cls, path: str | Path):
     """Build dataclass ``cls`` from a JSON object file; a ValueError names the
-    file and any keys ``cls`` does not declare or requires but did not get."""
+    file and any keys ``cls`` does not declare, requires but did not get, or
+    got with a value of the wrong type."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -75,6 +90,11 @@ def _load_settings(cls, path: str | Path):
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ValueError(f"{path}: missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    wrong = [f"{name!r} must be {getattr(hints[name], '__name__', hints[name])}, got {value!r}"
+             for name, value in obj.items() if not _fits(value, hints[name])]
+    if wrong:
+        raise ValueError(f"{path}: {'; '.join(wrong)}")
     return cls(**obj)
 
 
@@ -308,6 +328,9 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
                     example_strategy) -> AugmentPipeline:
     cfg.override(backend=backend, backend_config=backend_config,
                  oracle_answers=oracle_answers, example_strategy=example_strategy)
+    for name in ("jobs", "example_limit"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     corpus = _load_corpus(_prereq(corpus_path, "corpus file"))
     db = mapping.load_mapping(_prereq(map_path, "mapping file"))
     embedding = embed_mod.EmbeddingModel.load(_prereq(embed_path, "embedding model"))

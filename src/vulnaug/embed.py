@@ -82,10 +82,13 @@ class EmbeddingModel:
             return np.zeros(self.dim, dtype=np.float64)
         return self.vectors[idx].astype(np.float64)
 
+    def ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """Row indices of the in-vocabulary tokens, in token order."""
+        return np.array([i for i in map(self.vocab.get, tokens) if i is not None], dtype=np.intp)
+
     def rows(self, tokens: Sequence[str]) -> np.ndarray:
         """Vectors of the in-vocabulary tokens, in token order, one row each."""
-        ids = [i for i in map(self.vocab.get, tokens) if i is not None]
-        return self.vectors[np.array(ids, dtype=np.intp)]
+        return self.vectors[self.ids(tokens)]
 
     def save(self, path: str | Path) -> None:
         header = json.dumps(

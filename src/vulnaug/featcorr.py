@@ -15,7 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -105,7 +107,9 @@ class BackgroundStore:
     sorted-title order) of the articles whose title or body holds it. The index
     is built by the first lookup after the articles change, so a run of
     :meth:`add` calls costs no rebuild each, and a lookup touches only the
-    postings of its own tokens.
+    postings of its own tokens. Each body's vocab ids are kept too, for the
+    last embedding asked for (:meth:`body_ids`). ``version`` counts the
+    :meth:`add` calls, so a cache built on the articles can tell they changed.
     """
 
     articles: dict[str, str] = field(default_factory=dict)
@@ -114,6 +118,9 @@ class BackgroundStore:
         self._body_tokens = {term: tokenize(body) for term, body in self.articles.items()}
         # (titles in sorted order, token -> indices into them), or None when stale.
         self._index: tuple[list[str], dict[str, np.ndarray]] | None = None
+        # (embedding, title -> that embedding's ids of the body tokens)
+        self._body_ids: tuple[EmbeddingModel | None, dict[str, np.ndarray]] = (None, {})
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self.articles)
@@ -121,7 +128,9 @@ class BackgroundStore:
     def add(self, term: str, body: str) -> None:
         self.articles[term] = body
         self._body_tokens[term] = tokenize(body)
+        self._body_ids[1].pop(term, None)
         self._index = None
+        self.version += 1
 
     def _build_index(self) -> tuple[list[str], dict[str, np.ndarray]]:
         titles = sorted(self.articles)
@@ -151,6 +160,17 @@ class BackgroundStore:
     def body_tokens(self, term: str) -> list[str]:
         """``tokenize`` of the article body, computed when the article was stored."""
         return self._body_tokens[term]
+
+    def body_ids(self, term: str, embedding: EmbeddingModel) -> np.ndarray:
+        """``embedding.ids`` of the article's body tokens, computed once per
+        article while ``embedding`` is the last one asked for."""
+        owner, ids = self._body_ids
+        if owner is not embedding:
+            owner, ids = self._body_ids = (embedding, {})
+        found = ids.get(term)
+        if found is None:
+            found = ids[term] = embedding.ids(self._body_tokens[term])
+        return found
 
     def save(self, path: str | Path) -> None:
         lines = [
@@ -222,25 +242,26 @@ class CorrelationModel:
 
         The background tokens are those of ``fetch_background(text, store)``:
         tokenizing the space-joined bodies gives the concatenation of each
-        body's cached token list. Out-of-vocabulary tokens count toward the
-        average as zero vectors. NumPy sums the gathered rows one row at a
-        time in token order, feature tokens first, so the result equals adding
-        the token vectors one by one; a one-dimensional embedding is the
-        exception, as NumPy sums a single column pairwise.
+        body's cached token list, whose vocab ids the store also keeps.
+        Out-of-vocabulary tokens count toward the average as zero vectors.
+        NumPy sums the gathered rows one row at a time in token order, feature
+        tokens first, so the result equals adding the token vectors one by
+        one; a one-dimensional embedding is the exception, as NumPy sums a
+        single column pairwise. :class:`TowerCache` keeps the result by text.
         """
         feat_tokens = tokenize(text)
-        bg_tokens: list[str] = []
-        if store is not None:
-            for term in store.best_terms(feat_tokens):
-                bg_tokens.extend(store.body_tokens(term))
-        total = len(feat_tokens) + len(bg_tokens)
+        terms = store.best_terms(feat_tokens) if store is not None else []
+        total = len(feat_tokens) + sum(len(store.body_tokens(t)) for t in terms)
         if total == 0:
             return np.zeros(self.embedding.dim, dtype=np.float64)
         bg_model = self.background_embedding or self.embedding
+        feat_ids = self.embedding.ids(feat_tokens)
+        bg_ids = [store.body_ids(t, bg_model) for t in terms]
         if bg_model is self.embedding:
-            rows = self.embedding.rows(feat_tokens + bg_tokens)
+            rows = self.embedding.vectors[np.concatenate([feat_ids, *bg_ids])]
         else:
-            rows = np.concatenate([self.embedding.rows(feat_tokens), bg_model.rows(bg_tokens)])
+            bg_rows = bg_model.vectors[np.concatenate(bg_ids)] if bg_ids else bg_model.vectors[:0]
+            rows = np.concatenate([self.embedding.vectors[feat_ids], bg_rows])
         return rows.sum(axis=0, dtype=np.float64, initial=0.0) / total
 
     def save(self, path: str | Path) -> None:
@@ -287,6 +308,49 @@ class CorrelationModel:
         lines = [f"bias {self.bias!r}"]
         lines.extend(f"w{i} {float(w)!r}" for i, w in enumerate(self.weights))
         atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+class TowerCache:
+    """Tower vectors by text, each computed once by :meth:`CorrelationModel.tower_vector`.
+
+    The towers held belong to one model, its two embeddings, one store and
+    that store's ``version``. A lookup under any other of these, for example
+    after :meth:`BackgroundStore.add` or after the model's embedding is
+    replaced, drops them first. Misses are filled under a lock, after a second
+    look, so threads that ask for the same text together compute it once.
+    Towers are returned read-only.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        # ((model, embedding, background embedding, store, store version), text -> tower)
+        self._state: tuple[tuple, dict[str, np.ndarray]] = ((None,) * 5, {})
+
+    def vector(self, model: CorrelationModel, text: str,
+               store: BackgroundStore | None) -> np.ndarray:
+        stamp = (model, model.embedding, model.background_embedding, store,
+                 store.version if store is not None else 0)
+        towers = self._towers(stamp)
+        found = None if towers is None else towers.get(text)
+        if found is None:
+            with self._lock:
+                towers = self._towers(stamp)
+                if towers is None:
+                    towers = {}
+                    self._state = (stamp, towers)
+                found = towers.get(text)
+                if found is None:
+                    found = model.tower_vector(text, store)
+                    found.flags.writeable = False
+                    towers[text] = found
+        return found
+
+    def _towers(self, stamp: tuple) -> dict[str, np.ndarray] | None:
+        """The held towers if they were built under ``stamp``: the same objects
+        and the same store version."""
+        held, towers = self._state
+        same = held[4] == stamp[4] and all(map(operator.is_, held[:4], stamp[:4]))
+        return towers if same else None
 
 
 def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -339,15 +403,9 @@ def train_correlation(
         train_config=cfg,
         background_embedding=background_embedding,
     )
-    tower_cache: dict[str, np.ndarray] = {}
-
-    def tower(text: str) -> np.ndarray:
-        if text not in tower_cache:
-            tower_cache[text] = model.tower_vector(text, store)
-        return tower_cache[text]
-
-    x = interaction_features(np.stack([tower(p.a) for p in pairs]),
-                             np.stack([tower(p.b) for p in pairs]))
+    towers = TowerCache()
+    x = interaction_features(np.stack([towers.vector(model, p.a, store) for p in pairs]),
+                             np.stack([towers.vector(model, p.b, store) for p in pairs]))
     y = np.array([p.label for p in pairs], dtype=np.float64)
     n = len(pairs)
 
@@ -426,6 +484,7 @@ def rank_candidates(
     candidates: Sequence[CandidateAnswer],
     store: BackgroundStore | None = None,
     aggregation: str = "mean",
+    towers: TowerCache | None = None,
 ) -> list[RankedCandidate]:
     """Order candidates by aggregated association with the software features.
 
@@ -433,19 +492,24 @@ def rank_candidates(
     "sum" are available); with no features every candidate gets the neutral
     0.5 so the ordering degrades to round order. Ties break by earliest round,
     then candidate text. The first element is the pipeline's final answer.
+    Towers come from ``towers``, a cache the caller may keep across calls.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     if aggregation not in ("mean", "max", "sum"):
         raise ValueError(f"unknown aggregation: {aggregation!r}")
 
-    towers = np.stack([model.tower_vector(f, store) for f in features]) if features else None
+    if towers is None:
+        towers = TowerCache()
+    feature_towers = (np.stack([towers.vector(model, f, store) for f in features])
+                      if features else None)
     ranked: list[RankedCandidate] = []
     for cand in candidates:
-        if towers is None:
+        if feature_towers is None:
             aggregate = 0.5
         else:
-            scores = _probability(model, towers, model.tower_vector(cand.text, store)).tolist()
+            scores = _probability(model, feature_towers,
+                                  towers.vector(model, cand.text, store)).tolist()
             # fsum keeps aggregation exactly permutation-invariant.
             if aggregation == "mean":
                 aggregate = math.fsum(scores) / len(scores)

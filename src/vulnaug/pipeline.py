@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import AspectKind, Corpus, TvdRecord
 from .embed import EmbeddingModel
@@ -16,6 +16,7 @@ from .featcorr import (
     BackgroundStore,
     CorrelationModel,
     RankedCandidate,
+    TowerCache,
     rank_candidates,
     software_features,
 )
@@ -44,7 +45,8 @@ class AugmentPipeline:
     """Bundles the trained artifacts and drives one aspect at a time.
 
     Calling the pipeline as ``pipeline(record, kind)`` returns just the final
-    answer text, which is the shape the evaluation loop expects.
+    answer text, which is the shape the evaluation loop expects. ``towers``
+    keeps each ranked text's correlation tower for the life of the pipeline.
     """
 
     corpus: Corpus
@@ -60,6 +62,7 @@ class AugmentPipeline:
     temperature: float = 0.7
     aggregation: str = "mean"
     example_strategy: str = "cluster"  # "similarity" is the evaluation baseline
+    towers: TowerCache = field(default_factory=TowerCache, init=False, repr=False, compare=False)
 
     @property
     def identity(self) -> str:
@@ -96,6 +99,7 @@ class AugmentPipeline:
             outcome.candidates,
             store=self.store,
             aggregation=self.aggregation,
+            towers=self.towers,
         )
         best = ranked[0]
         return AugmentOutcome(

@@ -318,15 +318,39 @@ class TestPipelineCommands:
         corpus, mapping, embedding, correlation = build_artifacts(
             runner, tmp_path, small_feed_records(12)
         )
+        # Articles sharing words with the aspects, so every tower has background.
+        background = tmp_path / "background.tsv"
+        background.write_text("".join(
+            f"attacker group{i}\tattackers in group{i} cause impact result{i} via port{i}\n"
+            for i in range(12)))
         out_a = tmp_path / "serial.jsonl"
         out_b = tmp_path / "parallel.jsonl"
+        out_c = tmp_path / "no-background.jsonl"
         common = [
             "augment", "--corpus", str(corpus), "--map", str(mapping),
             "--embed", str(embedding), "--corr", str(correlation), "--rounds", "2",
         ]
-        assert runner.invoke(cli, common + ["-o", str(out_a)]).exit_code == 0
-        assert runner.invoke(cli, ["--jobs", "4"] + common + ["-o", str(out_b)]).exit_code == 0
+        with_store = common + ["--background", str(background)]
+        assert runner.invoke(cli, with_store + ["-o", str(out_a)]).exit_code == 0
+        assert runner.invoke(cli, ["--jobs", "4"] + with_store + ["-o", str(out_b)]).exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        assert runner.invoke(cli, common + ["-o", str(out_c)]).exit_code == 0
+        assert out_c.read_bytes() != out_a.read_bytes()
+
+    @pytest.mark.parametrize("group,command,name", [
+        (["--jobs", "0"], [], "jobs"),
+        (["--jobs", "-3"], [], "jobs"),
+        ([], ["--limit", "0"], "example_limit"),
+        ([], ["--limit", "-1"], "example_limit"),
+    ])
+    def test_augment_setting_below_one_exits_two(self, runner, tmp_path, artifacts,
+                                                 group, command, name):
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(cli, group + pipeline_args("augment", artifacts) + command
+                               + ["-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"{name} must be >= 1" in result.output
+        assert not out.exists()
 
     def test_evaluate_with_oracle_backend(self, runner, tmp_path):
         corpus_obj, _, testset = masked_eval_fixture(8)
@@ -453,6 +477,36 @@ class TestRunConfig:
         assert "bad config file" in result.output
         if needle != "config.json":
             assert needle in result.output
+
+    @pytest.mark.parametrize("settings,command,key", [
+        ({"long_tail_threshold": "2"}, "stats", "long_tail_threshold"),
+        ({"jobs": "2"}, "augment", "jobs"),
+        ({"seed": "x"}, "augment", "seed"),
+        ({"rounds": True}, "augment", "rounds"),
+        ({"temperature": "hot"}, "augment", "temperature"),
+        ({"backend_config": 7}, "augment", "backend_config"),
+    ])
+    def test_config_value_of_wrong_type_exits_two(self, runner, tmp_path, artifacts,
+                                                  settings, command, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "out.jsonl"
+        if command == "stats":
+            corpus, mapping, _, _ = artifacts
+            args = ["stats", "--corpus", str(corpus), "--map", str(mapping)]
+        else:
+            args = pipeline_args("augment", artifacts)
+        result = runner.invoke(cli, ["--config", str(config)] + args + ["-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config.json" in result.output and repr(key) in result.output
+        assert not out.exists()
+
+    def test_config_value_types_accepted(self, runner, tmp_path):
+        # An int fits a float field and null fits an optional one.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"temperature": 1, "backend_config": None, "seed": 3}))
+        result = runner.invoke(cli, ["--config", str(config), "cost", "--n", "2", "--x", "0.9"])
+        assert result.exit_code == 0, result.output
 
 
 REQUIRED = "<required>"

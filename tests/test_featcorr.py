@@ -1,5 +1,8 @@
 import math
+import sys
 import tracemalloc
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from vulnaug.featcorr import (
     CorrelationModel,
     CorrTrainConfig,
     FeaturePair,
+    TowerCache,
     build_training_pairs,
     fetch_background,
     interaction_features,
@@ -143,15 +147,6 @@ article_maps = st.dictionaries(titles, phrases, max_size=8)
 # position of every stored title.
 store_edits = st.lists(st.tuples(st.one_of(titles, titles.map("0 {}".format)), phrases),
                        max_size=5)
-
-
-def edited_store(articles, edits):
-    """A store built from ``articles`` and then changed through ``add``,
-    which may overwrite existing titles."""
-    store = BackgroundStore(articles=dict(articles))
-    for term, body in edits:
-        store.add(term, body)
-    return store
 
 
 def random_embedding(rng, dim, binades=8):
@@ -326,6 +321,8 @@ class TestTowerVector:
            st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
     def test_matches_token_loop(self, articles, edits, text, dim, with_store,
                                 separate_background, seed):
+        # Cached and uncached towers before and after every store edit and
+        # embedding swap, so each edit lands on a filled cache.
         rng = np.random.default_rng(seed)
         model = CorrelationModel(
             embedding=random_embedding(rng, dim),
@@ -333,9 +330,17 @@ class TestTowerVector:
             bias=0.0,
             background_embedding=random_embedding(rng, dim) if separate_background else None,
         )
-        store = edited_store(articles, edits) if with_store else None
-        assert np.array_equal(model.tower_vector(text, store),
-                              reference_tower_vector(model, text, store))
+        store = BackgroundStore(articles=dict(articles)) if with_store else None
+        towers = TowerCache()
+        swaps = [lambda: setattr(model, "embedding", random_embedding(rng, dim)),
+                 lambda: setattr(model, "background_embedding", random_embedding(rng, dim))]
+        adds = [(lambda t=term, b=body: store.add(t, b)) for term, body in edits] if with_store else []
+        for change in [*adds, *swaps, None]:
+            want = reference_tower_vector(model, text, store)
+            assert np.array_equal(model.tower_vector(text, store), want)
+            assert np.array_equal(towers.vector(model, text, store), want)
+            if change is not None:
+                change()
 
     def test_one_dimensional_embedding_within_rounding(self):
         # numpy sums a single column pairwise rather than in order, so only
@@ -347,6 +352,64 @@ class TestTowerVector:
         want = reference_tower_vector(model, text, None)
         scale = np.abs(model.embedding.vectors).max()
         assert abs(got[0] - want[0]) <= 40 * np.finfo(np.float64).eps * scale
+
+    def test_cache_follows_store_add(self):
+        # The cached tower has no background; the added article matches it.
+        model = random_model(3, 4)
+        store = BackgroundStore(articles={"gamma": "delta delta"})
+        towers = TowerCache()
+        before = towers.vector(model, "alpha beta", store)
+        assert np.array_equal(before, reference_tower_vector(model, "alpha beta", store))
+        store.add("alpha", "gamma cve-2020-1 omega")
+        after = towers.vector(model, "alpha beta", store)
+        assert not np.array_equal(before, after)
+        assert after.tobytes() == model.tower_vector("alpha beta", store).tobytes()
+        assert after.tobytes() == reference_tower_vector(model, "alpha beta", store).tobytes()
+
+    @pytest.mark.parametrize("attr", ["embedding", "background_embedding"])
+    def test_cache_follows_embedding_swap(self, attr):
+        model = random_model(4, 4, separate_background=True)
+        store = BackgroundStore(articles={"alpha": "beta gamma delta"})
+        towers = TowerCache()
+        before = towers.vector(model, "alpha", store)
+        setattr(model, attr, random_embedding(np.random.default_rng(5), 4, binades=1))
+        after = towers.vector(model, "alpha", store)
+        assert not np.array_equal(before, after)
+        assert after.tobytes() == reference_tower_vector(model, "alpha", store).tobytes()
+
+    def test_cached_tower_is_read_only(self):
+        towers = TowerCache()
+        tower = towers.vector(random_model(6, 4), "alpha", None)
+        with pytest.raises(ValueError):
+            tower[0] = 1.0
+
+    def test_cache_computes_each_text_once_under_threads(self):
+        model = random_model(7, 8)
+        store = BackgroundStore(articles={w: " ".join(VOCAB) for w in VOCAB})
+        texts = [" ".join(VOCAB[: 1 + n % 5]) + f" t{n}" for n in range(40)]
+        calls = Counter()
+        compute = model.tower_vector
+
+        def counted(text, store):
+            calls[text] += 1
+            return compute(text, store)
+
+        model.tower_vector = counted
+        towers = TowerCache()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(lambda k: [towers.vector(model, t, store)
+                                                  for t in texts[k:] + texts[:k]], k)
+                           for k in range(16)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert calls == Counter(texts)
+        for k, got in enumerate(results):
+            for t, tower in zip(texts[k:] + texts[:k], got):
+                assert tower.tobytes() == compute(t, store).tobytes()
 
     def test_empty_text_is_zero(self):
         model = CorrelationModel(embedding=random_embedding(np.random.default_rng(1), 4),
