@@ -14,8 +14,6 @@ import sys
 import types
 import typing
 from collections import Counter
-import urllib.parse
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 import dataclasses
 from pathlib import Path
@@ -566,6 +564,10 @@ def stats(cfg: RunConfig, corpus_path, map_path, threshold, output):
 @_guard
 def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
     """Populate a background store from a live encyclopedia API (network opt-in)."""
+    # Imported here, as in HttpBackend.complete: no other command needs it.
+    import urllib.parse
+    import urllib.request
+
     terms = [
         line.strip()
         for line in Path(terms_path).read_text(encoding="utf-8").splitlines()

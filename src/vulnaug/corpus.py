@@ -85,8 +85,9 @@ class Source(Enum):
         return self in (Source.GOV_CNNVD, Source.GOV_JVN, Source.GOV_CERTFR)
 
 
-def _empty_aspects() -> dict[AspectKind, str | None]:
-    return {kind: None for kind in AspectKind}
+#: Every kind, in kind order, with no value. A copy reuses the stored key
+#: hashes; hashing an AspectKind is a Python-level call.
+_NO_ASPECTS: dict[AspectKind, str | None] = dict.fromkeys(AspectKind)
 
 
 @dataclass
@@ -104,7 +105,7 @@ class TvdRecord:
     source: Source
     published: date
     cwe_id: str | None = None
-    aspects: dict[AspectKind, str | None] = field(default_factory=_empty_aspects)
+    aspects: dict[AspectKind, str | None] = field(default_factory=_NO_ASPECTS.copy)
     raw_software_names: list[str] = field(default_factory=list)
     revision_tag: str | None = None
     first_sentence: str | None = None
@@ -116,8 +117,10 @@ class TvdRecord:
             raise ValueError(f"{self.cve_id}: empty description")
         if self.revision_tag is not None and self.revision_tag not in REVISION_TAGS:
             raise ValueError(f"{self.cve_id}: bad revision_tag {self.revision_tag!r}")
-        for kind in AspectKind:
-            self.aspects.setdefault(kind, None)
+        # Five AspectKind keys are all five kinds; only a partial dict needs filling.
+        if len(self.aspects) != len(_NO_ASPECTS):
+            for kind in AspectKind:
+                self.aspects.setdefault(kind, None)
 
     def known_aspects(self) -> dict[AspectKind, str]:
         return {k: v for k, v in self.aspects.items() if v}
@@ -147,7 +150,7 @@ class TvdRecord:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping, default_source: Source = Source.CVE) -> "TvdRecord":
-        aspects = _empty_aspects()
+        aspects = _NO_ASPECTS.copy()
         for key, value in (obj.get("aspects") or {}).items():
             aspects[AspectKind.from_key(key)] = value or None
         src = Source(obj["source"]) if obj.get("source") else default_source

@@ -36,6 +36,9 @@ NEG_RATIO = 2
 
 _MAGIC = b"VACORR01"
 
+#: Training pairs whose towers are stacked at once while the design matrix is built.
+_PAIR_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class FeaturePair:
@@ -45,6 +48,9 @@ class FeaturePair:
     origin: tuple[str, str]
 
     def __post_init__(self) -> None:
+        # train_correlation's one-log-per-pair loss relies on this.
+        if self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
         same = self.origin[0] == self.origin[1]
         if self.label == 1 and not same:
             raise ValueError("positive pairs must come from one record")
@@ -403,21 +409,34 @@ def train_correlation(
         train_config=cfg,
         background_embedding=background_embedding,
     )
+    # x is filled one block of pairs at a time, so only one block's towers
+    # are stacked beside it; each row is bit-equal to building it alone.
     towers = TowerCache()
-    x = interaction_features(np.stack([towers.vector(model, p.a, store) for p in pairs]),
-                             np.stack([towers.vector(model, p.b, store) for p in pairs]))
-    y = np.array([p.label for p in pairs], dtype=np.float64)
     n = len(pairs)
+    x = np.empty((n, 2 * embedding.dim + 1))
+    for lo in range(0, n, _PAIR_BLOCK):
+        block = pairs[lo : lo + _PAIR_BLOCK]
+        x[lo : lo + len(block)] = interaction_features(
+            np.stack([towers.vector(model, p.a, store) for p in block]),
+            np.stack([towers.vector(model, p.b, store) for p in block]))
+    y = np.array([p.label for p in pairs], dtype=np.float64)
+    positive = y == 1.0
 
     w = model.weights
     b = 0.0
+    # The probabilities under the updated weights serve both this epoch's
+    # loss and the next epoch's gradient, so each epoch passes over x twice.
+    p = _sigmoid(x @ w + b)
     for _ in range(cfg.epochs):
-        p = _sigmoid(x @ w + b)
         g = p - y
         w = w - cfg.learning_rate * (x.T @ g) / n
         b = b - cfg.learning_rate * float(g.mean())
-        p = np.clip(_sigmoid(x @ w + b), 1e-12, 1.0 - 1e-12)
-        loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        p = _sigmoid(x @ w + b)
+        # y is 0 or 1 (FeaturePair checks), so log(q) for a positive and
+        # log(1 - q) for a negative equal y*log(q) + (1-y)*log(1-q) bit for
+        # bit: the term dropped is 0 times a finite log.
+        q = np.clip(p, 1e-12, 1.0 - 1e-12)
+        loss = float(-np.mean(np.log(np.where(positive, q, 1.0 - q))))
         if not math.isfinite(loss):
             raise DivergedTraining(f"non-finite loss after epoch {len(model.loss_history) + 1}")
         model.loss_history.append(loss)

@@ -16,8 +16,6 @@ import random
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -488,6 +486,11 @@ class HttpBackend:
         )
 
     def complete(self, prompt: str, *, temperature: float = 0.0, seed: int = 0) -> str:
+        # Imported here: urllib.request loads http.client, ssl and email, which
+        # only this backend needs.
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps(
             {
                 "model": self.config.model,

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from helpers import feed_text, make_record, masked_eval_fixture, struts_gov_records
+import vulnaug
 from vulnaug.cli import cli
 from vulnaug.corpus import AspectKind
 
@@ -650,3 +654,13 @@ class TestCliSurface:
     def test_options_are_pinned(self, name):
         command = cli if name is None else cli.commands[name]
         assert self.surface(command) == CLI_SURFACE[name]
+
+    def test_import_leaves_urllib_request_unloaded(self):
+        # urllib.request loads http.client, ssl and email. Only the http
+        # backend and fetch-background use it, and each imports it itself.
+        src = str(Path(vulnaug.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import vulnaug.cli; "
+                "print('urllib.request' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.strip() == "False"

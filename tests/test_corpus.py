@@ -10,6 +10,7 @@ from vulnaug.corpus import (
     AspectKind,
     Corpus,
     Source,
+    TvdRecord,
     classify_long_tail,
     gini,
     mask_aspect,
@@ -57,6 +58,27 @@ class TestParseFeed:
         assert rec.aspects[AspectKind.VULNERABILITY_TYPE] == "Buffer overflow"
         assert rec.aspects[AspectKind.IMPACT] is None
         assert rec.published == date(2002, 7, 3)
+
+    def test_aspects_in_kind_order_whatever_the_key_order(self):
+        # known_aspects, and with it every prompt, lists aspects in dict order.
+        kinds = list(AspectKind)
+        given = {kind: f"value {i}" for i, kind in enumerate(kinds) if kind != AspectKind.IMPACT}
+        keys = {kind: kind.display_name if kind == AspectKind.ROOT_CAUSE else kind.json_key
+                for kind in given}
+        line = json.dumps({
+            "cve_id": "CVE-2002-0680", "description": "d.", "source": "CVE",
+            "published": "2002-07-03",
+            "aspects": {keys[kind]: given[kind] for kind in reversed(list(given))},
+        })
+        first, second = parse_feed(line + "\n" + line.replace("0680", "0681")).records
+        assert list(first.aspects) == kinds
+        assert first.aspects == {**given, AspectKind.IMPACT: None}
+        assert list(first.known_aspects()) == [k for k in kinds if k != AspectKind.IMPACT]
+        first.aspects[AspectKind.IMPACT] = "changed"
+        assert second.aspects[AspectKind.IMPACT] is None
+        bare = TvdRecord(cve_id="CVE-2002-0682", description="d.", source=Source.CVE,
+                         published=date(2002, 7, 3))
+        assert list(bare.aspects.items()) == [(k, None) for k in kinds]
 
     def test_duplicate_cve_rejected_with_diagnostic(self):
         rec = make_record("CVE-2020-0001", "something broke.")

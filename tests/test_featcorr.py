@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from helpers import family_aspects, family_corpus, family_mapping, make_record
 from vulnaug.corpus import AspectKind, Corpus
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
-from vulnaug.errors import EmptyTrainingSet
+from vulnaug.errors import DivergedTraining, EmptyTrainingSet
 from vulnaug.featcorr import (
+    _PAIR_BLOCK,
     NEG_RATIO,
     BackgroundStore,
     CorrelationModel,
@@ -135,6 +136,33 @@ def reference_rank(model, features, candidates, store, aggregation):
     return ranked
 
 
+def reference_train_correlation(pairs, store, embedding, cfg, background_embedding=None):
+    """Both full tower stacks beside x, and three passes over x and two logs
+    per epoch. Returns (weights, bias, loss history)."""
+    model = CorrelationModel(embedding=embedding, weights=np.zeros(2 * embedding.dim + 1),
+                             bias=0.0, background_embedding=background_embedding)
+    towers = {}
+    for text in [p.a for p in pairs] + [p.b for p in pairs]:
+        if text not in towers:
+            towers[text] = model.tower_vector(text, store)
+    x = interaction_features(np.stack([towers[p.a] for p in pairs]),
+                             np.stack([towers[p.b] for p in pairs]))
+    y = np.array([p.label for p in pairs], dtype=np.float64)
+    n = len(pairs)
+    w, b, losses = model.weights, 0.0, []
+    for epoch in range(cfg.epochs):
+        p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
+        g = p - y
+        w = w - cfg.learning_rate * (x.T @ g) / n
+        b = b - cfg.learning_rate * float(g.mean())
+        p = np.clip(1.0 / (1.0 + np.exp(-(x @ w + b))), 1e-12, 1.0 - 1e-12)
+        loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        if not math.isfinite(loss):
+            raise DivergedTraining(f"non-finite loss after epoch {epoch + 1}")
+        losses.append(loss)
+    return w, b, losses
+
+
 # Few distinct tokens, so overlaps tie often; "omega" and "x9" stay out of
 # every test vocabulary, and "Beta" / "alpha-beta" tokenize to known words.
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "cve-2020-1", "x9", "Beta", "alpha-beta"]
@@ -239,6 +267,11 @@ class TestTrainingPairs:
             tracemalloc.stop()
         assert sum(p.label == 0 for p in pairs) == 2 * sum(p.label == 1 for p in pairs)
         assert peak < 100 * 2**20
+
+    @pytest.mark.parametrize("label", [-1, 2, 0.5])
+    def test_label_other_than_zero_or_one_rejected(self, label):
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            FeaturePair(a="x", b="y", label=label, origin=("CVE-1", "CVE-2"))
 
     def test_no_multi_aspect_record_raises(self):
         rec = make_record("CVE-2020-7001", "d.", aspects={AspectKind.IMPACT: "crash"})
@@ -432,6 +465,15 @@ def family_setup():
     return corpus, embedding, model, held_out
 
 
+def shuffled_pairs(corpus, n):
+    """The first ``n`` of the corpus' training pairs in a fixed shuffled order,
+    repeated as often as ``n`` needs."""
+    pairs = build_training_pairs(corpus, seed=5)
+    order = np.random.default_rng(3).permutation(len(pairs))
+    shuffled = [pairs[i] for i in order]
+    return (shuffled * (1 + n // len(shuffled)))[:n]
+
+
 class TestTrainCorrelation:
     def test_loss_non_increasing_on_separable_set(self, family_setup):
         _, _, model, _ = family_setup
@@ -463,6 +505,50 @@ class TestTrainCorrelation:
         _, embedding, _, _ = family_setup
         with pytest.raises(ValueError):
             train_correlation([], None, embedding)
+
+    @pytest.mark.parametrize("n", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1,
+                                   2 * _PAIR_BLOCK + 3])
+    @pytest.mark.parametrize("background", ["none", "store", "separate embedding"])
+    def test_matches_full_stack_loop(self, family_setup, background, n):
+        corpus, embedding, _, _ = family_setup
+        pairs = shuffled_pairs(corpus, n)
+        store = None if background == "none" else BackgroundStore(articles={
+            f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)})
+        bg_embedding = (EmbeddingModel(dim=embedding.dim, vocab=embedding.vocab,
+                                       vectors=embedding.vectors[::-1].copy())
+                        if background == "separate embedding" else None)
+        cfg = CorrTrainConfig(learning_rate=0.5, epochs=40)
+        model = train_correlation(pairs, store, embedding, cfg, bg_embedding)
+        w, b, losses = reference_train_correlation(pairs, store, embedding, cfg, bg_embedding)
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
+        assert np.array(model.loss_history).tobytes() == np.array(losses).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_at_the_reference_epoch(self, family_setup):
+        corpus, embedding, _, _ = family_setup
+        pairs = shuffled_pairs(corpus, 300)
+        cfg = CorrTrainConfig(learning_rate=1e307, epochs=10)
+        with pytest.raises(DivergedTraining) as want:
+            reference_train_correlation(pairs, None, embedding, cfg)
+        assert str(want.value) != "non-finite loss after epoch 1"  # a finite epoch came first
+        with pytest.raises(DivergedTraining) as got:
+            train_correlation(pairs, None, embedding, cfg)
+        assert str(got.value) == str(want.value)
+
+    def test_memory_is_one_design_matrix_plus_one_block(self, family_setup):
+        # Eight blocks of pairs. Holding both full tower stacks beside x, as
+        # building x in one piece does, costs another x-sized 16 MiB.
+        corpus, embedding, _, _ = family_setup
+        pairs = shuffled_pairs(corpus, 8 * _PAIR_BLOCK)
+        x_bytes = len(pairs) * (2 * embedding.dim + 1) * 8
+        tracemalloc.start()
+        try:
+            train_correlation(pairs, None, embedding, CorrTrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x_bytes + 8 * 2**20
 
 
 class TestScore:

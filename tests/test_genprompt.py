@@ -331,7 +331,7 @@ class TestHttpBackend:
             raise urllib.error.HTTPError(request.full_url, status["code"], "failed", {},
                                          io.BytesIO(b""))
 
-        monkeypatch.setattr(genprompt.urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         monkeypatch.setattr(genprompt.time, "sleep", lambda s: events.append(s))
         return events, status
 
