@@ -402,6 +402,7 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
             "score": out.score,
             "pool_size": out.pool_size,
             "examples": out.example_count,
+            "failed_rounds": out.failed_rounds,
             "candidates": [
                 {
                     "text": rc.candidate.text,

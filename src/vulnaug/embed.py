@@ -1,13 +1,14 @@
 """Corpus word embeddings and clustering.
 
 Embeddings are trained from scratch with skip-gram plus negative sampling,
-single-threaded so a fixed seed reproduces vectors bit for bit. Each center
-token costs one gather, one sigmoid and one flat scatter, and each sentence
-draws its negatives in one block; the operands and the order of every
-floating-point operation are those of a row-by-row update, so the vectors are
-bitwise the same as that simpler loop would give. Sentence vectors are plain
-sums of word vectors; representative records come out of Lloyd's k-means
-(k-means++ seeding) as the medoid nearest each centroid.
+single-threaded, with one seeded generator, so a fixed seed reproduces the
+vectors bit for bit. Each sentence draws its negatives in one block, and its
+center positions are updated in blocks of up to ``_CENTER_BLOCK`` distinct
+consecutive tokens: every pair of a block is scored against the vectors as
+they stood at the block's start, so updates within a block do not see each
+other. Sentence vectors are plain sums of word vectors; representative records
+come out of Lloyd's k-means (k-means++ seeding) as the medoid nearest each
+centroid.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _MAGIC = b"VAEMB001"
 
 _LR_INITIAL = 0.05
 _LR_MIN = 1e-4
+
+#: Consecutive center positions whose updates are taken as one step.
+_CENTER_BLOCK = 8
 
 
 def tokenize(text: str) -> list[str]:
@@ -140,15 +144,31 @@ def _sigmoid(x: float | np.ndarray):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _windows(sent: np.ndarray, window: int) -> tuple[np.ndarray, list[int]]:
-    """Context ids of every position of one sentence, one block after another
-    (left, then right, in sentence order), and the size of each block."""
-    blocks = [
-        np.concatenate((sent[max(0, pos - window) : pos], sent[pos + 1 : pos + window + 1]))
-        for pos in range(len(sent))
-    ]
-    contexts = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    return contexts, [b.size for b in blocks]
+def _windows(sent: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Context ids of every position of one sentence, one window after another
+    (left, then right, in sentence order), and the size of each window."""
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    where = np.arange(len(sent))[:, None] + offsets
+    inside = (where >= 0) & (where < len(sent))
+    return sent[where[inside]], inside.sum(axis=1)
+
+
+def _center_blocks(centers: Sequence[int]) -> list[int]:
+    """Start position of each center block of one sentence, then its length.
+
+    A block runs over consecutive positions and ends after
+    ``_CENTER_BLOCK`` of them, or early before a center token it already
+    holds, so the centers of one block are distinct.
+    """
+    bounds: list[int] = []
+    held: set[int] = set()
+    for pos, center in enumerate(centers):
+        if not bounds or len(held) == _CENTER_BLOCK or center in held:
+            bounds.append(pos)
+            held.clear()
+        held.add(center)
+    bounds.append(len(centers))
+    return bounds
 
 
 def train_embeddings(
@@ -156,24 +176,29 @@ def train_embeddings(
 ) -> EmbeddingModel:
     """Train skip-gram-with-negative-sampling vectors over the corpus.
 
-    Descriptions are visited in cve_id order, updates are applied one center
-    token at a time, and all randomness comes from one seeded generator, so two
-    runs with the same seed produce bitwise-identical vectors. Negatives are
-    drawn from the unigram^0.75 distribution; the learning rate decays linearly
-    over all (epoch, position) steps.
+    Descriptions are visited in cve_id order and all randomness comes from one
+    seeded generator, which draws each sentence's negatives in one
+    ``rng.random`` block, so two runs with the same seed produce
+    bitwise-identical vectors. Negatives are drawn from the unigram^0.75
+    distribution; the learning rate decays linearly over all (epoch, position)
+    steps, and every (center, context) pair takes its center's step.
 
-    Context windows are built once. The negatives of a whole sentence come
-    from one ``rng.random`` block: PCG64 yields the same doubles in blocks as
-    one center at a time, and a sentence's block stays small where a whole
-    epoch's would not. Each center token then gathers the output rows of its
-    context and its negatives at once, scores them into one buffer and takes
-    one sigmoid. The row updates go in with one ``np.add.at`` on the flat view
-    of the output matrix, which applies the adds in the same order as a
-    per-row scatter of the context rows followed by one of the negative rows.
-    Every product and sum keeps its operands, its shape and its association
-    (``-lr * g_pos`` times ``v`` for the context rows, ``-lr`` times
-    ``g_neg * v`` for the negatives, and the two gradient terms summed apart),
-    so the vectors are bitwise those of updating one row at a time.
+    Updates are applied one block of centers at a time (see
+    :func:`_center_blocks`): up to ``_CENTER_BLOCK`` consecutive positions
+    with distinct center tokens. Every pair of a block is scored against the
+    input and output vectors as they stood at the block's start, and the
+    block's updates are then added together. This is not the same as updating
+    one center at a time, whose later centers would see the earlier centers'
+    updates; with blocks of one center the two agree to rounding. What stays
+    exact is the rest: the vocabulary, the initial vectors, the order of the
+    draws and each pair's learning rate.
+
+    A block gathers each output row its pairs touch once, scores every
+    (row, center) cell with one matrix product, and sums the gradient scales
+    of the pairs that share a cell with one ``np.bincount``. Both updates are
+    then matrix products, written back with plain assignments, as the block's
+    centers and its rows are each distinct. Working memory is one sentence's
+    ids and draws plus one block's rows, whatever the sentence length.
     """
     cfg = config or TrainConfig()
     if dim < 1:
@@ -205,44 +230,46 @@ def _train_vectors(
     size = len(vocab)
     w_in = (rng.random((size, dim)) - 0.5) / dim
     w_out = np.zeros((size, dim))
-    flat_out = w_out.reshape(-1)
-    cell_ids = np.arange(size * dim).reshape(size, dim)  # flat index of each w_out cell
+    slot = np.empty(size, dtype=np.intp)  # a row's place in its block's row list
 
-    encoded = [np.array([vocab[t] for t in sent], dtype=np.int64) for sent in sentences]
+    encoded = [np.array([vocab[t] for t in sent], dtype=np.intp) for sent in sentences]
     total_steps = max(1, cfg.epochs * sum(len(s) for s in encoded))
     step = 0
     k = cfg.negative_samples
-    windows = [_windows(sent, cfg.window) for sent in encoded]
     for _ in range(cfg.epochs):
-        for sent, (contexts, sizes) in zip(encoded, windows):
-            negatives = np.searchsorted(noise_cdf, rng.random((contexts.size, k)))
-            start = 0
-            for center, m in zip(sent.tolist(), sizes):
-                lr = max(_LR_MIN, _LR_INITIAL * (1.0 - step / total_steps))
-                step += 1
-                if m == 0:
-                    continue
-                end = start + m
-                idx = np.concatenate((contexts[start:end], negatives[start:end].ravel()))
-                start = end
-                rows = w_out[idx]  # (m + m*k, dim): context rows, then negative rows
-                v = w_in[center]
-                # OpenBLAS sums a row's dot product in an order that depends on
-                # the row's place in the matrix, so the context and the negative
-                # rows keep their own (m, dim) and (m, k, dim) products.
-                g = np.empty(idx.size)
-                np.matmul(rows[:m], v, out=g[:m])
-                np.matmul(rows[m:].reshape(m, k, dim), v, out=g[m:].reshape(m, k))
-                g = _sigmoid(g)
-                g[:m] -= 1.0  # g[:m] is g_pos, g[m:] is g_neg
-                grad_v = g[:m] @ rows[:m] + np.einsum(
-                    "mk,mkd->d", g[m:].reshape(m, k), rows[m:].reshape(m, k, dim)
-                )
-                g[:m] *= -lr
-                np.multiply(g[:, None], v, out=rows)
-                rows[m:] *= -lr
-                np.add.at(flat_out, cell_ids[idx].ravel(), rows.ravel())
-                w_in[center] = v - lr * grad_v
+        for sent in encoded:
+            n = len(sent)
+            lr = np.maximum(_LR_MIN, _LR_INITIAL * (1.0 - np.arange(step, step + n) / total_steps))
+            step += n
+            if n < 2:
+                continue  # a lone token has no context; longer sentences give every position one
+            contexts, sizes = _windows(sent, cfg.window)
+            first = np.concatenate(([0], np.cumsum(sizes)))  # each position's first pair
+            pair_pos = np.repeat(np.arange(n), sizes)
+            # Column 0 of each pair's output ids is its context, the rest its negatives.
+            out_ids = np.concatenate(
+                (contexts[:, None], np.searchsorted(noise_cdf, rng.random((contexts.size, k)))),
+                axis=1)
+            bounds = _center_blocks(sent.tolist())
+            for lo, hi in zip(bounds, bounds[1:]):
+                ids = out_ids[first[lo] : first[hi]]
+                # The block's distinct output rows, in id order, and the place
+                # of each (pair, output id) among them.
+                sorted_ids = np.sort(ids, axis=None)
+                rows_ids = sorted_ids[np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))]
+                slot[rows_ids] = np.arange(rows_ids.size)
+                rows = w_out[rows_ids]
+                centers = w_in[sent[lo:hi]]
+                # The (output row, center) cell of every (pair, output id).
+                width = hi - lo
+                cell = slot[ids] * width + (pair_pos[first[lo] : first[hi], None] - lo)
+                g = _sigmoid((rows @ centers.T).ravel()[cell])
+                g[:, 0] -= 1.0
+                # coef[r, c] sums g over the pairs of center c that touch output row r.
+                coef = np.bincount(cell.ravel(), weights=g.ravel(), minlength=rows_ids.size * width)
+                coef = coef.reshape(rows_ids.size, width)
+                w_in[sent[lo:hi]] = centers - lr[lo:hi, None] * (coef.T @ rows)
+                w_out[rows_ids] = rows - (coef * lr[lo:hi]) @ centers
     return vocab, w_in
 
 

@@ -334,21 +334,43 @@ class TowerCache:
 
     def vector(self, model: CorrelationModel, text: str,
                store: BackgroundStore | None) -> np.ndarray:
-        stamp = (model, model.embedding, model.background_embedding, store,
-                 store.version if store is not None else 0)
+        stamp = self._stamp(model, store)
         towers = self._towers(stamp)
         found = None if towers is None else towers.get(text)
-        if found is None:
-            with self._lock:
-                towers = self._towers(stamp)
-                if towers is None:
-                    towers = {}
-                    self._state = (stamp, towers)
-                found = towers.get(text)
-                if found is None:
-                    found = model.tower_vector(text, store)
-                    found.flags.writeable = False
-                    towers[text] = found
+        return self._fill(model, text, store, stamp) if found is None else found
+
+    def stack(self, model: CorrelationModel, texts: Sequence[str],
+              store: BackgroundStore | None) -> np.ndarray:
+        """The (n, d) towers of the n >= 1 ``texts``, one row each, equal to
+        stacking :meth:`vector` of each text; the stamp is checked once per call."""
+        stamp = self._stamp(model, store)
+        towers = self._towers(stamp) or {}
+        found = list(map(towers.get, texts))
+        missed = dict.fromkeys(text for text, tower in zip(texts, found) if tower is None)
+        if missed:
+            filled = {text: self._fill(model, text, store, stamp) for text in missed}
+            found = [filled.get(text, tower) for text, tower in zip(texts, found)]
+        return np.stack(found)
+
+    @staticmethod
+    def _stamp(model: CorrelationModel, store: BackgroundStore | None) -> tuple:
+        return (model, model.embedding, model.background_embedding, store,
+                store.version if store is not None else 0)
+
+    def _fill(self, model: CorrelationModel, text: str,
+              store: BackgroundStore | None, stamp: tuple) -> np.ndarray:
+        """The tower of ``text``, computed under the lock unless another
+        thread has put it in meanwhile."""
+        with self._lock:
+            towers = self._towers(stamp)
+            if towers is None:
+                towers = {}
+                self._state = (stamp, towers)
+            found = towers.get(text)
+            if found is None:
+                found = model.tower_vector(text, store)
+                found.flags.writeable = False
+                towers[text] = found
         return found
 
     def _towers(self, stamp: tuple) -> dict[str, np.ndarray] | None:
@@ -417,8 +439,8 @@ def train_correlation(
     for lo in range(0, n, _PAIR_BLOCK):
         block = pairs[lo : lo + _PAIR_BLOCK]
         x[lo : lo + len(block)] = interaction_features(
-            np.stack([towers.vector(model, p.a, store) for p in block]),
-            np.stack([towers.vector(model, p.b, store) for p in block]))
+            towers.stack(model, [p.a for p in block], store),
+            towers.stack(model, [p.b for p in block], store))
     y = np.array([p.label for p in pairs], dtype=np.float64)
     positive = y == 1.0
 
@@ -520,22 +542,21 @@ def rank_candidates(
 
     if towers is None:
         towers = TowerCache()
-    feature_towers = (np.stack([towers.vector(model, f, store) for f in features])
-                      if features else None)
+    if features:
+        feature_towers = towers.stack(model, features, store)
+        candidate_towers = towers.stack(model, [cand.text for cand in candidates], store)
+        scores = [_probability(model, feature_towers, tower).tolist() for tower in candidate_towers]
+    else:
+        scores = [[0.5]] * len(candidates)  # one neutral score each
     ranked: list[RankedCandidate] = []
-    for cand in candidates:
-        if feature_towers is None:
-            aggregate = 0.5
+    for cand, cand_scores in zip(candidates, scores):
+        # fsum keeps aggregation exactly permutation-invariant.
+        if aggregation == "mean":
+            aggregate = math.fsum(cand_scores) / len(cand_scores)
+        elif aggregation == "max":
+            aggregate = max(cand_scores)
         else:
-            scores = _probability(model, feature_towers,
-                                  towers.vector(model, cand.text, store)).tolist()
-            # fsum keeps aggregation exactly permutation-invariant.
-            if aggregation == "mean":
-                aggregate = math.fsum(scores) / len(scores)
-            elif aggregation == "max":
-                aggregate = max(scores)
-            else:
-                aggregate = math.fsum(scores)
+            aggregate = math.fsum(cand_scores)
         ranked.append(RankedCandidate(candidate=cand, score=aggregate))
     ranked.sort(key=lambda rc: (-rc.score, rc.candidate.round, rc.candidate.text))
     return ranked

@@ -8,8 +8,10 @@ from click.testing import CliRunner
 
 from helpers import feed_text, make_record, masked_eval_fixture, struts_gov_records
 import vulnaug
+from vulnaug import genprompt
 from vulnaug.cli import cli
 from vulnaug.corpus import AspectKind
+from vulnaug.errors import BackendError
 
 
 @pytest.fixture()
@@ -407,6 +409,32 @@ class TestPipelineCommands:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert all("example_cves" in line for line in lines)
         assert all(len(line["example_cves"]) == line["examples"] for line in lines)
+
+    def test_augment_rows_count_failed_rounds(self, runner, tmp_path, monkeypatch):
+        corpus, mapping, embedding, correlation = build_artifacts(
+            runner, tmp_path, small_feed_records(12)
+        )
+
+        class FailingRounds(genprompt.MockBackend):
+            """Fails every call of rounds 2 and 4 (decode seeds 1002, 1004)."""
+
+            def complete(self, prompt, *, temperature=0.0, seed=0):
+                if seed in (1002, 1004):
+                    raise BackendError(f"round {seed - 1000} refused")
+                return super().complete(prompt, temperature=temperature, seed=seed)
+
+        args = ["augment", "--corpus", str(corpus), "--map", str(mapping),
+                "--embed", str(embedding), "--corr", str(correlation), "--rounds", "4"]
+        assert runner.invoke(cli, args + ["-o", str(tmp_path / "mock.jsonl")]).exit_code == 0
+        monkeypatch.setattr("vulnaug.cli._make_backend", lambda cfg: FailingRounds())
+        result = runner.invoke(cli, args + ["-o", str(tmp_path / "failing.jsonl")])
+        assert result.exit_code == 0, result.output
+        clean = [json.loads(line) for line in (tmp_path / "mock.jsonl").read_text().splitlines()]
+        failing = [json.loads(line) for line in (tmp_path / "failing.jsonl").read_text().splitlines()]
+        assert clean and len(failing) == len(clean)
+        assert all(row["failed_rounds"] == 0 for row in clean)
+        assert all(row["failed_rounds"] == 2 for row in failing)
+        assert all(sorted(c["round"] for c in row["candidates"]) == [1, 3] for row in failing)
 
     def test_augment_with_oracle_answer_file(self, runner, tmp_path):
         records = small_feed_records(12)

@@ -1,4 +1,6 @@
+import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -6,10 +8,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import feed_text, make_record
+from helpers import family_aspects, family_corpus, family_mapping, feed_text, make_record
 from vulnaug import embed
 from vulnaug.cli import cli
-from vulnaug.corpus import Corpus
+from vulnaug.corpus import AspectKind, Corpus, mask_aspect
 from vulnaug.embed import (
     EmbeddingModel,
     TrainConfig,
@@ -19,6 +21,15 @@ from vulnaug.embed import (
     train_embeddings,
 )
 from vulnaug.errors import InsufficientVocabulary
+from vulnaug.featcorr import (
+    CorrTrainConfig,
+    build_training_pairs,
+    rank_candidates,
+    score,
+    software_features,
+    train_correlation,
+)
+from vulnaug.genprompt import CandidateAnswer, PromptKind
 
 
 class TestTokenize:
@@ -140,7 +151,18 @@ def text_corpus(texts):
     )
 
 
+@contextmanager
+def one_center_blocks():
+    """``_CENTER_BLOCK`` set to 1, so each block is one center token."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "_CENTER_BLOCK", 1)
+        yield
+
+
 class TestTrainingMatchesReference:
+    """With one center per block, training is the one-center loop up to
+    rounding; at any block size a seed reproduces its vectors byte for byte."""
+
     @settings(max_examples=120, deadline=None)
     @given(TRAIN_TEXTS, st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
            st.integers(1, 9), st.integers(0, 2**32 - 1))
@@ -148,12 +170,15 @@ class TestTrainingMatchesReference:
         corpus = text_corpus(texts)
         cfg = TrainConfig(window=window, epochs=epochs, negative_samples=negatives, seed=seed)
         # Compared before the float32 cast, which would hide last-bit changes.
-        vocab, w_in = embed._train_vectors(corpus, cfg, dim)
+        with one_center_blocks():
+            vocab, w_in = embed._train_vectors(corpus, cfg, dim)
         want_vocab, want = reference_vectors(corpus, cfg, dim)
         assert vocab == want_vocab
-        assert w_in.tobytes() == want.tobytes()
+        np.testing.assert_allclose(w_in, want, rtol=0, atol=1e-12)
+        vectors = embed._train_vectors(corpus, cfg, dim)[1]
+        assert embed._train_vectors(corpus, cfg, dim)[1].tobytes() == vectors.tobytes()
         model = train_embeddings(corpus, cfg, dim=dim)
-        assert model.vectors.tobytes() == want.astype(np.float32).tobytes()
+        assert model.vectors.tobytes() == vectors.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("dim", [8, 17, 64])
     def test_wider_vectors_bitwise(self, dim):
@@ -164,16 +189,20 @@ class TestTrainingMatchesReference:
         corpus = text_corpus([" ".join(rng.choice(words, int(rng.integers(1, 20))))
                               for _ in range(40)])
         cfg = TrainConfig(seed=dim)
+        with one_center_blocks():
+            got = embed._train_vectors(corpus, cfg, dim)[1]
+        np.testing.assert_allclose(got, reference_vectors(corpus, cfg, dim)[1], rtol=0, atol=1e-12)
         assert embed._train_vectors(corpus, cfg, dim)[1].tobytes() == \
-            reference_vectors(corpus, cfg, dim)[1].tobytes()
+            embed._train_vectors(corpus, cfg, dim)[1].tobytes()
 
     def test_one_token_descriptions_train_nothing_but_keep_the_stream(self):
         # Lone tokens have no context, so they draw no negatives: the rng
         # stream the later sentences see must not shift.
         corpus = text_corpus(["alpha", "beta gamma alpha beta", "delta", "gamma beta"])
         cfg = TrainConfig(window=2, epochs=2, negative_samples=3, seed=5)
-        assert embed._train_vectors(corpus, cfg, 7)[1].tobytes() == \
-            reference_vectors(corpus, cfg, 7)[1].tobytes()
+        with one_center_blocks():
+            got = embed._train_vectors(corpus, cfg, 7)[1]
+        np.testing.assert_allclose(got, reference_vectors(corpus, cfg, 7)[1], rtol=0, atol=1e-12)
 
     def test_cli_model_file_matches_reference_bytes(self, tmp_path):
         records = [
@@ -189,11 +218,166 @@ class TestTrainingMatchesReference:
             cli, ["--seed", "9", "train-embed", "--corpus", str(corpus_path), "-o", str(out)]
         )
         assert result.exit_code == 0, result.output
-        cfg = TrainConfig(seed=9)
-        vocab, w_in = reference_vectors(Corpus.from_records(records), cfg)
-        EmbeddingModel(dim=64, vocab=vocab, vectors=w_in.astype(np.float32),
-                       train_config=cfg).save(tmp_path / "reference.bin")
+        train_embeddings(Corpus.from_records(records), TrainConfig(seed=9)).save(
+            tmp_path / "reference.bin")
         assert out.read_bytes() == (tmp_path / "reference.bin").read_bytes()
+
+
+def reference_block_vectors(corpus, cfg, dim=64, cap=8):
+    """Vocabulary and float64 input vectors of skip-gram training one block of
+    at most ``cap`` distinct consecutive centers at a time, written pair by
+    pair: every pair is scored against the vectors as they stood at the
+    block's start, and the block's updates are added afterwards."""
+    sentences = [tokenize(rec.description) for rec in corpus]
+    counts = Counter(tok for sent in sentences for tok in sent)
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    vocab = {tok: i for i, (tok, _) in enumerate(ordered)}
+    noise = np.array([n for _, n in ordered], dtype=np.float64) ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+
+    rng = np.random.default_rng(cfg.seed)
+    size = len(vocab)
+    w_in = (rng.random((size, dim)) - 0.5) / dim
+    w_out = np.zeros((size, dim))
+
+    encoded = [[vocab[t] for t in sent] for sent in sentences]
+    total_steps = max(1, cfg.epochs * sum(len(s) for s in encoded))
+    step = 0
+    k = cfg.negative_samples
+    for _ in range(cfg.epochs):
+        for sent in encoded:
+            n = len(sent)
+            lrs = [max(embed._LR_MIN, embed._LR_INITIAL * (1.0 - (step + i) / total_steps))
+                   for i in range(n)]
+            step += n
+            contexts = [sent[max(0, pos - cfg.window) : pos] + sent[pos + 1 : pos + cfg.window + 1]
+                        for pos in range(n)]
+            draws = np.searchsorted(noise_cdf, rng.random((sum(map(len, contexts)), k)))
+            pairs = []  # (position, context, negatives) in draw order
+            for pos, ctx in enumerate(contexts):
+                for c in ctx:
+                    pairs.append((pos, c, draws[len(pairs)].tolist()))
+            blocks = []
+            for pos in range(n):
+                if not blocks or len(blocks[-1]) == cap or sent[pos] in [sent[p] for p in blocks[-1]]:
+                    blocks.append([])
+                blocks[-1].append(pos)
+            for block in blocks:
+                d_in = np.zeros_like(w_in)
+                d_out = np.zeros_like(w_out)
+                for pos, ctx, negs in pairs:
+                    if pos not in block:
+                        continue
+                    center, lr = sent[pos], lrs[pos]
+                    for out, label in [(ctx, 1.0)] + [(neg, 0.0) for neg in negs]:
+                        g = float(embed._sigmoid(w_out[out] @ w_in[center])) - label
+                        d_in[center] -= lr * g * w_out[out]
+                        d_out[out] -= lr * g * w_in[center]
+                w_in += d_in
+                w_out += d_out
+    return vocab, w_in
+
+
+class TestBlockTraining:
+    @settings(max_examples=60, deadline=None)
+    @given(TRAIN_TEXTS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 2),
+           st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_small_corpora_match_the_pair_by_pair_block_step(
+            self, texts, window, negatives, epochs, dim, seed):
+        corpus = text_corpus(texts)
+        cfg = TrainConfig(window=window, epochs=epochs, negative_samples=negatives, seed=seed)
+        vocab, w_in = embed._train_vectors(corpus, cfg, dim)
+        want_vocab, want = reference_block_vectors(corpus, cfg, dim, embed._CENTER_BLOCK)
+        assert vocab == want_vocab
+        np.testing.assert_allclose(w_in, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("texts", [
+        # Lone tokens still take a learning-rate step each.
+        ["alpha", "beta gamma alpha beta", "delta", "gamma beta"],
+        # Long sentences with repeats, so blocks end both ways.
+        [" ".join(f"w{i % 11}" for i in range(40)), " ".join(f"w{i % 7}" for i in range(33))],
+    ])
+    def test_fixed_corpora_match_the_pair_by_pair_block_step(self, texts):
+        corpus = text_corpus(texts)
+        cfg = TrainConfig(window=3, epochs=2, negative_samples=4, seed=8)
+        got = embed._train_vectors(corpus, cfg, 16)[1]
+        want = reference_block_vectors(corpus, cfg, 16, embed._CENTER_BLOCK)[1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.integers(0, 9), max_size=60),
+                     st.lists(st.integers(0, 60), max_size=60)))
+    def test_block_plan(self, centers):
+        bounds = embed._center_blocks(centers)
+        cap = embed._CENTER_BLOCK
+        assert cap == 8
+        assert bounds[-1] == len(centers)
+        assert bounds[0] == 0
+        blocks = [centers[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        assert [c for block in blocks for c in block] == centers
+        for block, nxt in zip(blocks, blocks[1:] + [None]):
+            assert 1 <= len(block) <= cap
+            assert len(set(block)) == len(block)
+            if nxt is not None:
+                # A block ends early only before a center it already holds.
+                assert len(block) == cap or nxt[0] in block
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_planted_aspect_ranks_first(self, seed):
+        # Acceptance criterion 08 with the embedding trained at other seeds.
+        accuracy, wins = planted_aspect_trial(seed)
+        assert accuracy >= 0.9
+        assert wins >= 90
+
+    def test_long_description_memory_is_bounded(self):
+        # Working memory is one sentence's ids and draws plus one block's
+        # rows; nothing of size pairs x dim is built.
+        rng = np.random.default_rng(0)
+        text = " ".join(rng.choice([f"w{i}" for i in range(2000)], 20_000))
+        corpus = text_corpus([text])
+        tracemalloc.start()
+        try:
+            embed._train_vectors(corpus, TrainConfig(epochs=1), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+def planted_aspect_trial(embedding_seed):
+    """Acceptance criterion 08's held-out accuracy and planted-aspect wins out
+    of 100, with the word vectors trained at ``embedding_seed``."""
+    corpus = family_corpus(n_records=200, n_families=5)
+    db = family_mapping(corpus)
+    embedding = train_embeddings(corpus, TrainConfig(seed=embedding_seed, epochs=10))
+    pairs = build_training_pairs(corpus, seed=5)
+    order = np.random.default_rng(3).permutation(len(pairs))
+    split = int(0.8 * len(pairs))
+    model = train_correlation([pairs[i] for i in order[:split]], None, embedding,
+                              CorrTrainConfig(learning_rate=0.5, epochs=300))
+    held_out = [pairs[i] for i in order[split:]]
+    accuracy = sum(int((score(model, p.a, p.b) > 0.5) == bool(p.label))
+                   for p in held_out) / len(held_out)
+    wins = 0
+    trial_rng = np.random.default_rng(17)
+    records = {rec.cve_id: rec for rec in corpus}
+    for _ in range(100):
+        index = int(trial_rng.integers(200))
+        family = index % 5
+        masked, truth = mask_aspect(records[f"CVE-2021-{1000 + index}"], AspectKind.ROOT_CAUSE)
+        distractors = [
+            family_aspects(g, int(trial_rng.integers(200)))[AspectKind.ROOT_CAUSE]
+            for g in range(5)
+            if g != family
+        ][:3]
+        candidates = [
+            CandidateAnswer(aspect=AspectKind.ROOT_CAUSE, text=text,
+                            strategy=PromptKind.SELECTION, round=r + 1, backend_id="t")
+            for r, text in enumerate([truth] + distractors)
+        ]
+        ranked = rank_candidates(model, software_features(masked, db, corpus), candidates)
+        wins += int(ranked[0].candidate.text == truth)
+    return accuracy, wins
 
 
 def reference_sentence_vector(model, text):

@@ -375,6 +375,44 @@ class TestTowerVector:
             if change is not None:
                 change()
 
+    @settings(max_examples=100, deadline=None)
+    @given(article_maps, store_edits, st.lists(phrases, min_size=1, max_size=6),
+           st.sampled_from([2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stack_equals_stacked_vectors(self, articles, edits, texts, dim, with_store, seed):
+        rng = np.random.default_rng(seed)
+        model = CorrelationModel(embedding=random_embedding(rng, dim), weights=np.zeros(2 * dim + 1),
+                                 bias=0.0, background_embedding=random_embedding(rng, dim))
+        store = BackgroundStore(articles=dict(articles)) if with_store else None
+        towers = TowerCache()
+        adds = [(lambda t=term, b=body: store.add(t, b)) for term, body in edits] if with_store else []
+        for change in [*adds, lambda: setattr(model, "embedding", random_embedding(rng, dim)), None]:
+            # Every other text is cached first, so hits and misses mix.
+            for text in texts[::2]:
+                towers.vector(model, text, store)
+            got = towers.stack(model, texts, store)
+            want = np.stack([TowerCache().vector(model, text, store) for text in texts])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            if change is not None:
+                change()
+
+    def test_stack_computes_each_text_once(self):
+        model = random_model(8, 4)
+        texts = ["alpha", "beta gamma", "alpha", "delta", "beta gamma"]
+        calls = Counter()
+        compute = model.tower_vector
+
+        def counted(text, store):
+            calls[text] += 1
+            return compute(text, store)
+
+        model.tower_vector = counted
+        towers = TowerCache()
+        towers.vector(model, "delta", None)
+        towers.stack(model, texts, None)
+        towers.stack(model, texts, None)
+        assert calls == Counter(set(texts))
+
     def test_one_dimensional_embedding_within_rounding(self):
         # numpy sums a single column pairwise rather than in order, so only
         # here the sum may differ from the token loop in the last bits.
