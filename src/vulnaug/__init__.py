@@ -1,61 +1,14 @@
-"""Missing key-aspect augmentation for textual vulnerability descriptions."""
+"""Missing key-aspect augmentation for textual vulnerability descriptions.
 
-from .corpus import (
-    AspectKind,
-    Corpus,
-    LongTailReport,
-    Source,
-    TvdRecord,
-    classify_long_tail,
-    gini,
-    mask_aspect,
-    pair_modified_analyse,
-    parse_feed,
-)
-from .embed import EmbeddingModel, TrainConfig, kmeans, sentence_vector, tokenize, train_embeddings
-from .evalkit import CostParams, SimilarityScore, effectiveness_threshold, evaluate, expected_lookups, soft_score
-from .exampler import (
-    ExamplePool,
-    ExampleSet,
-    retrieve_pool,
-    select_examples,
-    select_examples_by_similarity,
-)
-from .featcorr import (
-    BackgroundStore,
-    CorrelationModel,
-    FeaturePair,
-    build_training_pairs,
-    fetch_background,
-    rank_candidates,
-    score,
-    software_features,
-    train_correlation,
-)
-from .genprompt import (
-    CandidateAnswer,
-    EchoBackend,
-    LlmBackend,
-    MockBackend,
-    OracleBackend,
-    Prompt,
-    PromptKind,
-    build_baseline,
-    build_direct,
-    build_fill,
-    build_selection,
-    extract_known_aspects,
-    generate_candidates,
-)
-from .mapping import (
-    DEFAULT_TEMPLATES,
-    MappingDb,
-    NameTemplate,
-    build_mapping,
-    extract_software_name,
-    mapping_stats,
-    resolve,
-)
+The package root exports the names the README's library example uses; every
+other name is imported from its own module, such as ``vulnaug.featcorr``.
+"""
+
+from .corpus import AspectKind, Corpus, mask_aspect, parse_feed
+from .embed import train_embeddings
+from .featcorr import build_training_pairs, train_correlation
+from .genprompt import MockBackend
+from .mapping import build_mapping
 from .pipeline import AugmentPipeline
 
 __version__ = "0.1.0"
@@ -63,59 +16,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AspectKind",
     "AugmentPipeline",
-    "BackgroundStore",
-    "CandidateAnswer",
     "Corpus",
-    "CorrelationModel",
-    "CostParams",
-    "DEFAULT_TEMPLATES",
-    "EchoBackend",
-    "EmbeddingModel",
-    "ExamplePool",
-    "ExampleSet",
-    "FeaturePair",
-    "LlmBackend",
-    "LongTailReport",
-    "MappingDb",
     "MockBackend",
-    "NameTemplate",
-    "OracleBackend",
-    "Prompt",
-    "PromptKind",
-    "SimilarityScore",
-    "Source",
-    "TrainConfig",
-    "TvdRecord",
-    "build_baseline",
-    "build_direct",
-    "build_fill",
     "build_mapping",
-    "build_selection",
     "build_training_pairs",
-    "classify_long_tail",
-    "effectiveness_threshold",
-    "evaluate",
-    "expected_lookups",
-    "extract_known_aspects",
-    "extract_software_name",
-    "fetch_background",
-    "generate_candidates",
-    "gini",
-    "kmeans",
-    "mapping_stats",
     "mask_aspect",
-    "pair_modified_analyse",
     "parse_feed",
-    "rank_candidates",
-    "resolve",
-    "retrieve_pool",
-    "score",
-    "select_examples",
-    "select_examples_by_similarity",
-    "sentence_vector",
-    "soft_score",
-    "software_features",
-    "tokenize",
     "train_correlation",
     "train_embeddings",
 ]

@@ -24,7 +24,7 @@ from . import corpus as corpus_mod
 from . import embed as embed_mod
 from . import evalkit, featcorr, genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
-from .errors import FeedFormatError, MissingPrerequisite, VulnaugError
+from .errors import FeedFormatError, GenerationFailed, MissingPrerequisite, VulnaugError
 from .ioutil import atomic_write_text
 from .pipeline import AugmentPipeline
 
@@ -384,14 +384,19 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
                 tasks.append((rec, kind))
 
     def run(task: tuple[TvdRecord, AspectKind]):
-        rec, kind = task
-        return pipeline.augment(rec, kind)
+        # A slot whose every round failed gets no row; the others are kept.
+        try:
+            return pipeline.augment(*task)
+        except GenerationFailed as exc:
+            return exc
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
+            results = list(pool.map(run, tasks))
     else:
-        outcomes = [run(task) for task in tasks]
+        results = [run(task) for task in tasks]
+    failed = [r for r in results if isinstance(r, GenerationFailed)]
+    outcomes = [r for r in results if not isinstance(r, GenerationFailed)]
 
     lines = []
     for out in sorted(outcomes, key=lambda o: (o.cve_id, o.aspect.json_key)):
@@ -401,7 +406,7 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
             "answer": out.answer,
             "score": out.score,
             "pool_size": out.pool_size,
-            "examples": out.example_count,
+            "examples": len(out.example_cves),
             "failed_rounds": out.failed_rounds,
             "candidates": [
                 {
@@ -419,6 +424,10 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
     out_path = Path(output) if output else Path(cfg.output_dir) / "augmented.jsonl"
     atomic_write_text(out_path, "\n".join(lines) + ("\n" if lines else ""))
     click.echo(f"augmented {len(lines)} (record, aspect) slots -> {out_path}")
+    for exc in failed:
+        click.echo(f"error: {exc}", err=True)
+    if failed:
+        sys.exit(EXIT_INTERNAL)
 
 
 def _load_testset(path: Path) -> list[tuple[TvdRecord, AspectKind, str]]:
@@ -575,6 +584,10 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
         if line.strip()
     ]
     limiter = genprompt.RateLimiter(rate_per_s=rate)
+    try:
+        endpoint.format(term="term")
+    except (LookupError, AttributeError, ValueError) as exc:
+        raise ValueError(f"--endpoint {endpoint!r} must format with {{term}} alone: {exc!r}") from None
     store = featcorr.BackgroundStore()
     fetched = 0
     for term in terms:

@@ -299,10 +299,6 @@ class Clustering:
     medoids: list[int | None]
     objective_history: list[float] = field(default_factory=list)
 
-    def non_empty_clusters(self) -> list[int]:
-        present = set(int(a) for a in self.assignments)
-        return [c for c in range(self.k) if c in present]
-
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]

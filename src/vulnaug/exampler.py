@@ -14,8 +14,7 @@ import numpy as np
 
 from .corpus import Corpus, TvdRecord
 from .embed import EmbeddingModel, kmeans, sentence_vector
-from .errors import NotFound
-from .mapping import MappingDb, resolve
+from .mapping import MappingDb, siblings
 
 EXAMPLE_LIMIT = 30
 
@@ -58,15 +57,10 @@ def retrieve_pool(target: TvdRecord, db: MappingDb, corpus: Corpus) -> ExamplePo
     of the pool empty. Only records present in the corpus qualify, and the
     target itself never appears in its own pool.
     """
-    from_software: set[str] = set()
-    try:
-        _, siblings = resolve(db, target.cve_id)
-    except NotFound:
-        siblings = []
-    for cve_id in siblings:
-        if cve_id != target.cve_id and cve_id in corpus:
-            from_software.add(cve_id)
-
+    from_software = {
+        cve_id for cve_id in siblings(db, target.cve_id)
+        if cve_id != target.cve_id and cve_id in corpus
+    }
     from_cwe: set[str] = set()
     if target.cwe_id:
         from_cwe = set(corpus.with_cwe(target.cwe_id)) - {target.cve_id}

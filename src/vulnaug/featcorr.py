@@ -26,10 +26,10 @@ import numpy as np
 
 from .corpus import AspectKind, Corpus, TvdRecord
 from .embed import EmbeddingModel, _sigmoid, tokenize
-from .errors import DivergedTraining, EmptyTrainingSet, NotFound
+from .errors import DivergedTraining, EmptyTrainingSet
 from .genprompt import CandidateAnswer
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .mapping import MappingDb, resolve
+from .mapping import MappingDb, siblings
 
 #: Negatives are downsampled to twice the positive count; fixed by contract.
 NEG_RATIO = 2
@@ -324,7 +324,6 @@ class TowerCache:
     after :meth:`BackgroundStore.add` or after the model's embedding is
     replaced, drops them first. Misses are filled under a lock, after a second
     look, so threads that ask for the same text together compute it once.
-    Towers are returned read-only.
     """
 
     def __init__(self) -> None:
@@ -332,17 +331,11 @@ class TowerCache:
         # ((model, embedding, background embedding, store, store version), text -> tower)
         self._state: tuple[tuple, dict[str, np.ndarray]] = ((None,) * 5, {})
 
-    def vector(self, model: CorrelationModel, text: str,
-               store: BackgroundStore | None) -> np.ndarray:
-        stamp = self._stamp(model, store)
-        towers = self._towers(stamp)
-        found = None if towers is None else towers.get(text)
-        return self._fill(model, text, store, stamp) if found is None else found
-
     def stack(self, model: CorrelationModel, texts: Sequence[str],
               store: BackgroundStore | None) -> np.ndarray:
-        """The (n, d) towers of the n >= 1 ``texts``, one row each, equal to
-        stacking :meth:`vector` of each text; the stamp is checked once per call."""
+        """The (n, d) towers of the n >= 1 ``texts`` in a new array, row i
+        equal to ``model.tower_vector(texts[i], store)``; the stamp is checked
+        once per call."""
         stamp = self._stamp(model, store)
         towers = self._towers(stamp) or {}
         found = list(map(towers.get, texts))
@@ -368,9 +361,7 @@ class TowerCache:
                 self._state = (stamp, towers)
             found = towers.get(text)
             if found is None:
-                found = model.tower_vector(text, store)
-                found.flags.writeable = False
-                towers[text] = found
+                found = towers[text] = model.tower_vector(text, store)
         return found
 
     def _towers(self, stamp: tuple) -> dict[str, np.ndarray] | None:
@@ -489,10 +480,6 @@ def software_features(
     masked aspect never leaks back in. With no resolvable software the
     target's own known aspects serve as the feature list.
     """
-    try:
-        _, siblings = resolve(db, target.cve_id)
-    except NotFound:
-        siblings = [target.cve_id]
     features: list[str] = []
     seen: set[str] = set()
 
@@ -503,7 +490,7 @@ def software_features(
                 seen.add(value)
                 features.append(value)
 
-    for cve_id in sorted(set(siblings) | {target.cve_id}):
+    for cve_id in sorted({*siblings(db, target.cve_id), target.cve_id}):
         if cve_id == target.cve_id:
             collect(target)
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -41,9 +42,6 @@ class PromptKind(Enum):
 class Prompt:
     kind: PromptKind
     text: str
-    target_cve: str
-    missing: list[AspectKind]
-    known: dict[AspectKind, str]
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,7 @@ def extract_known_aspects(
     record: TvdRecord,
 ) -> tuple[dict[AspectKind, str], list[AspectKind]]:
     """Split the five aspect slots into populated and missing, in enum order."""
-    known = {k: v for k, v in record.aspects.items() if v}
-    missing = [k for k in AspectKind if k not in known]
-    return known, missing
+    return record.known_aspects(), record.missing_aspects()
 
 
 def _names(missing: Iterable[AspectKind]) -> str:
@@ -179,13 +175,7 @@ def build_direct(
     """Direct-generation prompt: task line, examples, the TVD, and a question
     naming each missing aspect."""
     context = _context(_render_examples(examples), known, tvd_text, target_cve)
-    return Prompt(
-        kind=PromptKind.DIRECT_GENERATION,
-        text=_direct_text(context, missing),
-        target_cve=target_cve,
-        missing=list(missing),
-        known=dict(known),
-    )
+    return Prompt(PromptKind.DIRECT_GENERATION, _direct_text(context, missing))
 
 
 def build_fill(
@@ -203,13 +193,7 @@ def build_fill(
     always holds.
     """
     context = _context(_render_examples(examples), known, _blank(tvd_text, missing), target_cve)
-    return Prompt(
-        kind=PromptKind.FILL_IN_THE_BLANK,
-        text=_fill_text(context, missing),
-        target_cve=target_cve,
-        missing=list(missing),
-        known=dict(known),
-    )
+    return Prompt(PromptKind.FILL_IN_THE_BLANK, _fill_text(context, missing))
 
 
 def build_selection(
@@ -224,13 +208,7 @@ def build_selection(
     """Selection prompt: option A is always the direct-generation answer,
     option B the fill-in answer."""
     context = _context(_render_examples(examples), known, tvd_text, target_cve)
-    return Prompt(
-        kind=PromptKind.SELECTION,
-        text=_selection_text(context, missing, ans_direct, ans_fill),
-        target_cve=target_cve,
-        missing=list(missing),
-        known=dict(known),
-    )
+    return Prompt(PromptKind.SELECTION, _selection_text(context, missing, ans_direct, ans_fill))
 
 
 def build_baseline(
@@ -265,13 +243,7 @@ def build_baseline(
         value = exemplar.aspects[kind]
         lines.append(f"TVD: {exemplar.description.replace(value, 'unknown ' + name, 1)}")
         lines.append(f"{name}: {value}")
-    return Prompt(
-        kind=PromptKind.BASELINE_FEW_SHOT,
-        text="\n".join(lines),
-        target_cve=record.cve_id,
-        missing=[kind],
-        known={},
-    )
+    return Prompt(PromptKind.BASELINE_FEW_SHOT, "\n".join(lines))
 
 
 _QUOTES = ("\"", "'", "“", "”", "‘", "’")
@@ -315,7 +287,7 @@ def generate_candidates(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    known, _ = extract_known_aspects(record)
+    known = record.known_aspects()
     missing = [kind]
     # The examples and known aspects are the same in every prompt of the
     # chain, and the two generator prompts the same in every round.
@@ -360,7 +332,8 @@ def generate_candidates(
             outcome.failures.append(RoundFailure(round=r, error=str(exc)))
     if not outcome.candidates:
         raise GenerationFailed(
-            f"{record.cve_id}/{kind.display_name}: all {rounds} rounds failed"
+            f"{record.cve_id}/{kind.json_key}: all {rounds} rounds failed,"
+            f" the last with: {outcome.failures[-1].error}"
         )
     return outcome
 
@@ -432,6 +405,8 @@ class RateLimiter:
     """Token bucket; acquire() blocks until a token is available."""
 
     def __init__(self, rate_per_s: float, capacity: int = 1):
+        if not (math.isfinite(rate_per_s) and rate_per_s > 0):
+            raise ValueError(f"rate must be finite and > 0 requests per second, got {rate_per_s!r}")
         self.rate = rate_per_s
         self.capacity = capacity
         self._tokens = float(capacity)

@@ -210,6 +210,13 @@ def software_name(record: TvdRecord, db: MappingDb | None) -> str | None:
     return name
 
 
+def siblings(db: MappingDb, cve_id: str) -> list[str]:
+    """The sorted cve_ids that share the record's mapped name, itself
+    included; [] when the record is unmapped."""
+    name = db.cve_to_name.get(cve_id)
+    return [] if name is None else sorted(db.name_to_cves[name])
+
+
 def resolve(db: MappingDb, query: str) -> tuple[str, list[str]]:
     """Look up by cve_id or by exact canonical name.
 

@@ -35,10 +35,6 @@ class AugmentOutcome:
     example_cves: list[str]
     failed_rounds: int
 
-    @property
-    def example_count(self) -> int:
-        return len(self.example_cves)
-
 
 @dataclass
 class AugmentPipeline:

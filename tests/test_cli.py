@@ -132,9 +132,6 @@ class TestPrerequisites:
         config.write_text(json.dumps({"endpoint": "http://localhost:9/v1", "model": "m",
                                       "api_key_env": "VULNAUG_TEST_KEY"}))
 
-        def no_network(*args, **kwargs):
-            raise AssertionError("the backend must not send a request")
-
         monkeypatch.setattr("urllib.request.urlopen", no_network)
         args = ["augment", "--corpus", str(corpus), "--map", str(mapping),
                 "--embed", str(embedding), "--corr", str(correlation),
@@ -147,6 +144,60 @@ class TestPrerequisites:
             assert result.exit_code == 3, result.output
             assert "VULNAUG_TEST_KEY" in result.output
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_http_backend_with_negative_rate_exits_two(self, runner, tmp_path, artifacts,
+                                                       monkeypatch):
+        config = tmp_path / "backend.json"
+        config.write_text(json.dumps({"endpoint": "http://localhost:9/v1", "model": "m",
+                                      "api_key_env": "VULNAUG_TEST_KEY", "rate_per_s": -1}))
+        monkeypatch.setenv("VULNAUG_TEST_KEY", "secret")
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--backend", "http", "--backend-config", str(config), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "rate must be finite and > 0" in result.stderr
+        assert not out.exists()
+
+
+def no_network(*args, **kwargs):
+    raise AssertionError("no request may be sent")
+
+
+class TestFetchBackground:
+    @staticmethod
+    def args(tmp_path, endpoint="/{term}.json", rate="1000"):
+        (tmp_path / "terms.txt").write_text("alpha\nbeta\n")
+        (tmp_path / "alpha.json").write_text(json.dumps({"extract": "Alpha  is a\nletter."}))
+        return ["fetch-background", "--terms", str(tmp_path / "terms.txt"),
+                "--endpoint", tmp_path.as_uri() + endpoint, "--rate", rate,
+                "-o", str(tmp_path / "background.tsv")]
+
+    def test_fetches_from_a_file_endpoint(self, runner, tmp_path):
+        result = runner.invoke(cli, self.args(tmp_path))
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "background.tsv").read_text() == "alpha\tAlpha is a letter.\n"
+        assert "fetched 1/2 articles" in result.stdout
+        assert result.stderr.startswith("warning: beta:")
+
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+    def test_bad_rate_exits_two_before_any_request(self, runner, tmp_path, monkeypatch, rate):
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        result = runner.invoke(cli, self.args(tmp_path, rate=rate))
+        assert result.exit_code == 2, result.output
+        assert "rate must be finite and > 0" in result.stderr
+        assert not (tmp_path / "background.tsv").exists()
+
+    @pytest.mark.parametrize("endpoint", ["/{name}.json", "/{0}.json", "/{term.json",
+                                          "/{term.x}.json", "/{term:d}.json"])
+    def test_bad_endpoint_template_exits_two_before_any_request(
+        self, runner, tmp_path, monkeypatch, endpoint
+    ):
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        result = runner.invoke(cli, self.args(tmp_path, endpoint=endpoint))
+        assert result.exit_code == 2, result.output
+        assert "must format with {term} alone" in result.stderr
+        assert not (tmp_path / "background.tsv").exists()
 
 
 class TestTrainEmbedSettings:
@@ -435,6 +486,33 @@ class TestPipelineCommands:
         assert all(row["failed_rounds"] == 0 for row in clean)
         assert all(row["failed_rounds"] == 2 for row in failing)
         assert all(sorted(c["round"] for c in row["candidates"]) == [1, 3] for row in failing)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_augment_keeps_the_rows_of_other_slots_when_one_fails(self, runner, tmp_path,
+                                                                  monkeypatch, jobs):
+        corpus, mapping, embedding, correlation = build_artifacts(
+            runner, tmp_path, small_feed_records(12)
+        )
+
+        class FailsOneTarget(genprompt.MockBackend):
+            def complete(self, prompt, *, temperature=0.0, seed=0):
+                if "target: CVE-2023-1003\n" in prompt:
+                    raise BackendError("refused")
+                return super().complete(prompt, temperature=temperature, seed=seed)
+
+        args = ["--jobs", jobs, "augment", "--corpus", str(corpus), "--map", str(mapping),
+                "--embed", str(embedding), "--corr", str(correlation), "--rounds", "2"]
+        clean, failing = tmp_path / "clean.jsonl", tmp_path / "failing.jsonl"
+        assert runner.invoke(cli, args + ["-o", str(clean)]).exit_code == 0
+        monkeypatch.setattr("vulnaug.cli._make_backend", lambda cfg: FailsOneTarget())
+        result = runner.invoke(cli, args + ["-o", str(failing)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == ("error: CVE-2023-1003/attacker_type: all 2 rounds failed,"
+                                 " the last with: refused\n")
+        kept = [line for line in clean.read_text().splitlines()
+                if json.loads(line)["cve_id"] != "CVE-2023-1003"]
+        assert len(kept) == 3
+        assert failing.read_text().splitlines() == kept
 
     def test_augment_with_oracle_answer_file(self, runner, tmp_path):
         records = small_feed_records(12)

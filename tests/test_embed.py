@@ -529,7 +529,9 @@ class TestKmeans:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(40, 3))
         result = kmeans(pts, 4, seed=1)
-        for c in result.non_empty_clusters():
+        present = [c for c, m in enumerate(result.medoids) if m is not None]
+        assert present == sorted(set(result.assignments.tolist()))
+        for c in present:
             members = np.flatnonzero(result.assignments == c)
             dists = np.linalg.norm(pts[members] - result.centroids[c], axis=1)
             assert result.medoids[c] == members[int(np.argmin(dists))]

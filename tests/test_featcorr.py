@@ -371,7 +371,7 @@ class TestTowerVector:
         for change in [*adds, *swaps, None]:
             want = reference_tower_vector(model, text, store)
             assert np.array_equal(model.tower_vector(text, store), want)
-            assert np.array_equal(towers.vector(model, text, store), want)
+            assert np.array_equal(towers.stack(model, [text], store)[0], want)
             if change is not None:
                 change()
 
@@ -379,6 +379,7 @@ class TestTowerVector:
     @given(article_maps, store_edits, st.lists(phrases, min_size=1, max_size=6),
            st.sampled_from([2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
     def test_stack_equals_stacked_vectors(self, articles, edits, texts, dim, with_store, seed):
+        # Row i of stack is bit-equal to tower_vector of text i.
         rng = np.random.default_rng(seed)
         model = CorrelationModel(embedding=random_embedding(rng, dim), weights=np.zeros(2 * dim + 1),
                                  bias=0.0, background_embedding=random_embedding(rng, dim))
@@ -387,10 +388,9 @@ class TestTowerVector:
         adds = [(lambda t=term, b=body: store.add(t, b)) for term, body in edits] if with_store else []
         for change in [*adds, lambda: setattr(model, "embedding", random_embedding(rng, dim)), None]:
             # Every other text is cached first, so hits and misses mix.
-            for text in texts[::2]:
-                towers.vector(model, text, store)
+            towers.stack(model, texts[::2], store)
             got = towers.stack(model, texts, store)
-            want = np.stack([TowerCache().vector(model, text, store) for text in texts])
+            want = np.stack([model.tower_vector(text, store) for text in texts])
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             if change is not None:
@@ -408,7 +408,7 @@ class TestTowerVector:
 
         model.tower_vector = counted
         towers = TowerCache()
-        towers.vector(model, "delta", None)
+        towers.stack(model, ["delta"], None)
         towers.stack(model, texts, None)
         towers.stack(model, texts, None)
         assert calls == Counter(set(texts))
@@ -429,10 +429,10 @@ class TestTowerVector:
         model = random_model(3, 4)
         store = BackgroundStore(articles={"gamma": "delta delta"})
         towers = TowerCache()
-        before = towers.vector(model, "alpha beta", store)
+        before = towers.stack(model, ["alpha beta"], store)[0]
         assert np.array_equal(before, reference_tower_vector(model, "alpha beta", store))
         store.add("alpha", "gamma cve-2020-1 omega")
-        after = towers.vector(model, "alpha beta", store)
+        after = towers.stack(model, ["alpha beta"], store)[0]
         assert not np.array_equal(before, after)
         assert after.tobytes() == model.tower_vector("alpha beta", store).tobytes()
         assert after.tobytes() == reference_tower_vector(model, "alpha beta", store).tobytes()
@@ -442,17 +442,18 @@ class TestTowerVector:
         model = random_model(4, 4, separate_background=True)
         store = BackgroundStore(articles={"alpha": "beta gamma delta"})
         towers = TowerCache()
-        before = towers.vector(model, "alpha", store)
+        before = towers.stack(model, ["alpha"], store)[0]
         setattr(model, attr, random_embedding(np.random.default_rng(5), 4, binades=1))
-        after = towers.vector(model, "alpha", store)
+        after = towers.stack(model, ["alpha"], store)[0]
         assert not np.array_equal(before, after)
         assert after.tobytes() == reference_tower_vector(model, "alpha", store).tobytes()
 
-    def test_cached_tower_is_read_only(self):
+    def test_writing_a_stacked_row_leaves_the_cache(self):
+        model = random_model(6, 4)
         towers = TowerCache()
-        tower = towers.vector(random_model(6, 4), "alpha", None)
-        with pytest.raises(ValueError):
-            tower[0] = 1.0
+        towers.stack(model, ["alpha"], None)[0] = 1.0
+        got = towers.stack(model, ["alpha"], None)[0]
+        assert got.tobytes() == model.tower_vector("alpha", None).tobytes()
 
     def test_cache_computes_each_text_once_under_threads(self):
         model = random_model(7, 8)
@@ -471,7 +472,7 @@ class TestTowerVector:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(lambda k: [towers.vector(model, t, store)
+                futures = [pool.submit(lambda k: [towers.stack(model, [t], store)[0]
                                                   for t in texts[k:] + texts[:k]], k)
                            for k in range(16)]
                 results = [f.result(timeout=60) for f in futures]

@@ -15,6 +15,7 @@ from vulnaug.mapping import (
     mapping_stats,
     resolve,
     save_mapping,
+    siblings,
     software_name,
 )
 
@@ -133,6 +134,35 @@ class TestResolve:
     def test_unknown_name_not_found(self):
         with pytest.raises(NotFound):
             resolve(MappingDb(), "No Such Tool")
+
+
+class TestSiblings:
+    def test_unmapped_record_has_none(self):
+        db = build_mapping(struts_gov_records())
+        assert siblings(db, "CVE-2019-9999") == []
+        assert siblings(MappingDb(), "CVE-2017-9805") == []
+
+    def test_mapped_record_gets_sorted_list_with_itself(self):
+        db = MappingDb()
+        for cve_id in ("CVE-2019-0300", "CVE-2019-0100", "CVE-2019-0200"):
+            db.insert("Tool", cve_id)
+        db.insert("Other", "CVE-2019-0150")
+        want = ["CVE-2019-0100", "CVE-2019-0200", "CVE-2019-0300"]
+        assert siblings(db, "CVE-2019-0200") == want
+        assert siblings(db, "CVE-2019-0150") == ["CVE-2019-0150"]
+        assert siblings(db, "CVE-2019-0100") == resolve(db, "CVE-2019-0100")[1]
+
+    def test_fallback_entries_join_by_raw_name(self):
+        db = build_mapping(struts_gov_records())
+        extend_with_fallback(db, [
+            make_record("CVE-2019-0005", "d.", software=["Beta  Tool"]),
+            make_record("CVE-2019-0004", "d.", software=["Beta Tool"]),
+            make_record("CVE-2017-9805", "d.", software=["Beta Tool"]),
+            make_record("CVE-2019-0006", "d."),
+        ])
+        assert siblings(db, "CVE-2019-0005") == ["CVE-2019-0004", "CVE-2019-0005"]
+        assert siblings(db, "CVE-2017-9805") == ["CVE-2017-9805", "CVE-2018-11776"]
+        assert siblings(db, "CVE-2019-0006") == []
 
 
 class TestStats:
