@@ -25,6 +25,7 @@ from . import embed as embed_mod
 from . import evalkit, featcorr, genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
 from .errors import FeedFormatError, GenerationFailed, MissingPrerequisite, VulnaugError
+from .exampler import EXAMPLE_LIMIT
 from .ioutil import atomic_write_text
 from .pipeline import AugmentPipeline
 
@@ -48,10 +49,10 @@ class RunConfig:
     oracle_answers: str | None = None
     audit: str | None = None
     aggregation: str = "mean"
-    example_limit: int = 30
+    example_limit: int = EXAMPLE_LIMIT
     example_strategy: str = "cluster"
-    rounds: int = 5
-    long_tail_threshold: int = 50
+    rounds: int = genprompt.DEFAULT_ROUNDS
+    long_tail_threshold: int = corpus_mod.LONG_TAIL_THRESHOLD
     temperature: float = 0.7
 
     def override(self, **kwargs) -> "RunConfig":
@@ -493,6 +494,7 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
         pipeline.embedding,
         db=pipeline.db,
         threshold=cfg.long_tail_threshold,
+        jobs=cfg.jobs,
         pipeline_id=pipeline.identity,
         dataset_id=dataset_id,
     )
@@ -588,7 +590,7 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
         endpoint.format(term="term")
     except (LookupError, AttributeError, ValueError) as exc:
         raise ValueError(f"--endpoint {endpoint!r} must format with {{term}} alone: {exc!r}") from None
-    store = featcorr.BackgroundStore()
+    articles: dict[str, str] = {}
     fetched = 0
     for term in terms:
         limiter.acquire()
@@ -605,10 +607,10 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
         except json.JSONDecodeError:
             text = body
         if text:
-            store.add(term, " ".join(text.split()))
+            articles[term] = " ".join(text.split())
             fetched += 1
     out = Path(output) if output else Path(cfg.output_dir) / "background.tsv"
-    store.save(out)
+    featcorr.BackgroundStore(articles=articles).save(out)
     click.echo(f"fetched {fetched}/{len(terms)} articles -> {out}")
 
 

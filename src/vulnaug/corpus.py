@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
-from typing import IO, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -228,7 +228,7 @@ class ParseResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def parse_feed(raw: bytes | str | IO, source: Source = Source.CVE) -> ParseResult:
+def parse_feed(raw: bytes | str, source: Source = Source.CVE) -> ParseResult:
     """Parse one normalized feed (one JSON object per line) into records.
 
     ``source`` is the declared source of the feed and is used for lines that do
@@ -239,13 +239,7 @@ def parse_feed(raw: bytes | str | IO, source: Source = Source.CVE) -> ParseResul
     Duplicates are keyed on (cve_id, revision_tag) so that ANALYSE and MODIFIED
     revisions of the same CVE coexist.
     """
-    if isinstance(raw, bytes):
-        text = raw.decode("utf-8")
-    elif isinstance(raw, str):
-        text = raw
-    else:
-        data = raw.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
     result = ParseResult()
     seen: set[tuple[str, str, str | None]] = set()

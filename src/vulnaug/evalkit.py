@@ -13,12 +13,13 @@ import io
 import json
 import math
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import AspectKind, TvdRecord, classify_long_tail
+from .corpus import LONG_TAIL_THRESHOLD, AspectKind, TvdRecord, classify_long_tail
 from .embed import EmbeddingModel, tokenize
 from .errors import UndefinedScore
 from .mapping import MappingDb, software_name
@@ -90,7 +91,7 @@ class EvalRow:
 @dataclass
 class EvalReport:
     rows: list[EvalRow]
-    failures: list[tuple[str, str, str]]  # (cve_id, aspect, error)
+    failures: list[tuple[str, str, str]]  # (cve_id, aspect json_key, error)
     pipeline_id: str = ""
     dataset_id: str = ""
 
@@ -110,6 +111,8 @@ class EvalReport:
                 f"{row.aspect.display_name:<20} {row.software_class:<14}"
                 f" {row.mean_f1:>8.4f} {row.count:>6}"
             )
+        lines.extend(f"failed: {cve_id}/{aspect}: {error}"
+                     for cve_id, aspect, error in self.failures)
         return "\n".join(lines) + "\n"
 
     def to_jsonl(self) -> str:
@@ -138,22 +141,16 @@ class EvalReport:
             writer.writerow([row.aspect.json_key, row.software_class, row.mean_f1, row.count])
         return buf.getvalue()
 
-    def mean_f1(self, aspect: AspectKind | None = None) -> float:
-        rows = [r for r in self.rows if aspect is None or r.aspect == aspect]
-        total = sum(r.count for r in rows)
-        if total == 0:
-            return 0.0
-        return math.fsum(r.mean_f1 * r.count for r in rows) / total
-
 
 def evaluate(
     pipeline: Callable[[TvdRecord, AspectKind], str],
     testset: Sequence[tuple[TvdRecord, AspectKind, str]],
     model: EmbeddingModel,
     db: MappingDb | None = None,
-    threshold: int = 50,
+    threshold: int = LONG_TAIL_THRESHOLD,
     pipeline_id: str = "",
     dataset_id: str = "",
+    jobs: int = 1,
 ) -> EvalReport:
     """Run the pipeline over (masked record, kind, label) triples.
 
@@ -161,7 +158,9 @@ def evaluate(
     software class. Classes come from long-tail classification over per-name
     mapping link counts when a db is given, otherwise over ``software_name``
     counts in the test set. Per-record pipeline failures are excluded from the
-    means and reported separately.
+    means and reported separately. With ``jobs`` above 1 the records run on
+    that many threads; results are gathered in test-set order, so the report
+    does not depend on ``jobs``.
     """
     if db is not None:
         counts = {name: len(cves) for name, cves in db.name_to_cves.items()}
@@ -176,16 +175,26 @@ def evaluate(
             return NON_LONG_TAIL
         return LONG_TAIL
 
+    def run(item: tuple[TvdRecord, AspectKind, str]) -> SimilarityScore | Exception:
+        rec, kind, label = item
+        try:
+            return soft_score(pipeline(rec, kind), label, model)
+        except Exception as exc:  # noqa: BLE001 - any pipeline failure is recorded
+            return exc
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run, testset))
+    else:
+        results = [run(item) for item in testset]
+
     sums: dict[tuple[AspectKind, str], list[float]] = {}
     failures: list[tuple[str, str, str]] = []
-    for rec, kind, label in testset:
-        try:
-            answer = pipeline(rec, kind)
-            scored = soft_score(answer, label, model)
-        except Exception as exc:  # noqa: BLE001 - any pipeline failure is recorded
-            failures.append((rec.cve_id, kind.display_name, str(exc)))
-            continue
-        sums.setdefault((kind, class_of(rec)), []).append(scored.f1)
+    for (rec, kind, _), scored in zip(testset, results):
+        if isinstance(scored, Exception):
+            failures.append((rec.cve_id, kind.json_key, str(scored)))
+        else:
+            sums.setdefault((kind, class_of(rec)), []).append(scored.f1)
 
     rows = [
         EvalRow(

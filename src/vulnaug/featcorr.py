@@ -106,54 +106,36 @@ def build_training_pairs(corpus: Corpus, seed: int = 0) -> list[FeaturePair]:
 
 @dataclass
 class BackgroundStore:
-    """Local keyword-searchable article collection (term -> body).
+    """Local keyword-searchable article collection (term -> body), fixed once built.
 
-    Each body's token list is kept from the time the article is stored. Lookups
-    read an inverted index of posting arrays: for each token, the indices (in
-    sorted-title order) of the articles whose title or body holds it. The index
-    is built by the first lookup after the articles change, so a run of
-    :meth:`add` calls costs no rebuild each, and a lookup touches only the
+    Each body's token list and an inverted index of posting arrays are built
+    with the store: for each token, the indices (in sorted-title order) of the
+    articles whose title or body holds it, so a lookup touches only the
     postings of its own tokens. Each body's vocab ids are kept too, for the
-    last embedding asked for (:meth:`body_ids`). ``version`` counts the
-    :meth:`add` calls, so a cache built on the articles can tell they changed.
+    last embedding asked for (:meth:`body_ids`).
     """
 
     articles: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._body_tokens = {term: tokenize(body) for term, body in self.articles.items()}
-        # (titles in sorted order, token -> indices into them), or None when stale.
-        self._index: tuple[list[str], dict[str, np.ndarray]] | None = None
+        self._titles = sorted(self.articles)
+        postings: dict[str, list[int]] = {}
+        for i, term in enumerate(self._titles):
+            for tok in set(tokenize(term)) | set(self._body_tokens[term]):
+                postings.setdefault(tok, []).append(i)
+        self._postings = {tok: np.array(ids, dtype=np.intp) for tok, ids in postings.items()}
         # (embedding, title -> that embedding's ids of the body tokens)
         self._body_ids: tuple[EmbeddingModel | None, dict[str, np.ndarray]] = (None, {})
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self.articles)
-
-    def add(self, term: str, body: str) -> None:
-        self.articles[term] = body
-        self._body_tokens[term] = tokenize(body)
-        self._body_ids[1].pop(term, None)
-        self._index = None
-        self.version += 1
-
-    def _build_index(self) -> tuple[list[str], dict[str, np.ndarray]]:
-        titles = sorted(self.articles)
-        postings: dict[str, list[int]] = {}
-        for i, term in enumerate(titles):
-            for tok in set(tokenize(term)) | set(self._body_tokens[term]):
-                postings.setdefault(tok, []).append(i)
-        return titles, {tok: np.array(ids, dtype=np.intp) for tok, ids in postings.items()}
 
     def best_terms(self, tokens: Iterable[str], max_terms: int = 3) -> list[str]:
         """Titles of the ``max_terms`` articles sharing the most distinct
         ``tokens`` (title and body both count), ties broken by title. Articles
         sharing none are never returned."""
-        index = self._index
-        if index is None:
-            index = self._index = self._build_index()
-        titles, postings = index
+        postings = self._postings
         hits = [postings[tok] for tok in set(tokens) if tok in postings]
         if not hits or max_terms <= 0:
             return []
@@ -161,10 +143,10 @@ class BackgroundStore:
         matched = np.flatnonzero(overlap)
         # A stable sort keeps equal overlaps in title order.
         best = matched[np.argsort(-overlap[matched], kind="stable")[:max_terms]]
-        return [titles[i] for i in best.tolist()]
+        return [self._titles[i] for i in best.tolist()]
 
     def body_tokens(self, term: str) -> list[str]:
-        """``tokenize`` of the article body, computed when the article was stored."""
+        """``tokenize`` of the article body, computed when the store was built."""
         return self._body_tokens[term]
 
     def body_ids(self, term: str, embedding: EmbeddingModel) -> np.ndarray:
@@ -231,8 +213,7 @@ class CorrTrainConfig:
 class CorrelationModel:
     """Two-tower scorer: avg-of-word-vector towers plus a logistic combiner.
 
-    The feature tower and the background tower share ``embedding`` unless a
-    separate ``background_embedding`` is supplied. ``weights`` act on the
+    Feature and background tokens share ``embedding``. ``weights`` act on the
     interaction features [u*v, |u-v|, cos(u, v)].
     """
 
@@ -240,7 +221,6 @@ class CorrelationModel:
     weights: np.ndarray
     bias: float
     train_config: CorrTrainConfig = field(default_factory=CorrTrainConfig)
-    background_embedding: EmbeddingModel | None = None
     loss_history: list[float] = field(default_factory=list)
 
     def tower_vector(self, text: str, store: BackgroundStore | None) -> np.ndarray:
@@ -260,14 +240,9 @@ class CorrelationModel:
         total = len(feat_tokens) + sum(len(store.body_tokens(t)) for t in terms)
         if total == 0:
             return np.zeros(self.embedding.dim, dtype=np.float64)
-        bg_model = self.background_embedding or self.embedding
-        feat_ids = self.embedding.ids(feat_tokens)
-        bg_ids = [store.body_ids(t, bg_model) for t in terms]
-        if bg_model is self.embedding:
-            rows = self.embedding.vectors[np.concatenate([feat_ids, *bg_ids])]
-        else:
-            bg_rows = bg_model.vectors[np.concatenate(bg_ids)] if bg_ids else bg_model.vectors[:0]
-            rows = np.concatenate([self.embedding.vectors[feat_ids], bg_rows])
+        emb = self.embedding
+        ids = [emb.ids(feat_tokens), *(store.body_ids(t, emb) for t in terms)]
+        rows = emb.vectors[np.concatenate(ids)]
         return rows.sum(axis=0, dtype=np.float64, initial=0.0) / total
 
     def save(self, path: str | Path) -> None:
@@ -285,12 +260,7 @@ class CorrelationModel:
         atomic_write_bytes(path, blob)
 
     @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        embedding: EmbeddingModel,
-        background_embedding: EmbeddingModel | None = None,
-    ) -> "CorrelationModel":
+    def load(cls, path: str | Path, embedding: EmbeddingModel) -> "CorrelationModel":
         blob = Path(path).read_bytes()
         if blob[: len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path}: not a correlation model file")
@@ -307,7 +277,6 @@ class CorrelationModel:
             weights=weights,
             bias=float(header["bias"]),
             train_config=CorrTrainConfig(**header["train_config"]),
-            background_embedding=background_embedding,
         )
 
     def export_text(self, path: str | Path) -> None:
@@ -319,24 +288,23 @@ class CorrelationModel:
 class TowerCache:
     """Tower vectors by text, each computed once by :meth:`CorrelationModel.tower_vector`.
 
-    The towers held belong to one model, its two embeddings, one store and
-    that store's ``version``. A lookup under any other of these, for example
-    after :meth:`BackgroundStore.add` or after the model's embedding is
+    The towers held belong to one model, its embedding and one store. A lookup
+    under any other of these, for example after the model's embedding is
     replaced, drops them first. Misses are filled under a lock, after a second
     look, so threads that ask for the same text together compute it once.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # ((model, embedding, background embedding, store, store version), text -> tower)
-        self._state: tuple[tuple, dict[str, np.ndarray]] = ((None,) * 5, {})
+        # ((model, embedding, store), text -> tower)
+        self._state: tuple[tuple, dict[str, np.ndarray]] = ((None,) * 3, {})
 
     def stack(self, model: CorrelationModel, texts: Sequence[str],
               store: BackgroundStore | None) -> np.ndarray:
         """The (n, d) towers of the n >= 1 ``texts`` in a new array, row i
         equal to ``model.tower_vector(texts[i], store)``; the stamp is checked
         once per call."""
-        stamp = self._stamp(model, store)
+        stamp = (model, model.embedding, store)
         towers = self._towers(stamp) or {}
         found = list(map(towers.get, texts))
         missed = dict.fromkeys(text for text, tower in zip(texts, found) if tower is None)
@@ -344,11 +312,6 @@ class TowerCache:
             filled = {text: self._fill(model, text, store, stamp) for text in missed}
             found = [filled.get(text, tower) for text, tower in zip(texts, found)]
         return np.stack(found)
-
-    @staticmethod
-    def _stamp(model: CorrelationModel, store: BackgroundStore | None) -> tuple:
-        return (model, model.embedding, model.background_embedding, store,
-                store.version if store is not None else 0)
 
     def _fill(self, model: CorrelationModel, text: str,
               store: BackgroundStore | None, stamp: tuple) -> np.ndarray:
@@ -365,11 +328,9 @@ class TowerCache:
         return found
 
     def _towers(self, stamp: tuple) -> dict[str, np.ndarray] | None:
-        """The held towers if they were built under ``stamp``: the same objects
-        and the same store version."""
+        """The held towers if they were built under ``stamp``: the same objects."""
         held, towers = self._state
-        same = held[4] == stamp[4] and all(map(operator.is_, held[:4], stamp[:4]))
-        return towers if same else None
+        return towers if all(map(operator.is_, held, stamp)) else None
 
 
 def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -404,7 +365,6 @@ def train_correlation(
     store: BackgroundStore | None,
     embedding: EmbeddingModel,
     config: CorrTrainConfig | None = None,
-    background_embedding: EmbeddingModel | None = None,
 ) -> CorrelationModel:
     """Fit the logistic combiner with full-batch gradient descent.
 
@@ -420,7 +380,6 @@ def train_correlation(
         weights=np.zeros(2 * embedding.dim + 1),
         bias=0.0,
         train_config=cfg,
-        background_embedding=background_embedding,
     )
     # x is filled one block of pairs at a time, so only one block's towers
     # are stacked beside it; each row is bit-equal to building it alone.

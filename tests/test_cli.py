@@ -180,6 +180,26 @@ class TestFetchBackground:
         assert "fetched 1/2 articles" in result.stdout
         assert result.stderr.startswith("warning: beta:")
 
+    def test_repeated_term_keeps_the_later_body(self, runner, tmp_path, monkeypatch):
+        import urllib.request
+
+        args = self.args(tmp_path)
+        (tmp_path / "terms.txt").write_text("alpha\nalpha\n")
+        urlopen = urllib.request.urlopen
+
+        def revise_before_repeat(url, timeout):
+            if revise_before_repeat.calls:
+                (tmp_path / "alpha.json").write_text(json.dumps({"extract": "Alpha, revised."}))
+            revise_before_repeat.calls += 1
+            return urlopen(url, timeout=timeout)
+
+        revise_before_repeat.calls = 0
+        monkeypatch.setattr("urllib.request.urlopen", revise_before_repeat)
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "background.tsv").read_text() == "alpha\tAlpha, revised.\n"
+        assert "fetched 2/2 articles" in result.stdout
+
     @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
     def test_bad_rate_exits_two_before_any_request(self, runner, tmp_path, monkeypatch, rate):
         monkeypatch.setattr("urllib.request.urlopen", no_network)
@@ -548,6 +568,29 @@ class TestPipelineCommands:
         rows = [json.loads(line) for line in prefix.with_suffix(".jsonl").read_text().splitlines()]
         assert rows and all(row["aspect"] == "impact" for row in rows)
         assert all(row["mean_f1"] == 1.0 for row in rows)
+
+    def test_evaluate_reports_do_not_depend_on_jobs(self, runner, tmp_path):
+        corpus, mapping, embedding, correlation = build_artifacts(
+            runner, tmp_path, small_feed_records(12)
+        )
+        background = tmp_path / "background.tsv"
+        background.write_text("".join(
+            f"attacker group{i}\tattackers in group{i} cause impact result{i} via port{i}\n"
+            for i in range(12)))
+        reports = []
+        for jobs in ["1", "3"]:
+            prefix = tmp_path / f"report-{jobs}"
+            result = runner.invoke(
+                cli,
+                ["--jobs", jobs, "--backend", "oracle", "evaluate",
+                 "--corpus", str(corpus), "--map", str(mapping),
+                 "--embed", str(embedding), "--corr", str(correlation),
+                 "--background", str(background), "--aspect", "impact", "-o", str(prefix)],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append([prefix.with_suffix(ext).read_bytes()
+                            for ext in (".txt", ".jsonl", ".csv")])
+        assert reports[0] == reports[1]
 
 
 class TestRunConfig:

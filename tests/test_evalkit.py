@@ -146,6 +146,11 @@ class TestEvaluate:
         assert report.evaluated == len(testset) - 1
         for row in report.rows:
             assert row.mean_f1 == 1.0
+        [(cve_id, kind)] = [(rec.cve_id, kind) for rec, kind, _ in testset
+                            if rec.cve_id.endswith("7000")]
+        want = f"failed: {cve_id}/{kind.json_key}: backend down"
+        assert report.to_text().splitlines()[-1] == want
+        assert report.to_jsonl().count("\n") == len(report.rows)
 
     def test_report_serializations(self, model):
         _, db, testset = build_testset()

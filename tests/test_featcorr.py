@@ -88,18 +88,13 @@ def reference_fetch_background(aspect_text, store, max_terms=3):
 
 def reference_tower_vector(model, text, store):
     """Re-tokenize the joined background and add one token vector at a time."""
-    feat_tokens = tokenize(text)
-    bg_model = model.background_embedding or model.embedding
-    bg_tokens = tokenize(reference_fetch_background(text, store))
-    total = len(feat_tokens) + len(bg_tokens)
+    tokens = tokenize(text) + tokenize(reference_fetch_background(text, store))
     acc = np.zeros(model.embedding.dim, dtype=np.float64)
-    if total == 0:
+    if not tokens:
         return acc
-    for tok in feat_tokens:
+    for tok in tokens:
         acc += model.embedding.vector(tok)
-    for tok in bg_tokens:
-        acc += bg_model.vector(tok)
-    return acc / total
+    return acc / len(tokens)
 
 
 def reference_interaction(u, v):
@@ -136,11 +131,11 @@ def reference_rank(model, features, candidates, store, aggregation):
     return ranked
 
 
-def reference_train_correlation(pairs, store, embedding, cfg, background_embedding=None):
+def reference_train_correlation(pairs, store, embedding, cfg):
     """Both full tower stacks beside x, and three passes over x and two logs
     per epoch. Returns (weights, bias, loss history)."""
     model = CorrelationModel(embedding=embedding, weights=np.zeros(2 * embedding.dim + 1),
-                             bias=0.0, background_embedding=background_embedding)
+                             bias=0.0)
     towers = {}
     for text in [p.a for p in pairs] + [p.b for p in pairs]:
         if text not in towers:
@@ -171,10 +166,6 @@ phrases = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
 titles = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
 candidate_texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
 article_maps = st.dictionaries(titles, phrases, max_size=8)
-# A leading "0" sorts before every word title, so such an edit shifts the
-# position of every stored title.
-store_edits = st.lists(st.tuples(st.one_of(titles, titles.map("0 {}".format)), phrases),
-                       max_size=5)
 
 
 def random_embedding(rng, dim, binades=8):
@@ -185,7 +176,7 @@ def random_embedding(rng, dim, binades=8):
                           vectors=vectors.astype(np.float32))
 
 
-def random_model(seed, dim, separate_background=False):
+def random_model(seed, dim):
     """A correlation model whose logits stay small enough that the sigmoid
     does not saturate, so every bit of the logit shows in the score."""
     rng = np.random.default_rng(seed)
@@ -194,8 +185,6 @@ def random_model(seed, dim, separate_background=False):
         embedding=random_embedding(rng, dim, binades=1),
         weights=weights,
         bias=float(rng.standard_normal()),
-        background_embedding=(random_embedding(rng, dim, binades=1)
-                              if separate_background else None),
     )
 
 
@@ -324,77 +313,51 @@ class TestBackgroundStore:
         assert fetch_background("anything", BackgroundStore()) == ""
 
     @settings(max_examples=300, deadline=None)
-    @given(article_maps, store_edits, phrases, st.integers(0, 5))
-    def test_matches_full_scan(self, articles, edits, aspect, max_terms):
-        # A lookup before and after every edit, so each edit lands on a built index.
-        store = BackgroundStore(articles=dict(articles))
-        for term, body in [*edits, (None, None)]:
-            assert fetch_background(aspect, store, max_terms) == reference_fetch_background(
-                aspect, store, max_terms)
-            if term is not None:
-                store.add(term, body)
-
-    def test_title_inserted_before_looked_up_ones(self):
-        store = BackgroundStore(articles={"m flaw": "shared", "z flaw": "shared"})
-        assert store.best_terms(["shared"]) == ["m flaw", "z flaw"]
-        store.add("a flaw", "shared")
-        assert store.best_terms(["shared"]) == ["a flaw", "m flaw", "z flaw"]
-        assert store.best_terms(["shared", "z"], max_terms=1) == ["z flaw"]
-
-    def test_overwritten_article_leaves_the_index(self):
-        store = BackgroundStore(articles={"alpha": "old words here"})
-        store.add("alpha", "new text")
-        assert fetch_background("old words", store) == ""
-        assert fetch_background("new", store) == "new text"
+    @given(article_maps, phrases, st.integers(0, 5))
+    def test_matches_full_scan(self, articles, aspect, max_terms):
+        store = BackgroundStore(articles=articles)
+        assert fetch_background(aspect, store, max_terms) == reference_fetch_background(
+            aspect, store, max_terms)
 
 
 class TestTowerVector:
     @settings(max_examples=200, deadline=None)
-    @given(article_maps, store_edits, phrases, st.sampled_from([2, 3, 16]),
-           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_matches_token_loop(self, articles, edits, text, dim, with_store,
-                                separate_background, seed):
-        # Cached and uncached towers before and after every store edit and
-        # embedding swap, so each edit lands on a filled cache.
+    @given(article_maps, phrases, st.sampled_from([2, 3, 16]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_token_loop(self, articles, text, dim, with_store, seed):
+        # Cached and uncached towers before and after an embedding swap, so
+        # the swap lands on a filled cache.
         rng = np.random.default_rng(seed)
-        model = CorrelationModel(
-            embedding=random_embedding(rng, dim),
-            weights=np.zeros(2 * dim + 1),
-            bias=0.0,
-            background_embedding=random_embedding(rng, dim) if separate_background else None,
-        )
-        store = BackgroundStore(articles=dict(articles)) if with_store else None
+        model = CorrelationModel(embedding=random_embedding(rng, dim),
+                                 weights=np.zeros(2 * dim + 1), bias=0.0)
+        store = BackgroundStore(articles=articles) if with_store else None
         towers = TowerCache()
-        swaps = [lambda: setattr(model, "embedding", random_embedding(rng, dim)),
-                 lambda: setattr(model, "background_embedding", random_embedding(rng, dim))]
-        adds = [(lambda t=term, b=body: store.add(t, b)) for term, body in edits] if with_store else []
-        for change in [*adds, *swaps, None]:
+        for swap in [True, False]:
             want = reference_tower_vector(model, text, store)
             assert np.array_equal(model.tower_vector(text, store), want)
             assert np.array_equal(towers.stack(model, [text], store)[0], want)
-            if change is not None:
-                change()
+            if swap:
+                model.embedding = random_embedding(rng, dim)
 
     @settings(max_examples=100, deadline=None)
-    @given(article_maps, store_edits, st.lists(phrases, min_size=1, max_size=6),
+    @given(article_maps, st.lists(phrases, min_size=1, max_size=6),
            st.sampled_from([2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_stack_equals_stacked_vectors(self, articles, edits, texts, dim, with_store, seed):
+    def test_stack_equals_stacked_vectors(self, articles, texts, dim, with_store, seed):
         # Row i of stack is bit-equal to tower_vector of text i.
         rng = np.random.default_rng(seed)
-        model = CorrelationModel(embedding=random_embedding(rng, dim), weights=np.zeros(2 * dim + 1),
-                                 bias=0.0, background_embedding=random_embedding(rng, dim))
-        store = BackgroundStore(articles=dict(articles)) if with_store else None
+        model = CorrelationModel(embedding=random_embedding(rng, dim),
+                                 weights=np.zeros(2 * dim + 1), bias=0.0)
+        store = BackgroundStore(articles=articles) if with_store else None
         towers = TowerCache()
-        adds = [(lambda t=term, b=body: store.add(t, b)) for term, body in edits] if with_store else []
-        for change in [*adds, lambda: setattr(model, "embedding", random_embedding(rng, dim)), None]:
+        for swap in [True, False]:
             # Every other text is cached first, so hits and misses mix.
             towers.stack(model, texts[::2], store)
             got = towers.stack(model, texts, store)
             want = np.stack([model.tower_vector(text, store) for text in texts])
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-            if change is not None:
-                change()
+            if swap:
+                model.embedding = random_embedding(rng, dim)
 
     def test_stack_computes_each_text_once(self):
         model = random_model(8, 4)
@@ -424,26 +387,26 @@ class TestTowerVector:
         scale = np.abs(model.embedding.vectors).max()
         assert abs(got[0] - want[0]) <= 40 * np.finfo(np.float64).eps * scale
 
-    def test_cache_follows_store_add(self):
-        # The cached tower has no background; the added article matches it.
+    def test_cache_follows_another_store(self):
+        # The cached tower has no background; the second store's article matches it.
         model = random_model(3, 4)
         store = BackgroundStore(articles={"gamma": "delta delta"})
         towers = TowerCache()
         before = towers.stack(model, ["alpha beta"], store)[0]
         assert np.array_equal(before, reference_tower_vector(model, "alpha beta", store))
-        store.add("alpha", "gamma cve-2020-1 omega")
+        store = BackgroundStore(articles={"gamma": "delta delta",
+                                          "alpha": "gamma cve-2020-1 omega"})
         after = towers.stack(model, ["alpha beta"], store)[0]
         assert not np.array_equal(before, after)
         assert after.tobytes() == model.tower_vector("alpha beta", store).tobytes()
         assert after.tobytes() == reference_tower_vector(model, "alpha beta", store).tobytes()
 
-    @pytest.mark.parametrize("attr", ["embedding", "background_embedding"])
-    def test_cache_follows_embedding_swap(self, attr):
-        model = random_model(4, 4, separate_background=True)
+    def test_cache_follows_embedding_swap(self):
+        model = random_model(4, 4)
         store = BackgroundStore(articles={"alpha": "beta gamma delta"})
         towers = TowerCache()
         before = towers.stack(model, ["alpha"], store)[0]
-        setattr(model, attr, random_embedding(np.random.default_rng(5), 4, binades=1))
+        model.embedding = random_embedding(np.random.default_rng(5), 4, binades=1)
         after = towers.stack(model, ["alpha"], store)[0]
         assert not np.array_equal(before, after)
         assert after.tobytes() == reference_tower_vector(model, "alpha", store).tobytes()
@@ -547,18 +510,15 @@ class TestTrainCorrelation:
 
     @pytest.mark.parametrize("n", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1,
                                    2 * _PAIR_BLOCK + 3])
-    @pytest.mark.parametrize("background", ["none", "store", "separate embedding"])
+    @pytest.mark.parametrize("background", ["none", "store"])
     def test_matches_full_stack_loop(self, family_setup, background, n):
         corpus, embedding, _, _ = family_setup
         pairs = shuffled_pairs(corpus, n)
         store = None if background == "none" else BackgroundStore(articles={
             f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)})
-        bg_embedding = (EmbeddingModel(dim=embedding.dim, vocab=embedding.vocab,
-                                       vectors=embedding.vectors[::-1].copy())
-                        if background == "separate embedding" else None)
         cfg = CorrTrainConfig(learning_rate=0.5, epochs=40)
-        model = train_correlation(pairs, store, embedding, cfg, bg_embedding)
-        w, b, losses = reference_train_correlation(pairs, store, embedding, cfg, bg_embedding)
+        model = train_correlation(pairs, store, embedding, cfg)
+        w, b, losses = reference_train_correlation(pairs, store, embedding, cfg)
         assert model.weights.tobytes() == w.tobytes()
         assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
         assert np.array(model.loss_history).tobytes() == np.array(losses).tobytes()
@@ -723,11 +683,11 @@ class TestRankCandidates:
     @given(st.lists(phrases, min_size=1, max_size=6),
            st.lists(candidate_texts, min_size=1, max_size=4),
            st.sampled_from(["mean", "max", "sum"]), st.integers(1, 8), st.booleans(),
-           st.booleans(), article_maps, st.integers(0, 2**32 - 1))
+           article_maps, st.integers(0, 2**32 - 1))
     def test_matches_per_pair_loop(self, features, texts, aggregation, dim, with_store,
-                                   separate_background, articles, seed):
+                                   articles, seed):
         # Phrases of only "omega" / "x9" give zero towers, on either side.
-        model = random_model(seed, dim, separate_background)
+        model = random_model(seed, dim)
         store = BackgroundStore(articles=articles) if with_store else None
         cands = [candidate(text, round=r % 3 + 1) for r, text in enumerate(texts)]
         got = [(rc.score, rc.candidate.round, rc.candidate.text) for rc in
