@@ -26,7 +26,7 @@ from . import evalkit, featcorr, genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
 from .errors import FeedFormatError, GenerationFailed, MissingPrerequisite, VulnaugError
 from .exampler import EXAMPLE_LIMIT
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_lines, atomic_write_text
 from .pipeline import AugmentPipeline
 
 EXIT_INTERNAL = 1
@@ -133,15 +133,54 @@ def _prereq(path: str | None, artifact: str) -> Path:
     return p
 
 
-def _load_records(path: Path) -> list[TvdRecord]:
-    result = corpus_mod.parse_feed(path.read_bytes())
+def _read_feed(path: Path, source: Source = Source.CVE) -> corpus_mod.ParseResult:
+    """Parse a feed file, warning on stderr about each line it skipped."""
+    result = corpus_mod.parse_feed(path.read_bytes(), source=source)
     for diag in result.diagnostics:
         click.echo(f"warning: {path}:{diag.line}: {diag.message}", err=True)
-    return result.records
+    return result
 
 
-def _load_corpus(path: Path) -> Corpus:
-    return Corpus.from_records(_load_records(path))
+def _output(cfg: RunConfig, output: str | None, name: str) -> Path:
+    """``-o`` when given, else ``name`` in the output directory."""
+    return Path(output) if output else Path(cfg.output_dir) / name
+
+
+@dataclasses.dataclass(frozen=True)
+class _Artifact:
+    """A file that one stage writes and later stages read: its option, named
+    ``<flag>_path``, and its loader, which raises MissingPrerequisite when the
+    path is not given or does not exist.
+
+    ``load`` looks the loading function up when it is called, so a wrapper
+    installed on that function after import (as ``bench/probe.py`` does) sees
+    every load.
+    """
+
+    flag: str
+    what: str
+    load: typing.Callable
+
+    def option(self, fn):
+        return click.option(self.flag, self.flag[2:] + "_path", default=None)(fn)
+
+    def __call__(self, path: str | None, *args):
+        return self.load(_prereq(path, self.what), *args)
+
+    def optional(self, path: str | None):
+        """The loaded artifact, or None when no path was given."""
+        return self(path) if path else None
+
+
+# The corpus loads as its records in file order: build-map reads every
+# source's record of a CVE, where a Corpus keeps only the first.
+_CORPUS = _Artifact("--corpus", "corpus file", lambda path: _read_feed(path).records)
+_MAP = _Artifact("--map", "mapping file", lambda path: mapping.load_mapping(path))
+_EMBED = _Artifact("--embed", "embedding model", lambda path: embed_mod.EmbeddingModel.load(path))
+_CORR = _Artifact("--corr", "correlation model",
+                  lambda path, embedding: featcorr.CorrelationModel.load(path, embedding))
+_BACKGROUND = _Artifact("--background", "background store",
+                        lambda path: featcorr.BackgroundStore.from_file(path))
 
 
 def _make_backend(cfg: RunConfig) -> genprompt.LlmBackend:
@@ -202,22 +241,17 @@ def ingest(cfg: RunConfig, feeds, source, output):
         path = Path(feed)
         if not path.exists():
             _fail(EXIT_BAD_INPUT, f"feed file not found: {path}")
-        result = corpus_mod.parse_feed(path.read_bytes(), source=default_source)
+        result = _read_feed(path, default_source)
         diagnostics += len(result.diagnostics)
-        for diag in result.diagnostics:
-            click.echo(f"warning: {path}:{diag.line}: {diag.message}", err=True)
         for rec in result.records:
             key = (rec.cve_id, rec.source.value, rec.revision_tag)
             if key in merged:
                 dedup += 1
             else:
                 merged[key] = rec
-    out = Path(output) if output else Path(cfg.output_dir) / "corpus.jsonl"
-    lines = [
-        merged[key].to_json_line()
-        for key in sorted(merged, key=lambda k: (k[0], k[1], k[2] or ""))
-    ]
-    atomic_write_text(out, "\n".join(lines) + ("\n" if lines else ""))
+    out = _output(cfg, output, "corpus.jsonl")
+    atomic_write_lines(out, (merged[key].to_json_line()
+                             for key in sorted(merged, key=lambda k: (k[0], k[1], k[2] or ""))))
     click.echo(
         f"ingested {len(merged)} records from {len(feeds)} feeds"
         f" (rejected {diagnostics}, deduplicated {dedup}) -> {out}"
@@ -225,20 +259,20 @@ def ingest(cfg: RunConfig, feeds, source, output):
 
 
 @cli.command("build-map")
-@click.option("--corpus", "corpus_path", default=None)
+@_CORPUS.option
 @click.option("--no-fallback", is_flag=True, help="Skip raw-name fallback indexing.")
 @click.option("-o", "--output", default=None)
 @click.pass_obj
 @_guard
 def build_map(cfg: RunConfig, corpus_path, no_fallback, output):
     """Build the software-CVE mapping from government-source records."""
-    records = _load_records(_prereq(corpus_path, "corpus file"))
+    records = _CORPUS(corpus_path)
     gov = [r for r in records if r.source.is_gov]
     db = mapping.build_mapping(gov)
     fallback = 0
     if not no_fallback:
         fallback = mapping.extend_with_fallback(db, [r for r in records if not r.source.is_gov])
-    out = Path(output) if output else Path(cfg.output_dir) / "mapping.tsv"
+    out = _output(cfg, output, "mapping.tsv")
     mapping.save_mapping(db, out)
     stats = mapping.mapping_stats(db)
     click.echo(
@@ -249,7 +283,7 @@ def build_map(cfg: RunConfig, corpus_path, no_fallback, output):
 
 
 @cli.command("train-embed")
-@click.option("--corpus", "corpus_path", default=None)
+@_CORPUS.option
 @click.option("--dim", type=int, default=64)
 @click.option("--window", type=int, default=5)
 @click.option("--epochs", type=int, default=5)
@@ -260,12 +294,12 @@ def build_map(cfg: RunConfig, corpus_path, no_fallback, output):
 @_guard
 def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, export_text, output):
     """Train corpus word embeddings."""
-    corpus = _load_corpus(_prereq(corpus_path, "corpus file"))
+    corpus = Corpus.from_records(_CORPUS(corpus_path))
     config = embed_mod.TrainConfig(
         window=window, epochs=epochs, negative_samples=negative, seed=cfg.seed
     )
     model = embed_mod.train_embeddings(corpus, config, dim=dim)
-    out = Path(output) if output else Path(cfg.output_dir) / "embed.bin"
+    out = _output(cfg, output, "embed.bin")
     model.save(out)
     if export_text:
         model.export_text(export_text)
@@ -273,9 +307,9 @@ def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, expo
 
 
 @cli.command("train-corr")
-@click.option("--corpus", "corpus_path", default=None)
-@click.option("--embed", "embed_path", default=None)
-@click.option("--background", "background_path", default=None)
+@_CORPUS.option
+@_EMBED.option
+@_BACKGROUND.option
 @click.option("--lr", type=float, default=0.5)
 @click.option("--epochs", type=int, default=300)
 @click.option("--export-text", default=None)
@@ -284,15 +318,13 @@ def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, expo
 @_guard
 def train_corr(cfg: RunConfig, corpus_path, embed_path, background_path, lr, epochs, export_text, output):
     """Train the feature-correlation model from aspect co-occurrence."""
-    corpus = _load_corpus(_prereq(corpus_path, "corpus file"))
-    embedding = embed_mod.EmbeddingModel.load(_prereq(embed_path, "embedding model"))
-    store = None
-    if background_path:
-        store = featcorr.BackgroundStore.from_file(_prereq(background_path, "background store"))
+    corpus = Corpus.from_records(_CORPUS(corpus_path))
+    embedding = _EMBED(embed_path)
+    store = _BACKGROUND.optional(background_path)
     pairs = featcorr.build_training_pairs(corpus, seed=cfg.seed)
     config = featcorr.CorrTrainConfig(learning_rate=lr, epochs=epochs, seed=cfg.seed)
     model = featcorr.train_correlation(pairs, store, embedding, config)
-    out = Path(output) if output else Path(cfg.output_dir) / "corr.bin"
+    out = _output(cfg, output, "corr.bin")
     model.save(out)
     if export_text:
         model.export_text(export_text)
@@ -306,11 +338,11 @@ def train_corr(cfg: RunConfig, corpus_path, embed_path, background_path, lr, epo
 def _pipeline_options(fn):
     """The artifact, backend and example options of ``augment`` and ``evaluate``."""
     options = [
-        click.option("--corpus", "corpus_path", default=None),
-        click.option("--map", "map_path", default=None),
-        click.option("--embed", "embed_path", default=None),
-        click.option("--corr", "corr_path", default=None),
-        click.option("--background", "background_path", default=None),
+        _CORPUS.option,
+        _MAP.option,
+        _EMBED.option,
+        _CORR.option,
+        _BACKGROUND.option,
         click.option("--backend", type=click.Choice(BACKENDS), default=None),
         click.option("--backend-config", default=None, help="JSON settings for the http backend."),
         click.option("--oracle-answers", default=None, help="JSON answer table for the oracle backend."),
@@ -330,13 +362,11 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
     for name in ("jobs", "example_limit"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    corpus = _load_corpus(_prereq(corpus_path, "corpus file"))
-    db = mapping.load_mapping(_prereq(map_path, "mapping file"))
-    embedding = embed_mod.EmbeddingModel.load(_prereq(embed_path, "embedding model"))
-    correlation = featcorr.CorrelationModel.load(_prereq(corr_path, "correlation model"), embedding)
-    store = None
-    if background_path:
-        store = featcorr.BackgroundStore.from_file(_prereq(background_path, "background store"))
+    corpus = Corpus.from_records(_CORPUS(corpus_path))
+    db = _MAP(map_path)
+    embedding = _EMBED(embed_path)
+    correlation = _CORR(corr_path, embedding)
+    store = _BACKGROUND.optional(background_path)
     return AugmentPipeline(
         corpus=corpus,
         db=db,
@@ -373,7 +403,7 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
     cfg.override(rounds=rounds, example_limit=example_limit, audit=audit)
     pipeline = _build_pipeline(cfg, **shared)
     if targets_path:
-        targets = _load_records(_prereq(targets_path, "targets file"))
+        targets = _read_feed(_prereq(targets_path, "targets file")).records
     else:
         targets = [rec for rec in pipeline.corpus if rec.missing_aspects()]
     only = AspectKind.from_key(aspect) if aspect else None
@@ -422,8 +452,8 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
         if dump_examples:
             obj["example_cves"] = out.example_cves
         lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-    out_path = Path(output) if output else Path(cfg.output_dir) / "augmented.jsonl"
-    atomic_write_text(out_path, "\n".join(lines) + ("\n" if lines else ""))
+    out_path = _output(cfg, output, "augmented.jsonl")
+    atomic_write_lines(out_path, lines)
     click.echo(f"augmented {len(lines)} (record, aspect) slots -> {out_path}")
     for exc in failed:
         click.echo(f"error: {exc}", err=True)
@@ -498,7 +528,7 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
         pipeline_id=pipeline.identity,
         dataset_id=dataset_id,
     )
-    prefix = Path(out_prefix) if out_prefix else Path(cfg.output_dir) / "eval-report"
+    prefix = _output(cfg, out_prefix, "eval-report")
     atomic_write_text(prefix.with_suffix(".txt"), report.to_text())
     atomic_write_text(prefix.with_suffix(".jsonl"), report.to_jsonl())
     atomic_write_text(prefix.with_suffix(".csv"), report.to_csv())
@@ -529,8 +559,8 @@ def cost(n, x):
 
 
 @cli.command()
-@click.option("--corpus", "corpus_path", default=None)
-@click.option("--map", "map_path", default=None)
+@_CORPUS.option
+@_MAP.option
 @click.option("--threshold", type=int, default=None)
 @click.option("-o", "--output", default=None, help="Also write the report as JSON.")
 @click.pass_obj
@@ -538,8 +568,8 @@ def cost(n, x):
 def stats(cfg: RunConfig, corpus_path, map_path, threshold, output):
     """Gini coefficient and long-tail partition of the corpus."""
     cfg.override(long_tail_threshold=threshold)
-    corpus = _load_corpus(_prereq(corpus_path, "corpus file"))
-    db = mapping.load_mapping(_prereq(map_path, "mapping file")) if map_path else None
+    corpus = Corpus.from_records(_CORPUS(corpus_path))
+    db = _MAP.optional(map_path)
     counts = Counter(mapping.software_name(rec, db) for rec in corpus)
     unnamed = counts.pop(None, 0)
     if not counts:
@@ -609,7 +639,7 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
         if text:
             articles[term] = " ".join(text.split())
             fetched += 1
-    out = Path(output) if output else Path(cfg.output_dir) / "background.tsv"
+    out = _output(cfg, output, "background.tsv")
     featcorr.BackgroundStore(articles=articles).save(out)
     click.echo(f"fetched {fetched}/{len(terms)} articles -> {out}")
 

@@ -176,7 +176,6 @@ class Corpus:
     """
 
     records: dict[str, TvdRecord] = field(default_factory=dict)
-    duplicates_dropped: int = 0
 
     def __post_init__(self) -> None:
         self._by_cwe: dict[str, list[str]] = {}
@@ -187,13 +186,9 @@ class Corpus:
     @classmethod
     def from_records(cls, records: Iterable[TvdRecord]) -> "Corpus":
         kept: dict[str, TvdRecord] = {}
-        dropped = 0
         for rec in records:
-            if rec.cve_id in kept:
-                dropped += 1
-            else:
-                kept[rec.cve_id] = rec
-        return cls(records=kept, duplicates_dropped=dropped)
+            kept.setdefault(rec.cve_id, rec)
+        return cls(records=kept)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -351,7 +346,6 @@ def gini(counts: Iterable[float]) -> float:
 class LongTailReport:
     """Partition of software names into long-tail and non-long-tail."""
 
-    counts: dict[str, int]
     gini: float
     threshold: int
     long_tail: set[str]
@@ -376,7 +370,6 @@ def classify_long_tail(
     long_tail = {s for s, n in counts.items() if n <= threshold}
     non_long_tail = {s for s, n in counts.items() if n > threshold}
     return LongTailReport(
-        counts=dict(counts),
         gini=g,
         threshold=threshold,
         long_tail=long_tail,

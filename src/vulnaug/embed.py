@@ -13,12 +13,10 @@ centroid.
 
 from __future__ import annotations
 
-import json
 import re
-import struct
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +24,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import InsufficientVocabulary
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_lines, read_model_file, write_model_file
 
 # Identifier-style tokens (cve-2002-0679, cwe-119) survive as single tokens;
 # everything else splits on non-alphanumeric boundaries.
@@ -59,14 +57,6 @@ class TrainConfig:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "window": self.window,
-            "epochs": self.epochs,
-            "negative_samples": self.negative_samples,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class EmbeddingModel:
@@ -95,41 +85,22 @@ class EmbeddingModel:
         return self.vectors[self.ids(tokens)]
 
     def save(self, path: str | Path) -> None:
-        header = json.dumps(
-            {"dim": self.dim, "vocab_size": len(self.vocab), "train_config": self.train_config.to_json_obj()},
-            sort_keys=True,
-        ).encode("utf-8")
+        header = {"dim": self.dim, "vocab_size": len(self.vocab),
+                  "train_config": asdict(self.train_config)}
         tokens = sorted(self.vocab, key=self.vocab.get)
-        vocab_block = ("\n".join(tokens) + "\n").encode("utf-8") if tokens else b""
-        vec_block = self.vectors.astype("<f4").tobytes()
-        blob = (
-            _MAGIC
-            + struct.pack("<II", len(header), len(vocab_block))
-            + header
-            + vocab_block
-            + vec_block
-        )
-        atomic_write_bytes(path, blob)
+        vocab_block = "".join(t + "\n" for t in tokens).encode("utf-8")
+        write_model_file(path, _MAGIC, header, vocab_block, self.vectors.astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingModel":
-        blob = Path(path).read_bytes()
-        if blob[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(f"{path}: not an embedding model file")
-        off = len(_MAGIC)
-        header_len, vocab_len = struct.unpack_from("<II", blob, off)
-        off += 8
-        header = json.loads(blob[off : off + header_len].decode("utf-8"))
-        off += header_len
-        vocab_block = blob[off : off + vocab_len].decode("utf-8")
-        off += vocab_len
-        tokens = vocab_block.splitlines()
-        dim, size = header["dim"], header["vocab_size"]
-        if len(tokens) != size:
-            raise ValueError(f"{path}: vocab block size mismatch")
-        vectors = np.frombuffer(blob[off:], dtype="<f4").reshape(size, dim).copy()
-        cfg = TrainConfig(**header["train_config"])
-        return cls(dim=dim, vocab={t: i for i, t in enumerate(tokens)}, vectors=vectors, train_config=cfg)
+        header, (vocab,), vectors = read_model_file(
+            path, _MAGIC, leading=1, dtype="<f4", shape=("vocab_size", "dim"), config=TrainConfig)
+        tokens = vocab.splitlines()
+        if len(tokens) != header["vocab_size"]:
+            raise ValueError(f"{path}: vocab block holds {len(tokens)} tokens,"
+                             f" the header says {header['vocab_size']}")
+        return cls(dim=header["dim"], vocab={t: i for i, t in enumerate(tokens)},
+                   vectors=vectors, train_config=header["train_config"])
 
     def export_text(self, path: str | Path) -> None:
         """Inspection-friendly dump: header line, then token + floats per line."""
@@ -137,7 +108,7 @@ class EmbeddingModel:
         for token in sorted(self.vocab, key=self.vocab.get):
             row = " ".join(repr(float(x)) for x in self.vectors[self.vocab[token]])
             lines.append(f"{token} {row}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_lines(path, lines)
 
 
 def _sigmoid(x: float | np.ndarray):
@@ -300,20 +271,23 @@ class Clustering:
     objective_history: list[float] = field(default_factory=list)
 
 
+def _draw_by_d2(d2: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to ``d2`` (squared
+    distances), or uniformly when they are all zero."""
+    total = d2.sum()
+    if total <= 0.0:
+        return int(rng.integers(d2.size))
+    r = rng.random() * total
+    return min(int(np.searchsorted(np.cumsum(d2), r)), d2.size - 1)
+
+
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    chosen = [int(rng.integers(n))]
+    chosen = [int(rng.integers(x.shape[0]))]
     d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
     for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            chosen.append(int(rng.integers(n)))
-            continue
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), r))
-        idx = min(idx, n - 1)
-        chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+        chosen.append(_draw_by_d2(d2, rng))
+        # After a uniform draw d2 is all zero and stays so.
+        d2 = np.minimum(d2, np.sum((x - x[chosen[-1]]) ** 2, axis=1))
     return x[chosen].copy()
 
 
@@ -381,12 +355,7 @@ def kmeans(
             reseeded = True
             d2 = np.sum((x - centroids[assignments]) ** 2, axis=1)
             for c in np.flatnonzero(~occupied):
-                total = d2.sum()
-                if total <= 0.0:
-                    idx = int(rng.integers(n))
-                else:
-                    r = rng.random() * total
-                    idx = min(int(np.searchsorted(np.cumsum(d2), r)), n - 1)
+                idx = _draw_by_d2(d2, rng)
                 centroids[c] = x[idx]
                 d2[idx] = 0.0
             assignments = _assign(x, centroids)

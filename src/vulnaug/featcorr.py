@@ -13,12 +13,10 @@ hallucinated values.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
-import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,7 +26,7 @@ from .corpus import AspectKind, Corpus, TvdRecord
 from .embed import EmbeddingModel, _sigmoid, tokenize
 from .errors import DivergedTraining, EmptyTrainingSet
 from .genprompt import CandidateAnswer
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_lines, read_model_file, write_model_file
 from .mapping import MappingDb, siblings
 
 #: Negatives are downsampled to twice the positive count; fixed by contract.
@@ -161,11 +159,8 @@ class BackgroundStore:
         return found
 
     def save(self, path: str | Path) -> None:
-        lines = [
-            f"{term}\t{self.articles[term]}".replace("\n", " ")
-            for term in sorted(self.articles)
-        ]
-        atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        atomic_write_lines(path, (f"{term}\t{body}".replace("\n", " ")
+                                  for term, body in sorted(self.articles.items())))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BackgroundStore":
@@ -199,14 +194,6 @@ class CorrTrainConfig:
     epochs: int = 300
     seed: int = 0
     neg_ratio: int = NEG_RATIO
-
-    def to_json_obj(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "neg_ratio": self.neg_ratio,
-        }
 
 
 @dataclass
@@ -246,43 +233,32 @@ class CorrelationModel:
         return rows.sum(axis=0, dtype=np.float64, initial=0.0) / total
 
     def save(self, path: str | Path) -> None:
-        header = json.dumps(
-            {"dim": int(self.weights.size), "bias": self.bias,
-             "train_config": self.train_config.to_json_obj()},
-            sort_keys=True,
-        ).encode("utf-8")
-        blob = (
-            _MAGIC
-            + struct.pack("<I", len(header))
-            + header
-            + self.weights.astype("<f8").tobytes()
-        )
-        atomic_write_bytes(path, blob)
+        header = {"dim": int(self.weights.size), "bias": self.bias,
+                  "train_config": asdict(self.train_config)}
+        write_model_file(path, _MAGIC, header, self.weights.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, path: str | Path, embedding: EmbeddingModel) -> "CorrelationModel":
-        blob = Path(path).read_bytes()
-        if blob[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(f"{path}: not a correlation model file")
-        off = len(_MAGIC)
-        (header_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        header = json.loads(blob[off : off + header_len].decode("utf-8"))
-        off += header_len
-        weights = np.frombuffer(blob[off:], dtype="<f8").copy()
-        if weights.size != header["dim"]:
-            raise ValueError(f"{path}: weight block size mismatch")
+        """Read a model saved by :meth:`save`; a ValueError names ``path`` when
+        the file is damaged or its weights do not fit ``embedding``."""
+        header, _, weights = read_model_file(
+            path, _MAGIC, leading=0, dtype="<f8", shape=("dim",), config=CorrTrainConfig)
+        if type(header.get("bias")) not in (int, float):
+            raise ValueError(f"{path}: the header's bias {header.get('bias')!r} is not a number")
+        if weights.size != 2 * embedding.dim + 1:
+            raise ValueError(f"{path}: {weights.size} weights, but a {embedding.dim}-dim"
+                             f" embedding needs {2 * embedding.dim + 1}")
         return cls(
             embedding=embedding,
             weights=weights,
             bias=float(header["bias"]),
-            train_config=CorrTrainConfig(**header["train_config"]),
+            train_config=header["train_config"],
         )
 
     def export_text(self, path: str | Path) -> None:
         lines = [f"bias {self.bias!r}"]
         lines.extend(f"w{i} {float(w)!r}" for i, w in enumerate(self.weights))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_lines(path, lines)
 
 
 class TowerCache:

@@ -1,10 +1,18 @@
-"""Small I/O helpers: atomic file writes used by every artifact producer."""
+"""Small I/O helpers: atomic file writes used by every artifact producer, the
+one writer of line-oriented text artifacts, and the one binary container that
+both model files use."""
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import struct
 import tempfile
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -26,3 +34,70 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line followed by a newline; no lines make an empty file."""
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
+
+
+def write_model_file(path: str | Path, magic: bytes, header: dict, *blocks: bytes) -> None:
+    """Write ``magic``, a little-endian u32 length for the JSON header and for
+    every block but the last, the header with sorted keys, then the blocks."""
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    sized = (head, *blocks[:-1])
+    prefix = struct.pack(f"<{len(sized)}I", *map(len, sized))
+    atomic_write_bytes(path, b"".join((magic, prefix, head, *blocks)))
+
+
+def read_model_file(
+    path: str | Path, magic: bytes, *, leading: int, dtype: str, shape: Sequence[str],
+    config: type,
+) -> tuple[dict, list[str], np.ndarray]:
+    """Read a file of :func:`write_model_file` with ``leading`` blocks before
+    its last, which is an array of ``dtype`` shaped by the header's values at
+    ``shape``.
+
+    Returns the header, with its ``train_config`` object built into a
+    ``config``, the leading blocks as UTF-8 text and a copy of the array. Any
+    damage raises a ValueError that names ``path``: a foreign magic, a file
+    shorter than its length prefix, a length running past its end, a header or
+    leading block that is not UTF-8, a header that is not a JSON object, lacks
+    a ``shape`` key or ``train_config``, or holds a ``train_config`` that
+    ``config`` rejects, or a last block whose size disagrees with the header.
+    """
+    data = memoryview(Path(path).read_bytes())
+    if data[: len(magic)] != magic:
+        raise ValueError(f"{path}: not a model file (expected magic {magic!r})")
+    off = len(magic) + 4 * (leading + 1)
+    if len(data) < off:
+        raise ValueError(f"{path}: {len(data)} bytes, shorter than its {off}-byte prefix")
+    parts = []
+    for size in struct.unpack_from(f"<{leading + 1}I", data, len(magic)):
+        if off + size > len(data):
+            raise ValueError(f"{path}: a {size}-byte block runs past the end of the file")
+        parts.append(data[off : off + size])
+        off += size
+    try:
+        header, *texts = (str(part, "utf-8") for part in parts)
+        header = json.loads(header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a valid model file: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the header is not a JSON object")
+    missing = [key for key in (*shape, "train_config") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: the header lacks {missing}")
+    try:
+        header["train_config"] = config(**header["train_config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad train_config: {exc}") from None
+    dims = tuple(header[key] for key in shape)
+    if not all(type(d) is int and d >= 0 for d in dims):
+        raise ValueError(f"{path}: header sizes {dims} are not counts")
+    want = math.prod(dims) * np.dtype(dtype).itemsize
+    if len(data) - off != want:
+        raise ValueError(f"{path}: last block holds {len(data) - off} bytes,"
+                         f" the header's {dims} needs {want}")
+    array = np.frombuffer(data[off:], dtype=dtype).reshape(dims).copy()
+    return header, texts, array

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .corpus import CVE_ID_RE, Source, TvdRecord
 from .errors import NotFound
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_lines
 
 # Extraction templates. T1 expects a CJK character directly before the name
 # (CNNVD style), T2 a Latin name optionally trailed by a version (CERT-FR
@@ -128,7 +128,6 @@ class MappingDb:
     cve_source: dict[str, Source | None] = field(default_factory=dict)
     unresolved: list[str] = field(default_factory=list)
     conflicts: list[NameConflict] = field(default_factory=list)
-    fallback_cves: set[str] = field(default_factory=set)
 
     def insert(self, name: str, cve_id: str, source: Source | None = None) -> None:
         name = canonicalize_name(name)
@@ -185,8 +184,8 @@ def build_mapping(
 
 def extend_with_fallback(db: MappingDb, records: Iterable[TvdRecord]) -> int:
     """Index plain CVE/NVD records by their raw software name when no gov
-    record resolved them. Fallback entries never displace gov-derived ones and
-    are tracked as lower-confidence.
+    record resolved them. Fallback entries carry no source, the lowest
+    priority, so they never displace gov-derived ones. Returns how many were added.
     """
     added = 0
     for rec in records:
@@ -196,7 +195,6 @@ def extend_with_fallback(db: MappingDb, records: Iterable[TvdRecord]) -> int:
         if name is None:
             continue
         db.insert(name, rec.cve_id, source=None)
-        db.fallback_cves.add(rec.cve_id)
         added += 1
     return added
 
@@ -243,11 +241,8 @@ def mapping_stats(db: MappingDb) -> dict[str, int]:
 
 def save_mapping(db: MappingDb, path: str | Path) -> None:
     """Persist as name TAB comma-joined sorted cve_ids, names sorted."""
-    lines = []
-    for name in sorted(db.name_to_cves):
-        cves = ",".join(sorted(db.name_to_cves[name]))
-        lines.append(f"{name}\t{cves}")
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write_lines(path, (f"{name}\t{','.join(sorted(cves))}"
+                              for name, cves in sorted(db.name_to_cves.items())))
 
 
 def load_mapping(path: str | Path) -> MappingDb:

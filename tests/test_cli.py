@@ -1,6 +1,10 @@
+import functools
+import inspect
 import json
+import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,9 @@ import vulnaug
 from vulnaug import genprompt
 from vulnaug.cli import cli
 from vulnaug.corpus import AspectKind
+from vulnaug.embed import EmbeddingModel
 from vulnaug.errors import BackendError
+from vulnaug.featcorr import BackgroundStore, CorrelationModel
 
 
 @pytest.fixture()
@@ -366,6 +372,100 @@ class TestBadInputFiles:
         assert "line 2" in result.output and needle in result.output
         assert "column" not in result.output
         assert not prefix.with_suffix(".txt").exists()
+
+
+def without_dim(corr_bin: bytes) -> bytes:
+    """A correlation model file whose header lacks ``dim``."""
+    (size,) = struct.unpack_from("<I", corr_bin, 8)
+    header = json.loads(corr_bin[12 : 12 + size])
+    del header["dim"]
+    head = json.dumps(header, sort_keys=True).encode()
+    return corr_bin[:8] + struct.pack("<I", len(head)) + head + corr_bin[12 + size:]
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize("command,flag,damage,needle", [
+        ("augment", "--embed", lambda good: b"VAEMB001", "shorter than its 16-byte prefix"),
+        ("train-corr", "--embed", lambda good: b"VAEMB001", "shorter than its 16-byte prefix"),
+        ("augment", "--corr", without_dim, "lacks ['dim']"),
+        ("evaluate", "--corr", without_dim, "lacks ['dim']"),
+    ], ids=["augment-embed", "train-corr-embed", "augment-corr", "evaluate-corr"])
+    def test_damaged_model_file_exits_two_and_names_it(self, runner, tmp_path, artifacts,
+                                                       command, flag, damage, needle):
+        corpus, mapping, embedding, correlation = artifacts
+        good = {"--embed": embedding, "--corr": correlation}[flag]
+        damaged = tmp_path / good.name
+        damaged.write_bytes(damage(good.read_bytes()))
+        args = pipeline_args(command, artifacts)
+        if command == "train-corr":
+            args = ["train-corr", "--corpus", str(corpus), "--embed", str(embedding)]
+        args[args.index(flag) + 1] = str(damaged)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, args + ["-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {damaged}: ")
+        assert needle in result.output and "Traceback" not in result.output
+        assert not list(tmp_path.glob("out*"))
+
+    def test_correlation_of_another_embedding_exits_two_before_generating(
+        self, runner, tmp_path, artifacts, monkeypatch
+    ):
+        corpus, mapping, embedding, correlation = artifacts
+        narrow_embed, narrow_corr = tmp_path / "embed8.bin", tmp_path / "corr8.bin"
+        for step in (["train-embed", "--corpus", str(corpus), "--dim", "8", "-o",
+                      str(narrow_embed)],
+                     ["train-corr", "--corpus", str(corpus), "--embed", str(narrow_embed),
+                      "--epochs", "5", "-o", str(narrow_corr)]):
+            assert runner.invoke(cli, step).exit_code == 0
+        calls = []
+        monkeypatch.setattr(genprompt.MockBackend, "complete",
+                            lambda self, prompt, **kw: calls.append(prompt) or "x")
+        args = pipeline_args("augment", artifacts)
+        args[args.index("--corr") + 1] = str(narrow_corr)
+        audit, out = tmp_path / "audit.jsonl", tmp_path / "out.jsonl"
+        result = runner.invoke(cli, args + ["--audit", str(audit), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error: {narrow_corr}: 17 weights,"
+                                 " but a 64-dim embedding needs 129\n")
+        assert calls == [] and not audit.exists() and not out.exists()
+
+
+def counting(calls, name, fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestArtifactLoaders:
+    # The loaders that bench/probe.py wraps with timing spans after it has
+    # imported vulnaug.cli, as this module did above.
+    LOADERS = {"parse_feed": (vulnaug.corpus, "parse_feed"),
+               "load_mapping": (vulnaug.mapping, "load_mapping"),
+               "embed.load": (EmbeddingModel, "load"),
+               "corr.load": (CorrelationModel, "load"),
+               "store.from_file": (BackgroundStore, "from_file")}
+
+    def test_each_load_looks_its_loader_up_when_called(self, runner, tmp_path, artifacts,
+                                                       monkeypatch):
+        calls = Counter()
+        for name, (owner, attr) in self.LOADERS.items():
+            raw = inspect.getattr_static(owner, attr)
+            if isinstance(raw, classmethod):
+                wrapped = classmethod(counting(calls, name, raw.__func__))
+            else:
+                wrapped = counting(calls, name, raw)
+            monkeypatch.setattr(owner, attr, wrapped)
+        store = tmp_path / "background.tsv"
+        store.write_text("widget0\twidget zero is a tool\n", encoding="utf-8")
+        result = runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--background", str(store), "--rounds", "1", "-o", str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 0, result.output
+        assert calls["parse_feed"] >= 1
+        assert {name: n for name, n in calls.items() if name != "parse_feed"} == {
+            "load_mapping": 1, "embed.load": 1, "corr.load": 1, "store.from_file": 1}
 
 
 class TestPipelineCommands:

@@ -310,7 +310,6 @@ class TestCorpus:
         corpus = Corpus.from_records([a, b])
         assert len(corpus) == 1
         assert corpus.get("CVE-2020-0100").description == "first."
-        assert corpus.duplicates_dropped == 1
 
     def test_iteration_is_sorted(self):
         corpus = Corpus.from_records(

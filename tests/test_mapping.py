@@ -95,7 +95,6 @@ class TestBuildMapping:
         added = extend_with_fallback(db, [plain])
         assert added == 1
         assert db.cve_to_name["CVE-2019-0003"] == "My Tool"
-        assert "CVE-2019-0003" in db.fallback_cves
         # fallback never displaces a gov-derived entry
         again = make_record("CVE-2017-9805", "z.", software=["Wrong Name"])
         assert extend_with_fallback(db, [again]) == 0
