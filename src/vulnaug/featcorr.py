@@ -37,6 +37,14 @@ _MAGIC = b"VACORR01"
 #: Training pairs whose towers are stacked at once while the design matrix is built.
 _PAIR_BLOCK = 2048
 
+#: Texts whose token sums and article rankings are built at once; bounds the
+#: (tokens, texts, d) and (texts, articles) transients of a tower fill.
+_TOWER_BLOCK = 64
+
+#: Cells of one (texts, articles) overlap matrix: a store of more than
+#: _OVERLAP_CELLS / _TOWER_BLOCK articles ranks fewer texts at a time.
+_OVERLAP_CELLS = 2**18
+
 
 @dataclass(frozen=True)
 class FeaturePair:
@@ -109,8 +117,8 @@ class BackgroundStore:
     Each body's token list and an inverted index of posting arrays are built
     with the store: for each token, the indices (in sorted-title order) of the
     articles whose title or body holds it, so a lookup touches only the
-    postings of its own tokens. Each body's vocab ids are kept too, for the
-    last embedding asked for (:meth:`body_ids`).
+    postings of its own tokens. Each body's token-vector sum is kept too, for
+    the last embedding asked for (:meth:`body_sums`).
     """
 
     articles: dict[str, str] = field(default_factory=dict)
@@ -123,8 +131,9 @@ class BackgroundStore:
             for tok in set(tokenize(term)) | set(self._body_tokens[term]):
                 postings.setdefault(tok, []).append(i)
         self._postings = {tok: np.array(ids, dtype=np.intp) for tok, ids in postings.items()}
-        # (embedding, title -> that embedding's ids of the body tokens)
-        self._body_ids: tuple[EmbeddingModel | None, dict[str, np.ndarray]] = (None, {})
+        # (embedding, that embedding's body sums, body token counts)
+        self._body_sums: tuple[EmbeddingModel | None, np.ndarray, np.ndarray] = (
+            None, np.empty(0), np.empty(0))
 
     def __len__(self) -> int:
         return len(self.articles)
@@ -133,30 +142,52 @@ class BackgroundStore:
         """Titles of the ``max_terms`` articles sharing the most distinct
         ``tokens`` (title and body both count), ties broken by title. Articles
         sharing none are never returned."""
-        postings = self._postings
-        hits = [postings[tok] for tok in set(tokens) if tok in postings]
+        titles = self._titles
+        return [titles[i] for i in self._best_rows([tokens], max_terms)[0].tolist()
+                if i < len(titles)]
+
+    def _best_rows(self, token_lists: Sequence[Iterable[str]], max_terms: int = 3) -> np.ndarray:
+        """The (k, ``max_terms``) sorted-title indices of the articles sharing
+        the most distinct tokens with each of the k token lists, best first.
+
+        One ``np.bincount`` over the lists' postings, each offset by its row
+        times A, counts a (k, A) overlap matrix for A articles. Each rank is one
+        ``argmax`` per row, which returns the first maximum, so ties go to the
+        earlier title; the pick is then zeroed. A pick with no overlap is A,
+        the index of :meth:`body_sums`' zero row.
+        """
+        n = len(self._titles)
+        picks = np.full((len(token_lists), max(max_terms, 0)), n, dtype=np.intp)
+        hits, rows = [], []
+        for row, tokens in enumerate(token_lists):
+            for found in map(self._postings.get, set(tokens)):
+                if found is not None:
+                    hits.append(found)
+                    rows.append(row * n)
         if not hits or max_terms <= 0:
-            return []
-        overlap = np.bincount(np.concatenate(hits))
-        matched = np.flatnonzero(overlap)
-        # A stable sort keeps equal overlaps in title order.
-        best = matched[np.argsort(-overlap[matched], kind="stable")[:max_terms]]
-        return [self._titles[i] for i in best.tolist()]
+            return picks
+        flat = np.concatenate(hits) + np.repeat(rows, [len(h) for h in hits])
+        overlap = np.bincount(flat, minlength=len(token_lists) * n).reshape(-1, n)
+        every = np.arange(len(token_lists))
+        for rank in range(min(max_terms, n)):
+            best = overlap.argmax(axis=1)
+            picks[:, rank] = np.where(overlap[every, best] > 0, best, n)
+            overlap[every, best] = 0
+        return picks
 
-    def body_tokens(self, term: str) -> list[str]:
-        """``tokenize`` of the article body, computed when the store was built."""
-        return self._body_tokens[term]
-
-    def body_ids(self, term: str, embedding: EmbeddingModel) -> np.ndarray:
-        """``embedding.ids`` of the article's body tokens, computed once per
-        article while ``embedding`` is the last one asked for."""
-        owner, ids = self._body_ids
+    def body_sums(self, embedding: EmbeddingModel) -> tuple[np.ndarray, np.ndarray]:
+        """The (A + 1, d) float64 sums of each article body's token vectors and
+        the (A + 1,) body token counts, out-of-vocabulary tokens included, rows
+        in sorted-title order. The last row is zero and stands for no article.
+        Both are built on first use and kept while ``embedding`` is the last
+        one asked for."""
+        owner, sums, counts = self._body_sums
         if owner is not embedding:
-            owner, ids = self._body_ids = (embedding, {})
-        found = ids.get(term)
-        if found is None:
-            found = ids[term] = embedding.ids(self._body_tokens[term])
-        return found
+            bodies = [self._body_tokens[term] for term in self._titles] + [[]]
+            sums = _token_sums(embedding, bodies)
+            counts = np.array([len(body) for body in bodies], dtype=np.intp)
+            self._body_sums = (embedding, sums, counts)
+        return sums, counts
 
     def save(self, path: str | Path) -> None:
         atomic_write_lines(path, (f"{term}\t{body}".replace("\n", " ")
@@ -188,6 +219,30 @@ def fetch_background(
         store.articles[term] for term in store.best_terms(tokenize(aspect_text), max_terms))
 
 
+def _token_sums(embedding: EmbeddingModel, token_lists: Sequence[list[str]]) -> np.ndarray:
+    """The (n, d) float64 sums of each token list's word vectors.
+
+    Out-of-vocabulary tokens add nothing. Each block of at most
+    ``_TOWER_BLOCK`` lists is gathered into one zero-padded (L, k, d) float64
+    array, token position by list, and reduced over positions from 0.0. NumPy
+    adds one position's (k, d) slice at a time, so each sum equals adding its
+    token vectors one by one in token order. The exception is a block of one
+    list under a one-dimensional embedding, a single column, which NumPy sums
+    pairwise.
+    """
+    out = np.empty((len(token_lists), embedding.dim))
+    for lo in range(0, len(token_lists), _TOWER_BLOCK):
+        ids = [embedding.ids(tokens) for tokens in token_lists[lo : lo + _TOWER_BLOCK]]
+        sizes = np.array([len(i) for i in ids])
+        starts = np.cumsum(sizes) - sizes
+        flat = np.concatenate(ids)
+        rows = np.zeros((sizes.max(), len(ids), embedding.dim))
+        rows[np.arange(flat.size) - np.repeat(starts, sizes),
+             np.repeat(np.arange(len(ids)), sizes)] = embedding.vectors[flat]
+        np.add.reduce(rows, axis=0, initial=0.0, out=out[lo : lo + len(ids)])
+    return out
+
+
 @dataclass
 class CorrTrainConfig:
     learning_rate: float = 0.5
@@ -210,27 +265,41 @@ class CorrelationModel:
     train_config: CorrTrainConfig = field(default_factory=CorrTrainConfig)
     loss_history: list[float] = field(default_factory=list)
 
-    def tower_vector(self, text: str, store: BackgroundStore | None) -> np.ndarray:
-        """Average word vector of the text enriched with its background.
+    def tower_vectors(self, texts: Sequence[str], store: BackgroundStore | None) -> np.ndarray:
+        """The (n, d) towers of ``texts``: each text's average word vector,
+        enriched with its background.
 
-        The background tokens are those of ``fetch_background(text, store)``:
-        tokenizing the space-joined bodies gives the concatenation of each
-        body's cached token list, whose vocab ids the store also keeps.
-        Out-of-vocabulary tokens count toward the average as zero vectors.
-        NumPy sums the gathered rows one row at a time in token order, feature
-        tokens first, so the result equals adding the token vectors one by
-        one; a one-dimensional embedding is the exception, as NumPy sums a
-        single column pairwise. :class:`TowerCache` keeps the result by text.
+        A text's background is the bodies of the (up to) 3 articles of
+        ``store`` that share the most of its distinct tokens, ties broken by
+        title, as :meth:`BackgroundStore.best_terms` ranks them. Its tower is
+        the sum of its own token vectors, in token order, plus the chosen
+        bodies' :meth:`BackgroundStore.body_sums` in rank order, divided by the
+        number of tokens. Wherever float64 holds every partial sum exactly,
+        this equals adding all the token vectors one by one, text first.
+        Out-of-vocabulary tokens count toward the number as zero vectors; a
+        text with no tokens has a zero tower. Articles are ranked up to
+        ``_TOWER_BLOCK`` texts at a time, and fewer when the store is so large
+        that the overlap matrix would exceed ``_OVERLAP_CELLS``.
+        :class:`TowerCache` keeps the result by text.
         """
-        feat_tokens = tokenize(text)
-        terms = store.best_terms(feat_tokens) if store is not None else []
-        total = len(feat_tokens) + sum(len(store.body_tokens(t)) for t in terms)
-        if total == 0:
-            return np.zeros(self.embedding.dim, dtype=np.float64)
         emb = self.embedding
-        ids = [emb.ids(feat_tokens), *(store.body_ids(t, emb) for t in terms)]
-        rows = emb.vectors[np.concatenate(ids)]
-        return rows.sum(axis=0, dtype=np.float64, initial=0.0) / total
+        tokens = [tokenize(text) for text in texts]
+        towers = _token_sums(emb, tokens)
+        total = np.array([len(t) for t in tokens], dtype=np.intp)
+        if store is not None:
+            sums, counts = store.body_sums(emb)
+            step = max(1, min(_TOWER_BLOCK, _OVERLAP_CELLS // max(1, len(store))))
+            for lo in range(0, len(texts), step):
+                block = slice(lo, lo + step)
+                for picks in store._best_rows(tokens[block]).T:
+                    towers[block] += sums[picks]
+                    total[block] += counts[picks]
+        towers /= np.maximum(total, 1)[:, None]
+        return towers
+
+    def tower_vector(self, text: str, store: BackgroundStore | None) -> np.ndarray:
+        """The tower of one text: row 0 of :meth:`tower_vectors` of ``[text]``."""
+        return self.tower_vectors([text], store)[0]
 
     def save(self, path: str | Path) -> None:
         header = {"dim": int(self.weights.size), "bias": self.bias,
@@ -262,7 +331,7 @@ class CorrelationModel:
 
 
 class TowerCache:
-    """Tower vectors by text, each computed once by :meth:`CorrelationModel.tower_vector`.
+    """Tower vectors by text, each computed once by :meth:`CorrelationModel.tower_vectors`.
 
     The towers held belong to one model, its embedding and one store. A lookup
     under any other of these, for example after the model's embedding is
@@ -278,36 +347,28 @@ class TowerCache:
     def stack(self, model: CorrelationModel, texts: Sequence[str],
               store: BackgroundStore | None) -> np.ndarray:
         """The (n, d) towers of the n >= 1 ``texts`` in a new array, row i
-        equal to ``model.tower_vector(texts[i], store)``; the stamp is checked
-        once per call."""
+        equal to ``model.tower_vectors(texts, store)[i]``. The stamp is checked
+        once per call, and the distinct misses are filled by one
+        ``tower_vectors`` call under the lock."""
         stamp = (model, model.embedding, store)
         towers = self._towers(stamp) or {}
         found = list(map(towers.get, texts))
-        missed = dict.fromkeys(text for text, tower in zip(texts, found) if tower is None)
-        if missed:
-            filled = {text: self._fill(model, text, store, stamp) for text in missed}
-            found = [filled.get(text, tower) for text, tower in zip(texts, found)]
+        if any(tower is None for tower in found):
+            with self._lock:
+                towers = self._towers(stamp)
+                if towers is None:
+                    towers = {}
+                    self._state = (stamp, towers)
+                missed = [text for text in dict.fromkeys(texts) if text not in towers]
+                if missed:
+                    towers.update(zip(missed, model.tower_vectors(missed, store)))
+                found = list(map(towers.get, texts))
         return np.stack(found)
-
-    def _fill(self, model: CorrelationModel, text: str,
-              store: BackgroundStore | None, stamp: tuple) -> np.ndarray:
-        """The tower of ``text``, computed under the lock unless another
-        thread has put it in meanwhile."""
-        with self._lock:
-            towers = self._towers(stamp)
-            if towers is None:
-                towers = {}
-                self._state = (stamp, towers)
-            found = towers.get(text)
-            if found is None:
-                found = towers[text] = model.tower_vector(text, store)
-        return found
 
     def _towers(self, stamp: tuple) -> dict[str, np.ndarray] | None:
         """The held towers if they were built under ``stamp``: the same objects."""
         held, towers = self._state
         return towers if all(map(operator.is_, held, stamp)) else None
-
 
 def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Interaction rows [u*v, |u-v|, cos(u, v)] of paired towers.

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import family_aspects, family_corpus, family_mapping, make_record
+from vulnaug import featcorr
 from vulnaug.corpus import AspectKind, Corpus
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.errors import DivergedTraining, EmptyTrainingSet
@@ -72,10 +74,10 @@ def reference_training_pairs(corpus, seed=0):
     ]
 
 
-def reference_fetch_background(aspect_text, store, max_terms=3):
+def reference_best_terms(aspect_text, store, max_terms=3):
     """Score every article against the aspect and sort every overlap."""
-    if store is None or not len(store):
-        return ""
+    if store is None:
+        return []
     tokens = set(tokenize(aspect_text))
     scored = []
     for term, body in store.articles.items():
@@ -83,18 +85,37 @@ def reference_fetch_background(aspect_text, store, max_terms=3):
         if overlap > 0:
             scored.append((-overlap, term))
     scored.sort()
-    return " ".join(store.articles[term] for _, term in scored[:max_terms])
+    return [term for _, term in scored[:max(max_terms, 0)]]
+
+
+def reference_fetch_background(aspect_text, store, max_terms=3):
+    return " ".join(store.articles[term]
+                    for term in reference_best_terms(aspect_text, store, max_terms))
+
+
+def token_loop_sum(model, tokens):
+    """Add one token vector at a time, from zero."""
+    acc = np.zeros(model.embedding.dim, dtype=np.float64)
+    for tok in tokens:
+        acc += model.embedding.vector(tok)
+    return acc
 
 
 def reference_tower_vector(model, text, store):
+    """The text's token-loop sum, then each chosen body's token-loop sum in
+    rank order, over the number of tokens."""
+    parts = [tokenize(text)] + [tokenize(store.articles[term])
+                                for term in reference_best_terms(text, store)]
+    acc = np.zeros(model.embedding.dim, dtype=np.float64)
+    for part in parts:
+        acc += token_loop_sum(model, part)
+    return acc / max(1, sum(map(len, parts)))
+
+
+def token_loop_tower_vector(model, text, store):
     """Re-tokenize the joined background and add one token vector at a time."""
     tokens = tokenize(text) + tokenize(reference_fetch_background(text, store))
-    acc = np.zeros(model.embedding.dim, dtype=np.float64)
-    if not tokens:
-        return acc
-    for tok in tokens:
-        acc += model.embedding.vector(tok)
-    return acc / len(tokens)
+    return token_loop_sum(model, tokens) / max(1, len(tokens))
 
 
 def reference_interaction(u, v):
@@ -168,11 +189,19 @@ candidate_texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map("
 article_maps = st.dictionaries(titles, phrases, max_size=8)
 
 
-def random_embedding(rng, dim, binades=8):
+def random_embedding(rng, dim, binades=8, vocab=VOCAB):
     """Vectors whose entries span many binades, so summation order shows."""
-    scale = 10.0 ** rng.uniform(-binades, binades, (len(VOCAB), dim))
-    vectors = rng.standard_normal((len(VOCAB), dim)) * scale
-    return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(VOCAB)},
+    scale = 10.0 ** rng.uniform(-binades, binades, (len(vocab), dim))
+    vectors = rng.standard_normal((len(vocab), dim)) * scale
+    return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(vocab)},
+                          vectors=vectors.astype(np.float32))
+
+
+def dyadic_embedding(rng, dim, vocab=VOCAB):
+    """Vectors of small multiples of 2**-8, so every float64 sum of a few
+    hundred of them is exact and summation order cannot show."""
+    vectors = rng.integers(-2**10, 2**10, (len(vocab), dim)) / 2**8
+    return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(vocab)},
                           vectors=vectors.astype(np.float32))
 
 
@@ -319,6 +348,20 @@ class TestBackgroundStore:
         assert fetch_background(aspect, store, max_terms) == reference_fetch_background(
             aspect, store, max_terms)
 
+    @settings(max_examples=300, deadline=None)
+    @given(article_maps, st.lists(phrases, max_size=6), st.integers(0, 5))
+    def test_batched_ranking_matches_full_scan(self, articles, aspects, max_terms):
+        # Several rows at once: ties go to the earlier title, and a row that
+        # matches nothing holds only the no-article index.
+        store = BackgroundStore(articles=articles)
+        titles = sorted(articles) + [None]
+        picks = store._best_rows([tokenize(a) for a in aspects + ["zeta"]], max_terms)
+        assert picks.shape == (len(aspects) + 1, max_terms)
+        got = [[titles[i] for i in row] for row in picks.tolist()]
+        for aspect, row in zip(aspects + ["zeta"], got):
+            want = reference_best_terms(aspect, store, max_terms)
+            assert row == want + [None] * (max_terms - len(want))
+
 
 class TestTowerVector:
     @settings(max_examples=200, deadline=None)
@@ -340,36 +383,55 @@ class TestTowerVector:
                 model.embedding = random_embedding(rng, dim)
 
     @settings(max_examples=100, deadline=None)
-    @given(article_maps, st.lists(phrases, min_size=1, max_size=6),
+    @given(article_maps, st.lists(st.one_of(phrases, st.just("zeta gamma zeta")), min_size=1,
+                                  max_size=8),
            st.sampled_from([2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
     def test_stack_equals_stacked_vectors(self, articles, texts, dim, with_store, seed):
-        # Row i of stack is bit-equal to tower_vector of text i.
+        # Row i of stack is bit-equal to tower_vector of text i, whatever the
+        # block size. "zeta" is in the vocabulary and in no article.
+        texts = texts + ["", "omega x9", "zeta"]
         rng = np.random.default_rng(seed)
-        model = CorrelationModel(embedding=random_embedding(rng, dim),
+        model = CorrelationModel(embedding=random_embedding(rng, dim, vocab=VOCAB + ["zeta"]),
                                  weights=np.zeros(2 * dim + 1), bias=0.0)
         store = BackgroundStore(articles=articles) if with_store else None
-        towers = TowerCache()
-        for swap in [True, False]:
-            # Every other text is cached first, so hits and misses mix.
-            towers.stack(model, texts[::2], store)
-            got = towers.stack(model, texts, store)
-            want = np.stack([model.tower_vector(text, store) for text in texts])
+        want = np.stack([model.tower_vector(text, store) for text in texts])
+        assert want.tobytes() == np.stack(
+            [reference_tower_vector(model, text, store) for text in texts]).tobytes()
+        for block, cells in [(1, None), (2, None), (3, None), (None, None), (None, 16)]:
+            towers = TowerCache()
+            with mock.patch.object(featcorr, "_TOWER_BLOCK", block or featcorr._TOWER_BLOCK), \
+                    mock.patch.object(featcorr, "_OVERLAP_CELLS", cells or featcorr._OVERLAP_CELLS):
+                # Every other text is cached first, so hits and misses mix.
+                towers.stack(model, texts[::2], store)
+                got = towers.stack(model, texts, store)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-            if swap:
-                model.embedding = random_embedding(rng, dim)
+
+    @settings(max_examples=100, deadline=None)
+    @given(article_maps, st.lists(phrases, min_size=1, max_size=8),
+           st.sampled_from([1, 2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_exact_sums_equal_the_token_loop(self, articles, texts, dim, with_store, seed):
+        # Where float64 holds every partial sum, adding each body's sum as one
+        # part equals adding its tokens one by one after the text's own.
+        model = CorrelationModel(embedding=dyadic_embedding(np.random.default_rng(seed), dim),
+                                 weights=np.zeros(2 * dim + 1), bias=0.0)
+        store = BackgroundStore(articles=articles) if with_store else None
+        want = np.stack([token_loop_tower_vector(model, text, store) for text in texts])
+        assert TowerCache().stack(model, texts, store).tobytes() == want.tobytes()
+        for text, row in zip(texts, want):
+            assert model.tower_vector(text, store).tobytes() == row.tobytes()
 
     def test_stack_computes_each_text_once(self):
         model = random_model(8, 4)
         texts = ["alpha", "beta gamma", "alpha", "delta", "beta gamma"]
         calls = Counter()
-        compute = model.tower_vector
+        compute = model.tower_vectors
 
-        def counted(text, store):
-            calls[text] += 1
-            return compute(text, store)
+        def counted(texts, store):
+            calls.update(texts)
+            return compute(texts, store)
 
-        model.tower_vector = counted
+        model.tower_vectors = counted
         towers = TowerCache()
         towers.stack(model, ["delta"], None)
         towers.stack(model, texts, None)
@@ -423,13 +485,13 @@ class TestTowerVector:
         store = BackgroundStore(articles={w: " ".join(VOCAB) for w in VOCAB})
         texts = [" ".join(VOCAB[: 1 + n % 5]) + f" t{n}" for n in range(40)]
         calls = Counter()
-        compute = model.tower_vector
+        compute = model.tower_vectors
 
-        def counted(text, store):
-            calls[text] += 1
-            return compute(text, store)
+        def counted(texts, store):
+            calls.update(texts)
+            return compute(texts, store)
 
-        model.tower_vector = counted
+        model.tower_vectors = counted
         towers = TowerCache()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -444,7 +506,52 @@ class TestTowerVector:
         assert calls == Counter(texts)
         for k, got in enumerate(results):
             for t, tower in zip(texts[k:] + texts[:k], got):
-                assert tower.tobytes() == compute(t, store).tobytes()
+                assert tower.tobytes() == compute([t], store)[0].tobytes()
+
+    def test_stack_memory_is_bounded_by_the_block(self):
+        # 2,048 distinct texts, as train-corr stacks at once, against a
+        # 500-article store. Ranking and summing them in one piece holds a
+        # (2048, 500) overlap matrix and a zero-padded (9, 2048, 64) float64
+        # sum: about 18 MiB here. Blocks of _TOWER_BLOCK texts leave the
+        # towers, their stacked copy, the body sums and one block.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(2000)]
+        model = CorrelationModel(
+            embedding=EmbeddingModel(dim=64, vocab={w: i for i, w in enumerate(words)},
+                                     vectors=rng.standard_normal((2000, 64)).astype(np.float32)),
+            weights=np.zeros(129), bias=0.0)
+
+        def phrase(n):
+            return " ".join(words[j] for j in rng.integers(0, len(words), n))
+
+        store = BackgroundStore(articles={f"t{a} {phrase(2)}": phrase(40) for a in range(500)})
+        texts = [f"{phrase(8)} t{i}" for i in range(2048)]
+        tracemalloc.start()
+        try:
+            got = TowerCache().stack(model, texts, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (2048, 64)
+        assert peak < 8 * 2**20
+
+    def test_overlap_matrix_is_bounded_for_a_large_store(self):
+        # 20,000 articles sharing one word: a (64, 20000) overlap matrix of
+        # 64-bit counts alone takes 9.8 MiB.
+        model = random_model(9, 4)
+        store = BackgroundStore(articles={f"a{i}": "alpha" for i in range(20_000)})
+        texts = [f"alpha t{i}" for i in range(64)]
+        store.body_sums(model.embedding)
+        tracemalloc.start()
+        try:
+            got = TowerCache().stack(model, texts, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Every text ties with every article; "t<i>" is out of vocabulary.
+        want = reference_tower_vector(model, texts[0], store)
+        assert all(row.tobytes() == want.tobytes() for row in got)
+        assert peak < 4 * 2**20
 
     def test_empty_text_is_zero(self):
         model = CorrelationModel(embedding=random_embedding(np.random.default_rng(1), 4),
