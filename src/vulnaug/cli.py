@@ -14,7 +14,6 @@ import sys
 import types
 import typing
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 import dataclasses
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .corpus import AspectKind, Corpus, Source, TvdRecord
 from .errors import FeedFormatError, GenerationFailed, MissingPrerequisite, VulnaugError
 from .exampler import EXAMPLE_LIMIT
 from .ioutil import atomic_write_lines, atomic_write_text
-from .pipeline import AugmentPipeline
+from .pipeline import EXAMPLE_STRATEGIES, AugmentPipeline, map_ordered
 
 EXIT_INTERNAL = 1
 EXIT_BAD_INPUT = 2
@@ -318,11 +317,11 @@ def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, expo
 @_guard
 def train_corr(cfg: RunConfig, corpus_path, embed_path, background_path, lr, epochs, export_text, output):
     """Train the feature-correlation model from aspect co-occurrence."""
+    config = featcorr.CorrTrainConfig(learning_rate=lr, epochs=epochs, seed=cfg.seed)
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     embedding = _EMBED(embed_path)
     store = _BACKGROUND.optional(background_path)
     pairs = featcorr.build_training_pairs(corpus, seed=cfg.seed)
-    config = featcorr.CorrTrainConfig(learning_rate=lr, epochs=epochs, seed=cfg.seed)
     model = featcorr.train_correlation(pairs, store, embedding, config)
     out = _output(cfg, output, "corr.bin")
     model.save(out)
@@ -346,7 +345,7 @@ def _pipeline_options(fn):
         click.option("--backend", type=click.Choice(BACKENDS), default=None),
         click.option("--backend-config", default=None, help="JSON settings for the http backend."),
         click.option("--oracle-answers", default=None, help="JSON answer table for the oracle backend."),
-        click.option("--example-strategy", type=click.Choice(["cluster", "similarity"]), default=None,
+        click.option("--example-strategy", type=click.Choice(EXAMPLE_STRATEGIES), default=None,
                      help="Example selection; similarity is the evaluation baseline."),
     ]
     for option in reversed(options):
@@ -359,9 +358,13 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
                     example_strategy) -> AugmentPipeline:
     cfg.override(backend=backend, backend_config=backend_config,
                  oracle_answers=oracle_answers, example_strategy=example_strategy)
-    for name in ("jobs", "example_limit"):
+    for name in ("jobs", "example_limit", "rounds"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    for name, allowed in (("aggregation", featcorr.AGGREGATIONS),
+                          ("example_strategy", EXAMPLE_STRATEGIES)):
+        if getattr(cfg, name) not in allowed:
+            raise ValueError(f"{name} must be one of {list(allowed)}, got {getattr(cfg, name)!r}")
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     db = _MAP(map_path)
     embedding = _EMBED(embed_path)
@@ -421,11 +424,7 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
         except GenerationFailed as exc:
             return exc
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(task) for task in tasks]
+    results = map_ordered(run, tasks, cfg.jobs)
     failed = [r for r in results if isinstance(r, GenerationFailed)]
     outcomes = [r for r in results if not isinstance(r, GenerationFailed)]
 

@@ -13,7 +13,6 @@ import io
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,6 +22,7 @@ from .corpus import LONG_TAIL_THRESHOLD, AspectKind, TvdRecord, classify_long_ta
 from .embed import EmbeddingModel, tokenize
 from .errors import UndefinedScore
 from .mapping import MappingDb, software_name
+from .pipeline import map_ordered
 
 LONG_TAIL = "long-tail"
 NON_LONG_TAIL = "non-long-tail"
@@ -182,11 +182,7 @@ def evaluate(
         except Exception as exc:  # noqa: BLE001 - any pipeline failure is recorded
             return exc
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, testset))
-    else:
-        results = [run(item) for item in testset]
+    results = map_ordered(run, testset, jobs)
 
     sums: dict[tuple[AspectKind, str], list[float]] = {}
     failures: list[tuple[str, str, str]] = []

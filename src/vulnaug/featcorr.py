@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,6 +30,9 @@ from .mapping import MappingDb, siblings
 
 #: Negatives are downsampled to twice the positive count; fixed by contract.
 NEG_RATIO = 2
+
+#: How rank_candidates combines a candidate's scores over the features.
+AGGREGATIONS = ("mean", "max", "sum")
 
 _MAGIC = b"VACORR01"
 
@@ -117,8 +119,7 @@ class BackgroundStore:
     Each body's token list and an inverted index of posting arrays are built
     with the store: for each token, the indices (in sorted-title order) of the
     articles whose title or body holds it, so a lookup touches only the
-    postings of its own tokens. Each body's token-vector sum is kept too, for
-    the last embedding asked for (:meth:`body_sums`).
+    postings of its own tokens.
     """
 
     articles: dict[str, str] = field(default_factory=dict)
@@ -131,20 +132,9 @@ class BackgroundStore:
             for tok in set(tokenize(term)) | set(self._body_tokens[term]):
                 postings.setdefault(tok, []).append(i)
         self._postings = {tok: np.array(ids, dtype=np.intp) for tok, ids in postings.items()}
-        # (embedding, that embedding's body sums, body token counts)
-        self._body_sums: tuple[EmbeddingModel | None, np.ndarray, np.ndarray] = (
-            None, np.empty(0), np.empty(0))
 
     def __len__(self) -> int:
         return len(self.articles)
-
-    def best_terms(self, tokens: Iterable[str], max_terms: int = 3) -> list[str]:
-        """Titles of the ``max_terms`` articles sharing the most distinct
-        ``tokens`` (title and body both count), ties broken by title. Articles
-        sharing none are never returned."""
-        titles = self._titles
-        return [titles[i] for i in self._best_rows([tokens], max_terms)[0].tolist()
-                if i < len(titles)]
 
     def _best_rows(self, token_lists: Sequence[Iterable[str]], max_terms: int = 3) -> np.ndarray:
         """The (k, ``max_terms``) sorted-title indices of the articles sharing
@@ -178,16 +168,9 @@ class BackgroundStore:
     def body_sums(self, embedding: EmbeddingModel) -> tuple[np.ndarray, np.ndarray]:
         """The (A + 1, d) float64 sums of each article body's token vectors and
         the (A + 1,) body token counts, out-of-vocabulary tokens included, rows
-        in sorted-title order. The last row is zero and stands for no article.
-        Both are built on first use and kept while ``embedding`` is the last
-        one asked for."""
-        owner, sums, counts = self._body_sums
-        if owner is not embedding:
-            bodies = [self._body_tokens[term] for term in self._titles] + [[]]
-            sums = _token_sums(embedding, bodies)
-            counts = np.array([len(body) for body in bodies], dtype=np.intp)
-            self._body_sums = (embedding, sums, counts)
-        return sums, counts
+        in sorted-title order. The last row is zero and stands for no article."""
+        bodies = [self._body_tokens[term] for term in self._titles] + [[]]
+        return _token_sums(embedding, bodies), np.array([len(body) for body in bodies], dtype=np.intp)
 
     def save(self, path: str | Path) -> None:
         atomic_write_lines(path, (f"{term}\t{body}".replace("\n", " ")
@@ -215,8 +198,8 @@ def fetch_background(
     """
     if store is None:
         return ""
-    return " ".join(
-        store.articles[term] for term in store.best_terms(tokenize(aspect_text), max_terms))
+    picks = store._best_rows([tokenize(aspect_text)], max_terms)[0].tolist()
+    return " ".join(store.articles[store._titles[i]] for i in picks if i < len(store))
 
 
 def _token_sums(embedding: EmbeddingModel, token_lists: Sequence[list[str]]) -> np.ndarray:
@@ -243,6 +226,31 @@ def _token_sums(embedding: EmbeddingModel, token_lists: Sequence[list[str]]) -> 
     return out
 
 
+def _compute_towers(embedding: EmbeddingModel, texts: Sequence[str],
+                    store: BackgroundStore | None,
+                    body_sums: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """The (n, d) towers of ``texts`` as :meth:`CorrelationModel.tower_vectors`
+    defines them, with ``body_sums`` those of ``store`` under ``embedding``.
+
+    Articles are ranked up to ``_TOWER_BLOCK`` texts at a time, and fewer when
+    the store is so large that the overlap matrix would exceed
+    ``_OVERLAP_CELLS``.
+    """
+    tokens = [tokenize(text) for text in texts]
+    towers = _token_sums(embedding, tokens)
+    total = np.array([len(t) for t in tokens], dtype=np.intp)
+    if store is not None:
+        sums, counts = body_sums
+        step = max(1, min(_TOWER_BLOCK, _OVERLAP_CELLS // max(1, len(store))))
+        for lo in range(0, len(texts), step):
+            block = slice(lo, lo + step)
+            for picks in store._best_rows(tokens[block]).T:
+                towers[block] += sums[picks]
+                total[block] += counts[picks]
+    towers /= np.maximum(total, 1)[:, None]
+    return towers
+
+
 @dataclass
 class CorrTrainConfig:
     learning_rate: float = 0.5
@@ -250,13 +258,20 @@ class CorrTrainConfig:
     seed: int = 0
     neg_ratio: int = NEG_RATIO
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+
 
 @dataclass
 class CorrelationModel:
     """Two-tower scorer: avg-of-word-vector towers plus a logistic combiner.
 
     Feature and background tokens share ``embedding``. ``weights`` act on the
-    interaction features [u*v, |u-v|, cos(u, v)].
+    interaction features [u*v, |u-v|, cos(u, v)]. The model keeps every tower
+    it computes (:meth:`tower_vectors`).
     """
 
     embedding: EmbeddingModel
@@ -264,38 +279,48 @@ class CorrelationModel:
     bias: float
     train_config: CorrTrainConfig = field(default_factory=CorrTrainConfig)
     loss_history: list[float] = field(default_factory=list)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
+                                  compare=False)
+    # (embedding, store, that store's body sums, text -> tower)
+    _towers: tuple = field(default_factory=lambda: (None, None, None, {}), init=False,
+                          repr=False, compare=False)
 
     def tower_vectors(self, texts: Sequence[str], store: BackgroundStore | None) -> np.ndarray:
-        """The (n, d) towers of ``texts``: each text's average word vector,
-        enriched with its background.
+        """The (n, d) towers of ``texts`` in a new array: each text's average
+        word vector, enriched with its background.
 
         A text's background is the bodies of the (up to) 3 articles of
         ``store`` that share the most of its distinct tokens, ties broken by
-        title, as :meth:`BackgroundStore.best_terms` ranks them. Its tower is
-        the sum of its own token vectors, in token order, plus the chosen
-        bodies' :meth:`BackgroundStore.body_sums` in rank order, divided by the
-        number of tokens. Wherever float64 holds every partial sum exactly,
-        this equals adding all the token vectors one by one, text first.
+        title, as :func:`fetch_background` ranks them. Its tower is the sum of
+        its own token vectors, in token order, plus the chosen bodies'
+        :meth:`BackgroundStore.body_sums` in rank order, divided by the number
+        of tokens. Wherever float64 holds every partial sum exactly, this
+        equals adding all the token vectors one by one, text first.
         Out-of-vocabulary tokens count toward the number as zero vectors; a
-        text with no tokens has a zero tower. Articles are ranked up to
-        ``_TOWER_BLOCK`` texts at a time, and fewer when the store is so large
-        that the overlap matrix would exceed ``_OVERLAP_CELLS``.
-        :class:`TowerCache` keeps the result by text.
+        text with no tokens has a zero tower.
+
+        Towers are kept by text for one ``(embedding, store)`` stamp, the same
+        objects: a call under another drops them first. Misses are filled
+        under a lock, after a second look, by one batched computation, so
+        threads that ask for the same text together compute it once.
         """
-        emb = self.embedding
-        tokens = [tokenize(text) for text in texts]
-        towers = _token_sums(emb, tokens)
-        total = np.array([len(t) for t in tokens], dtype=np.intp)
-        if store is not None:
-            sums, counts = store.body_sums(emb)
-            step = max(1, min(_TOWER_BLOCK, _OVERLAP_CELLS // max(1, len(store))))
-            for lo in range(0, len(texts), step):
-                block = slice(lo, lo + step)
-                for picks in store._best_rows(tokens[block]).T:
-                    towers[block] += sums[picks]
-                    total[block] += counts[picks]
-        towers /= np.maximum(total, 1)[:, None]
-        return towers
+        towers = self._held(store) or {}
+        found = list(map(towers.get, texts))
+        if any(tower is None for tower in found):
+            with self._lock:
+                if self._held(store) is None:
+                    sums = None if store is None else store.body_sums(self.embedding)
+                    self._towers = (self.embedding, store, sums, {})
+                embedding, _, sums, towers = self._towers
+                missed = [text for text in dict.fromkeys(texts) if text not in towers]
+                towers.update(zip(missed, _compute_towers(embedding, missed, store, sums)))
+                found = list(map(towers.get, texts))
+        return np.stack(found) if found else np.empty((0, self.embedding.dim))
+
+    def _held(self, store: BackgroundStore | None) -> dict[str, np.ndarray] | None:
+        """The kept towers if they were built with this embedding and ``store``."""
+        embedding, held, _, towers = self._towers
+        return towers if embedding is self.embedding and held is store else None
 
     def tower_vector(self, text: str, store: BackgroundStore | None) -> np.ndarray:
         """The tower of one text: row 0 of :meth:`tower_vectors` of ``[text]``."""
@@ -329,46 +354,6 @@ class CorrelationModel:
         lines.extend(f"w{i} {float(w)!r}" for i, w in enumerate(self.weights))
         atomic_write_lines(path, lines)
 
-
-class TowerCache:
-    """Tower vectors by text, each computed once by :meth:`CorrelationModel.tower_vectors`.
-
-    The towers held belong to one model, its embedding and one store. A lookup
-    under any other of these, for example after the model's embedding is
-    replaced, drops them first. Misses are filled under a lock, after a second
-    look, so threads that ask for the same text together compute it once.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # ((model, embedding, store), text -> tower)
-        self._state: tuple[tuple, dict[str, np.ndarray]] = ((None,) * 3, {})
-
-    def stack(self, model: CorrelationModel, texts: Sequence[str],
-              store: BackgroundStore | None) -> np.ndarray:
-        """The (n, d) towers of the n >= 1 ``texts`` in a new array, row i
-        equal to ``model.tower_vectors(texts, store)[i]``. The stamp is checked
-        once per call, and the distinct misses are filled by one
-        ``tower_vectors`` call under the lock."""
-        stamp = (model, model.embedding, store)
-        towers = self._towers(stamp) or {}
-        found = list(map(towers.get, texts))
-        if any(tower is None for tower in found):
-            with self._lock:
-                towers = self._towers(stamp)
-                if towers is None:
-                    towers = {}
-                    self._state = (stamp, towers)
-                missed = [text for text in dict.fromkeys(texts) if text not in towers]
-                if missed:
-                    towers.update(zip(missed, model.tower_vectors(missed, store)))
-                found = list(map(towers.get, texts))
-        return np.stack(found)
-
-    def _towers(self, stamp: tuple) -> dict[str, np.ndarray] | None:
-        """The held towers if they were built under ``stamp``: the same objects."""
-        held, towers = self._state
-        return towers if all(map(operator.is_, held, stamp)) else None
 
 def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Interaction rows [u*v, |u-v|, cos(u, v)] of paired towers.
@@ -420,14 +405,13 @@ def train_correlation(
     )
     # x is filled one block of pairs at a time, so only one block's towers
     # are stacked beside it; each row is bit-equal to building it alone.
-    towers = TowerCache()
     n = len(pairs)
     x = np.empty((n, 2 * embedding.dim + 1))
     for lo in range(0, n, _PAIR_BLOCK):
         block = pairs[lo : lo + _PAIR_BLOCK]
         x[lo : lo + len(block)] = interaction_features(
-            towers.stack(model, [p.a for p in block], store),
-            towers.stack(model, [p.b for p in block], store))
+            model.tower_vectors([p.a for p in block], store),
+            model.tower_vectors([p.b for p in block], store))
     y = np.array([p.label for p in pairs], dtype=np.float64)
     positive = y == 1.0
 
@@ -461,8 +445,7 @@ def score(
     store: BackgroundStore | None = None,
 ) -> float:
     """Association probability between a known feature and a candidate value."""
-    u = model.tower_vector(feature, store)
-    v = model.tower_vector(candidate, store)
+    u, v = model.tower_vectors([feature, candidate], store)
     return float(_probability(model, u, v))
 
 
@@ -508,7 +491,6 @@ def rank_candidates(
     candidates: Sequence[CandidateAnswer],
     store: BackgroundStore | None = None,
     aggregation: str = "mean",
-    towers: TowerCache | None = None,
 ) -> list[RankedCandidate]:
     """Order candidates by aggregated association with the software features.
 
@@ -516,18 +498,15 @@ def rank_candidates(
     "sum" are available); with no features every candidate gets the neutral
     0.5 so the ordering degrades to round order. Ties break by earliest round,
     then candidate text. The first element is the pipeline's final answer.
-    Towers come from ``towers``, a cache the caller may keep across calls.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    if aggregation not in ("mean", "max", "sum"):
+    if aggregation not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation: {aggregation!r}")
 
-    if towers is None:
-        towers = TowerCache()
     if features:
-        feature_towers = towers.stack(model, features, store)
-        candidate_towers = towers.stack(model, [cand.text for cand in candidates], store)
+        feature_towers = model.tower_vectors(features, store)
+        candidate_towers = model.tower_vectors([cand.text for cand in candidates], store)
         scores = [_probability(model, feature_towers, tower).tolist() for tower in candidate_towers]
     else:
         scores = [[0.5]] * len(candidates)  # one neutral score each

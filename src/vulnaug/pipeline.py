@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .corpus import AspectKind, Corpus, TvdRecord
 from .embed import EmbeddingModel
@@ -16,12 +18,23 @@ from .featcorr import (
     BackgroundStore,
     CorrelationModel,
     RankedCandidate,
-    TowerCache,
     rank_candidates,
     software_features,
 )
 from .genprompt import DEFAULT_ROUNDS, LlmBackend, generate_candidates
 from .mapping import MappingDb
+
+#: Ways to choose a slot's in-context examples; "similarity" is the evaluation baseline.
+EXAMPLE_STRATEGIES = ("cluster", "similarity")
+
+
+def map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
+    """``fn`` of each item, in input order: on ``jobs`` threads when ``jobs``
+    is above 1, else inline in the calling thread."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -41,8 +54,7 @@ class AugmentPipeline:
     """Bundles the trained artifacts and drives one aspect at a time.
 
     Calling the pipeline as ``pipeline(record, kind)`` returns just the final
-    answer text, which is the shape the evaluation loop expects. ``towers``
-    keeps each ranked text's correlation tower for the life of the pipeline.
+    answer text, which is the shape the evaluation loop expects.
     """
 
     corpus: Corpus
@@ -57,8 +69,7 @@ class AugmentPipeline:
     decode_seed: int = 1000
     temperature: float = 0.7
     aggregation: str = "mean"
-    example_strategy: str = "cluster"  # "similarity" is the evaluation baseline
-    towers: TowerCache = field(default_factory=TowerCache, init=False, repr=False, compare=False)
+    example_strategy: str = "cluster"  # one of EXAMPLE_STRATEGIES
 
     @property
     def identity(self) -> str:
@@ -95,7 +106,6 @@ class AugmentPipeline:
             outcome.candidates,
             store=self.store,
             aggregation=self.aggregation,
-            towers=self.towers,
         )
         best = ranked[0]
         return AugmentOutcome(

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from helpers import feed_text, make_record, masked_eval_fixture, struts_gov_records
 import vulnaug
-from vulnaug import genprompt
+from vulnaug import featcorr, genprompt
 from vulnaug.cli import cli
 from vulnaug.corpus import AspectKind
 from vulnaug.embed import EmbeddingModel
@@ -247,6 +247,29 @@ class TestTrainEmbedSettings:
         assert not out.exists()
 
 
+class TestTrainCorrSettings:
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--epochs", "0", "epochs"),
+        ("--epochs", "-3", "epochs"),
+        ("--lr", "0", "learning_rate"),
+        ("--lr", "-1", "learning_rate"),
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+    ])
+    def test_setting_that_trains_nothing_exits_two(self, runner, tmp_path, artifacts,
+                                                   monkeypatch, flag, value, name):
+        corpus, _, embedding, _ = artifacts
+        calls = []
+        monkeypatch.setattr(featcorr, "build_training_pairs",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "corr.bin"
+        result = runner.invoke(cli, ["train-corr", "--corpus", str(corpus), "--embed",
+                                     str(embedding), flag, value, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {name} must be")
+        assert calls == [] and not out.exists()
+
+
 class TestCost:
     def test_effective_case(self, runner):
         result = runner.invoke(cli, ["cost", "--n", "2", "--x", "0.6"])
@@ -374,13 +397,24 @@ class TestBadInputFiles:
         assert not prefix.with_suffix(".txt").exists()
 
 
-def without_dim(corr_bin: bytes) -> bytes:
-    """A correlation model file whose header lacks ``dim``."""
+def edited_header(corr_bin: bytes, edit) -> bytes:
+    """A correlation model file whose JSON header ``edit`` has changed in place."""
     (size,) = struct.unpack_from("<I", corr_bin, 8)
     header = json.loads(corr_bin[12 : 12 + size])
-    del header["dim"]
+    edit(header)
     head = json.dumps(header, sort_keys=True).encode()
     return corr_bin[:8] + struct.pack("<I", len(head)) + head + corr_bin[12 + size:]
+
+
+def without_dim(corr_bin: bytes) -> bytes:
+    """A correlation model file whose header lacks ``dim``."""
+    return edited_header(corr_bin, lambda header: header.pop("dim"))
+
+
+def with_train_config(**values):
+    """A damage that sets ``values`` in a correlation model file's train_config."""
+    return lambda corr_bin: edited_header(
+        corr_bin, lambda header: header["train_config"].update(values))
 
 
 class TestModelFiles:
@@ -389,7 +423,12 @@ class TestModelFiles:
         ("train-corr", "--embed", lambda good: b"VAEMB001", "shorter than its 16-byte prefix"),
         ("augment", "--corr", without_dim, "lacks ['dim']"),
         ("evaluate", "--corr", without_dim, "lacks ['dim']"),
-    ], ids=["augment-embed", "train-corr-embed", "augment-corr", "evaluate-corr"])
+        ("augment", "--corr", with_train_config(epochs=0), "epochs must be >= 1"),
+        ("augment", "--corr", with_train_config(learning_rate=-1.0), "learning_rate must be"),
+        ("augment", "--corr", with_train_config(learning_rate=float("nan")),
+         "learning_rate must be"),
+    ], ids=["augment-embed", "train-corr-embed", "augment-corr", "evaluate-corr",
+            "corr-epochs", "corr-negative-lr", "corr-nan-lr"])
     def test_damaged_model_file_exits_two_and_names_it(self, runner, tmp_path, artifacts,
                                                        command, flag, damage, needle):
         corpus, mapping, embedding, correlation = artifacts
@@ -528,6 +567,27 @@ class TestPipelineCommands:
         assert result.exit_code == 2, result.output
         assert f"{name} must be >= 1" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,settings,key", [
+        ("augment", {"example_strategy": "foo"}, "example_strategy"),
+        ("evaluate", {"example_strategy": "foo"}, "example_strategy"),
+        ("augment", {"aggregation": "median"}, "aggregation"),
+        ("augment", {"rounds": 0}, "rounds"),
+        ("evaluate", {"rounds": -2}, "rounds"),
+    ])
+    def test_bad_pipeline_setting_exits_two_before_loading(self, runner, tmp_path, artifacts,
+                                                           monkeypatch, command, settings, key):
+        loads = []
+        monkeypatch.setattr(EmbeddingModel, "load", lambda path: loads.append(path))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**settings, "audit": str(tmp_path / "audit.jsonl")}))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["--config", str(config)] + pipeline_args(command, artifacts)
+                               + ["-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {key} must be")
+        assert loads == []
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_evaluate_with_oracle_backend(self, runner, tmp_path):
         corpus_obj, _, testset = masked_eval_fixture(8)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import family_aspects, family_corpus, family_mapping, make_record
 from vulnaug import featcorr
-from vulnaug.corpus import AspectKind, Corpus
+from vulnaug.corpus import AspectKind, Corpus, mask_aspect
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.errors import DivergedTraining, EmptyTrainingSet
 from vulnaug.featcorr import (
@@ -22,7 +23,6 @@ from vulnaug.featcorr import (
     CorrelationModel,
     CorrTrainConfig,
     FeaturePair,
-    TowerCache,
     build_training_pairs,
     fetch_background,
     interaction_features,
@@ -31,8 +31,9 @@ from vulnaug.featcorr import (
     software_features,
     train_correlation,
 )
-from vulnaug.genprompt import CandidateAnswer, PromptKind
+from vulnaug.genprompt import CandidateAnswer, MockBackend, PromptKind
 from vulnaug.mapping import MappingDb
+from vulnaug.pipeline import AugmentPipeline
 
 
 def candidate(text, round=1):
@@ -132,7 +133,9 @@ def reference_probability(model, u, v):
 
 
 def reference_rank(model, features, candidates, store, aggregation):
-    """The per-pair loop: each candidate against each feature tower in turn."""
+    """The per-pair loop: each candidate against each feature tower in turn,
+    every tower computed for its one text."""
+    model = uncached(model)
     towers = [model.tower_vector(f, store) for f in features]
     ranked = []
     for cand in candidates:
@@ -203,6 +206,25 @@ def dyadic_embedding(rng, dim, vocab=VOCAB):
     vectors = rng.integers(-2**10, 2**10, (len(vocab), dim)) / 2**8
     return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(vocab)},
                           vectors=vectors.astype(np.float32))
+
+
+def uncached(model):
+    """A model with ``model``'s embedding and weights that keeps no towers yet."""
+    return CorrelationModel(embedding=model.embedding, weights=model.weights, bias=model.bias)
+
+
+@contextlib.contextmanager
+def counted_fills():
+    """Count each text that a tower computation is asked for."""
+    calls = Counter()
+    compute = featcorr._compute_towers
+
+    def counted(embedding, texts, store, body_sums):
+        calls.update(texts)
+        return compute(embedding, texts, store, body_sums)
+
+    with mock.patch.object(featcorr, "_compute_towers", counted):
+        yield calls
 
 
 def random_model(seed, dim):
@@ -368,17 +390,16 @@ class TestTowerVector:
     @given(article_maps, phrases, st.sampled_from([2, 3, 16]), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_matches_token_loop(self, articles, text, dim, with_store, seed):
-        # Cached and uncached towers before and after an embedding swap, so
+        # A computed and a kept tower before and after an embedding swap, so
         # the swap lands on a filled cache.
         rng = np.random.default_rng(seed)
         model = CorrelationModel(embedding=random_embedding(rng, dim),
                                  weights=np.zeros(2 * dim + 1), bias=0.0)
         store = BackgroundStore(articles=articles) if with_store else None
-        towers = TowerCache()
         for swap in [True, False]:
             want = reference_tower_vector(model, text, store)
             assert np.array_equal(model.tower_vector(text, store), want)
-            assert np.array_equal(towers.stack(model, [text], store)[0], want)
+            assert np.array_equal(model.tower_vectors([text], store)[0], want)
             if swap:
                 model.embedding = random_embedding(rng, dim)
 
@@ -387,23 +408,23 @@ class TestTowerVector:
                                   max_size=8),
            st.sampled_from([2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
     def test_stack_equals_stacked_vectors(self, articles, texts, dim, with_store, seed):
-        # Row i of stack is bit-equal to tower_vector of text i, whatever the
-        # block size. "zeta" is in the vocabulary and in no article.
+        # Row i of a batch is bit-equal to the one-row tower of text i,
+        # whatever the block size. "zeta" is in the vocabulary and in no article.
         texts = texts + ["", "omega x9", "zeta"]
         rng = np.random.default_rng(seed)
         model = CorrelationModel(embedding=random_embedding(rng, dim, vocab=VOCAB + ["zeta"]),
                                  weights=np.zeros(2 * dim + 1), bias=0.0)
         store = BackgroundStore(articles=articles) if with_store else None
-        want = np.stack([model.tower_vector(text, store) for text in texts])
+        want = np.stack([uncached(model).tower_vector(text, store) for text in texts])
         assert want.tobytes() == np.stack(
             [reference_tower_vector(model, text, store) for text in texts]).tobytes()
         for block, cells in [(1, None), (2, None), (3, None), (None, None), (None, 16)]:
-            towers = TowerCache()
+            fresh = uncached(model)
             with mock.patch.object(featcorr, "_TOWER_BLOCK", block or featcorr._TOWER_BLOCK), \
                     mock.patch.object(featcorr, "_OVERLAP_CELLS", cells or featcorr._OVERLAP_CELLS):
-                # Every other text is cached first, so hits and misses mix.
-                towers.stack(model, texts[::2], store)
-                got = towers.stack(model, texts, store)
+                # Every other text is kept first, so hits and misses mix.
+                fresh.tower_vectors(texts[::2], store)
+                got = fresh.tower_vectors(texts, store)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -417,26 +438,23 @@ class TestTowerVector:
                                  weights=np.zeros(2 * dim + 1), bias=0.0)
         store = BackgroundStore(articles=articles) if with_store else None
         want = np.stack([token_loop_tower_vector(model, text, store) for text in texts])
-        assert TowerCache().stack(model, texts, store).tobytes() == want.tobytes()
+        assert model.tower_vectors(texts, store).tobytes() == want.tobytes()
         for text, row in zip(texts, want):
-            assert model.tower_vector(text, store).tobytes() == row.tobytes()
+            assert uncached(model).tower_vector(text, store).tobytes() == row.tobytes()
 
     def test_stack_computes_each_text_once(self):
         model = random_model(8, 4)
         texts = ["alpha", "beta gamma", "alpha", "delta", "beta gamma"]
-        calls = Counter()
-        compute = model.tower_vectors
-
-        def counted(texts, store):
-            calls.update(texts)
-            return compute(texts, store)
-
-        model.tower_vectors = counted
-        towers = TowerCache()
-        towers.stack(model, ["delta"], None)
-        towers.stack(model, texts, None)
-        towers.stack(model, texts, None)
+        with counted_fills() as calls:
+            model.tower_vectors(["delta"], None)
+            model.tower_vectors(texts, None)
+            model.tower_vectors(texts, None)
+            model.tower_vector("alpha", None)
         assert calls == Counter(set(texts))
+
+    def test_empty_batch(self):
+        model = random_model(8, 4)
+        assert model.tower_vectors([], None).shape == (0, 4)
 
     def test_one_dimensional_embedding_within_rounding(self):
         # numpy sums a single column pairwise rather than in order, so only
@@ -450,54 +468,54 @@ class TestTowerVector:
         assert abs(got[0] - want[0]) <= 40 * np.finfo(np.float64).eps * scale
 
     def test_cache_follows_another_store(self):
-        # The cached tower has no background; the second store's article matches it.
+        # The kept tower has no background; the second store's article matches it.
         model = random_model(3, 4)
         store = BackgroundStore(articles={"gamma": "delta delta"})
-        towers = TowerCache()
-        before = towers.stack(model, ["alpha beta"], store)[0]
+        before = model.tower_vectors(["alpha beta"], store)[0]
         assert np.array_equal(before, reference_tower_vector(model, "alpha beta", store))
         store = BackgroundStore(articles={"gamma": "delta delta",
                                           "alpha": "gamma cve-2020-1 omega"})
-        after = towers.stack(model, ["alpha beta"], store)[0]
+        after = model.tower_vectors(["alpha beta"], store)[0]
         assert not np.array_equal(before, after)
-        assert after.tobytes() == model.tower_vector("alpha beta", store).tobytes()
+        assert after.tobytes() == uncached(model).tower_vector("alpha beta", store).tobytes()
         assert after.tobytes() == reference_tower_vector(model, "alpha beta", store).tobytes()
 
     def test_cache_follows_embedding_swap(self):
         model = random_model(4, 4)
         store = BackgroundStore(articles={"alpha": "beta gamma delta"})
-        towers = TowerCache()
-        before = towers.stack(model, ["alpha"], store)[0]
+        before = model.tower_vectors(["alpha"], store)[0]
         model.embedding = random_embedding(np.random.default_rng(5), 4, binades=1)
-        after = towers.stack(model, ["alpha"], store)[0]
+        after = model.tower_vectors(["alpha"], store)[0]
         assert not np.array_equal(before, after)
         assert after.tobytes() == reference_tower_vector(model, "alpha", store).tobytes()
 
     def test_writing_a_stacked_row_leaves_the_cache(self):
         model = random_model(6, 4)
-        towers = TowerCache()
-        towers.stack(model, ["alpha"], None)[0] = 1.0
-        got = towers.stack(model, ["alpha"], None)[0]
-        assert got.tobytes() == model.tower_vector("alpha", None).tobytes()
+        model.tower_vectors(["alpha"], None)[0] = 1.0
+        model.tower_vector("alpha", None)[:] = 2.0
+        got = model.tower_vectors(["alpha"], None)[0]
+        assert got.tobytes() == uncached(model).tower_vector("alpha", None).tobytes()
+
+    def test_body_sums_are_computed_once_per_stamp(self):
+        model = random_model(6, 4)
+        store = BackgroundStore(articles={"alpha": "beta gamma delta"})
+        with mock.patch.object(BackgroundStore, "body_sums", autospec=True,
+                               side_effect=BackgroundStore.body_sums) as body_sums:
+            model.tower_vectors(["alpha"], store)
+            model.tower_vectors(["beta", "gamma"], store)
+            model.tower_vectors(["beta"], None)
+            model.tower_vectors(["delta"], store)
+        assert body_sums.call_count == 2
 
     def test_cache_computes_each_text_once_under_threads(self):
         model = random_model(7, 8)
         store = BackgroundStore(articles={w: " ".join(VOCAB) for w in VOCAB})
         texts = [" ".join(VOCAB[: 1 + n % 5]) + f" t{n}" for n in range(40)]
-        calls = Counter()
-        compute = model.tower_vectors
-
-        def counted(texts, store):
-            calls.update(texts)
-            return compute(texts, store)
-
-        model.tower_vectors = counted
-        towers = TowerCache()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(lambda k: [towers.stack(model, [t], store)[0]
+            with counted_fills() as calls, ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(lambda k: [model.tower_vectors([t], store)[0]
                                                   for t in texts[k:] + texts[:k]], k)
                            for k in range(16)]
                 results = [f.result(timeout=60) for f in futures]
@@ -506,10 +524,10 @@ class TestTowerVector:
         assert calls == Counter(texts)
         for k, got in enumerate(results):
             for t, tower in zip(texts[k:] + texts[:k], got):
-                assert tower.tobytes() == compute([t], store)[0].tobytes()
+                assert tower.tobytes() == uncached(model).tower_vector(t, store).tobytes()
 
     def test_stack_memory_is_bounded_by_the_block(self):
-        # 2,048 distinct texts, as train-corr stacks at once, against a
+        # 2,048 distinct texts, as train-corr asks for at once, against a
         # 500-article store. Ranking and summing them in one piece holds a
         # (2048, 500) overlap matrix and a zero-padded (9, 2048, 64) float64
         # sum: about 18 MiB here. Blocks of _TOWER_BLOCK texts leave the
@@ -528,7 +546,7 @@ class TestTowerVector:
         texts = [f"{phrase(8)} t{i}" for i in range(2048)]
         tracemalloc.start()
         try:
-            got = TowerCache().stack(model, texts, store)
+            got = model.tower_vectors(texts, store)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -541,10 +559,10 @@ class TestTowerVector:
         model = random_model(9, 4)
         store = BackgroundStore(articles={f"a{i}": "alpha" for i in range(20_000)})
         texts = [f"alpha t{i}" for i in range(64)]
-        store.body_sums(model.embedding)
+        model.tower_vectors(["alpha"], store)  # keeps the store's body sums
         tracemalloc.start()
         try:
-            got = TowerCache().stack(model, texts, store)
+            got = model.tower_vectors(texts, store)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -804,9 +822,10 @@ class TestRankCandidates:
     @settings(max_examples=100, deadline=None)
     @given(phrases, phrases, st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_score_matches_per_pair_probability(self, feature, text, dim, seed):
+        # score takes both towers from one batch, as a one-dimensional
+        # embedding's sums show (test_one_dimensional_embedding_within_rounding).
         model = random_model(seed, dim)
-        want = reference_probability(model, model.tower_vector(feature, None),
-                                     model.tower_vector(text, None))
+        want = reference_probability(model, *uncached(model).tower_vectors([feature, text], None))
         assert score(model, feature, text) == want
 
     @settings(max_examples=100, deadline=None)
@@ -821,6 +840,34 @@ class TestRankCandidates:
         assert interaction_features(u, v).tobytes() == want.tobytes()
         assert interaction_features(u, v[0]).tobytes() == np.stack(
             [reference_interaction(a, v[0]) for a in u]).tobytes()
+
+    def test_calls_share_the_models_towers(self):
+        model = random_model(10, 4)
+        features = ["alpha beta", "gamma"]
+        cands = [candidate("delta"), candidate("alpha beta", round=2)]
+        with counted_fills() as calls:
+            first = rank_candidates(model, features, cands)
+            second = rank_candidates(model, features, cands)
+        assert first == second
+        assert calls == Counter({"alpha beta": 1, "gamma": 1, "delta": 1})
+
+    def test_pipelines_sharing_a_model_compute_each_text_once(self, family_setup):
+        corpus, embedding, trained, _ = family_setup
+        model = uncached(trained)
+        store = BackgroundStore(articles={"flaw0": "cause0 vector0", "soft0": "flaw1 rec1"})
+        db = family_mapping(corpus)
+        masked, _ = mask_aspect(corpus.get("CVE-2021-1000"), AspectKind.ROOT_CAUSE)
+        pipelines = [AugmentPipeline(corpus=corpus, db=db, embedding=embedding, correlation=model,
+                                     backend=MockBackend(), store=store, rounds=2)
+                     for _ in range(2)]
+        with counted_fills() as calls:
+            first = pipelines[0].augment(masked, AspectKind.ROOT_CAUSE)
+            filled = Counter(calls)
+            second = pipelines[1].augment(masked, AspectKind.ROOT_CAUSE)
+        assert len(first.ranked) == 2 and first.pool_size > 1
+        assert first == second
+        assert calls == filled
+        assert set(calls.values()) == {1}
 
     def test_unknown_aggregation_rejected(self, family_setup):
         _, _, model, _ = family_setup

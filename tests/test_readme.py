@@ -1,5 +1,8 @@
-"""The README's library example: its import list is the package root, and it runs."""
+"""The README's library example: its import list is the package root, and it
+runs; and every package name the README cites exists."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -61,3 +64,44 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     answer, score = capsys.readouterr().out.strip().rsplit(" ", 1)
     assert answer.startswith("mock answer ")
     assert 0.0 <= float(score) <= 1.0
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(vulnaug.__path__))
+
+#: Last parts that make a dotted name a file name, such as ``cli.py``.
+FILE_SUFFIXES = {"py", "bin", "tsv", "jsonl", "json", "csv", "txt", "toml", "md"}
+
+
+def cited_names() -> list[str]:
+    """Backticked dotted names of the README, an argument list allowed after
+    them, whose head is ``vulnaug``, one of its modules or a CamelCase name."""
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)(?:\([^`]*\))?`", text)
+    return sorted({name for name in names
+                   if name.rsplit(".", 1)[1] not in FILE_SUFFIXES
+                   and (name.split(".")[0] in ("vulnaug", *MODULES)
+                        or re.fullmatch(r"[A-Z]\w*[a-z]\w*", name.split(".")[0]))})
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is an attribute path from a vulnaug module, or from a
+    class that one of them defines; a dataclass field ends the path."""
+    parts = name.split(".")
+    if parts[0] == "vulnaug":
+        parts = parts[1:]
+    if parts[0] in MODULES:
+        owner = importlib.import_module(f"vulnaug.{parts[0]}")
+    else:
+        found = [getattr(importlib.import_module(f"vulnaug.{m}"), parts[0], None) for m in MODULES]
+        owner = next((cls for cls in found if isinstance(cls, type)), None)
+    for part in parts[1:]:
+        if part in getattr(owner, "__dataclass_fields__", {}):
+            return True
+        owner = getattr(owner, part, None)
+    return owner is not None
+
+
+def test_cited_names_resolve():
+    names = cited_names()
+    assert "CorrelationModel.tower_vectors" in names and "cli.py" not in names
+    assert [name for name in names if not resolves(name)] == []
