@@ -26,7 +26,7 @@ from .corpus import AspectKind, Corpus, Source, TvdRecord
 from .errors import FeedFormatError, GenerationFailed, MissingPrerequisite, VulnaugError
 from .exampler import EXAMPLE_LIMIT
 from .ioutil import atomic_write_lines, atomic_write_text
-from .pipeline import EXAMPLE_STRATEGIES, AugmentPipeline, map_ordered
+from .pipeline import EXAMPLE_STRATEGIES, AugmentPipeline, check_settings, map_ordered
 
 EXIT_INTERNAL = 1
 EXIT_BAD_INPUT = 2
@@ -358,13 +358,9 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
                     example_strategy) -> AugmentPipeline:
     cfg.override(backend=backend, backend_config=backend_config,
                  oracle_answers=oracle_answers, example_strategy=example_strategy)
-    for name in ("jobs", "example_limit", "rounds"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    for name, allowed in (("aggregation", featcorr.AGGREGATIONS),
-                          ("example_strategy", EXAMPLE_STRATEGIES)):
-        if getattr(cfg, name) not in allowed:
-            raise ValueError(f"{name} must be one of {list(allowed)}, got {getattr(cfg, name)!r}")
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
+    check_settings(cfg.rounds, cfg.example_limit, cfg.aggregation, cfg.example_strategy)
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     db = _MAP(map_path)
     embedding = _EMBED(embed_path)

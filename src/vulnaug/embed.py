@@ -6,14 +6,15 @@ vectors bit for bit. Each sentence draws its negatives in one block, and its
 center positions are updated in blocks of up to ``_CENTER_BLOCK`` distinct
 consecutive tokens: every pair of a block is scored against the vectors as
 they stood at the block's start, so updates within a block do not see each
-other. Sentence vectors are plain sums of word vectors; representative records
-come out of Lloyd's k-means (k-means++ seeding) as the medoid nearest each
-centroid.
+other. Sentence vectors are plain sums of word vectors, kept by text on the
+model; representative records come out of Lloyd's k-means (k-means++ seeding)
+as the medoid nearest each centroid.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -38,6 +39,10 @@ _LR_MIN = 1e-4
 #: Consecutive center positions whose updates are taken as one step.
 _CENTER_BLOCK = 8
 
+#: Token lists summed at once by :meth:`EmbeddingModel.token_sums`; bounds its
+#: (lists, d) accumulator.
+_SUM_BLOCK = 64
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercased tokens; CVE-/CWE-style identifiers stay whole."""
@@ -60,12 +65,21 @@ class TrainConfig:
 
 @dataclass
 class EmbeddingModel:
-    """Vocabulary-to-vector table. Out-of-vocabulary tokens map to zero."""
+    """Vocabulary-to-vector table. Out-of-vocabulary tokens map to zero.
+
+    The model keeps every sentence vector it computes
+    (:meth:`sentence_vectors`).
+    """
 
     dim: int
     vocab: dict[str, int]
     vectors: np.ndarray  # (|vocab|, dim) float32
     train_config: TrainConfig = field(default_factory=TrainConfig)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
+                                  compare=False)
+    # (the vectors array they were summed from, text -> sentence vector)
+    _sentences: tuple = field(default_factory=lambda: (None, {}), init=False, repr=False,
+                              compare=False)
 
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
@@ -80,9 +94,43 @@ class EmbeddingModel:
         """Row indices of the in-vocabulary tokens, in token order."""
         return np.array([i for i in map(self.vocab.get, tokens) if i is not None], dtype=np.intp)
 
-    def rows(self, tokens: Sequence[str]) -> np.ndarray:
-        """Vectors of the in-vocabulary tokens, in token order, one row each."""
-        return self.vectors[self.ids(tokens)]
+    def token_sums(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """The (n, d) float64 sums of each token list's word vectors.
+
+        Out-of-vocabulary tokens add nothing. Each row is its tokens' vectors
+        added one by one, in token order, to +0.0 at every dim
+        (:func:`_ordered_sums`). Lists are summed ``_SUM_BLOCK`` at a time, so
+        working memory is one block's ids and one (block, d) accumulator
+        however many lists there are and however long they are.
+        """
+        out = np.empty((len(token_lists), self.dim))
+        for lo in range(0, len(token_lists), _SUM_BLOCK):
+            ids = [self.ids(tokens) for tokens in token_lists[lo : lo + _SUM_BLOCK]]
+            out[lo : lo + len(ids)] = _ordered_sums(
+                self.vectors, np.concatenate(ids), np.array([len(i) for i in ids], dtype=np.intp))
+        return out
+
+    def sentence_vectors(self, texts: Sequence[str]) -> np.ndarray:
+        """The (n, d) sentence vectors of ``texts`` in a new array: each
+        text's :meth:`token_sums` row of its tokens.
+
+        Vectors are kept by text for the ``vectors`` array they were summed
+        from, the same object: after ``vectors`` is replaced, a call drops
+        them first. Misses are filled under a lock, after a second look, by
+        one :meth:`token_sums` call, so threads that ask for the same text
+        together compute it once.
+        """
+        held, kept = self._sentences
+        found = list(map((kept if held is self.vectors else {}).get, texts))
+        if any(vec is None for vec in found):
+            with self._lock:
+                if self._sentences[0] is not self.vectors:
+                    self._sentences = (self.vectors, {})
+                kept = self._sentences[1]
+                missed = [text for text in dict.fromkeys(texts) if text not in kept]
+                kept.update(zip(missed, self.token_sums([tokenize(t) for t in missed])))
+                found = list(map(kept.get, texts))
+        return np.stack(found) if found else np.empty((0, self.dim))
 
     def save(self, path: str | Path) -> None:
         header = {"dim": self.dim, "vocab_size": len(self.vocab),
@@ -109,6 +157,33 @@ class EmbeddingModel:
             row = " ".join(repr(float(x)) for x in self.vectors[self.vocab[token]])
             lines.append(f"{token} {row}")
         atomic_write_lines(path, lines)
+
+
+def _ordered_sums(source: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The (len(sizes), d) float64 sums of runs of ``source`` rows.
+
+    Run s is the next ``sizes[s]`` entries of ``flat``, row indices into
+    ``source``; its sum adds those rows one by one, in order, to +0.0 at every
+    dim, so it never ends at -0.0. The runs are stepped through together,
+    longest first: step p adds the p-th row of every run that has one, as
+    one gather and one add over a prefix of the runs. Besides the sums, this
+    holds a (longest run, runs) table of row indices.
+    """
+    order = np.argsort(-sizes, kind="stable")
+    ranked = sizes[order].tolist()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # table[p, r]: the p-th row index of the r-th longest run, 0 past its end.
+    table = np.zeros((ranked[0] if ranked else 0, len(ranked)), dtype=np.intp)
+    table[np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+          np.repeat(rank, sizes)] = flat
+    acc = np.zeros((len(ranked), source.shape[1]))
+    live = len(ranked)
+    for p, ids in enumerate(table):
+        while ranked[live - 1] <= p:
+            live -= 1
+        np.add(acc[:live], source.take(ids[:live], axis=0), out=acc[:live])
+    return acc[rank]
 
 
 def _sigmoid(x: float | np.ndarray):
@@ -245,14 +320,10 @@ def _train_vectors(
 
 
 def sentence_vector(model: EmbeddingModel, text: str) -> np.ndarray:
-    """Sum of word vectors; OOV tokens contribute zero, empty text is zero.
-
-    NumPy adds the gathered rows to a zero vector one row at a time in token
-    order, so the sum equals adding the token vectors one by one; a
-    one-dimensional embedding is the exception, as NumPy sums a single column
-    pairwise.
-    """
-    return model.rows(tokenize(text)).sum(axis=0, dtype=np.float64, initial=0.0)
+    """Sum of word vectors, added one by one in token order; OOV tokens
+    contribute zero, empty text is zero. Row 0 of
+    :meth:`EmbeddingModel.sentence_vectors` of ``[text]``."""
+    return model.sentence_vectors([text])[0]
 
 
 @dataclass
@@ -282,12 +353,21 @@ def _draw_by_d2(d2: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    diff = np.empty_like(x)
+    d2, to_chosen = np.empty(x.shape[0]), np.empty(x.shape[0])
+
+    def squared_distances(idx: int, out: np.ndarray) -> None:
+        np.subtract(x, x[idx], out=diff)
+        np.square(diff, out=diff)
+        np.add.reduce(diff, axis=1, out=out)
+
     chosen = [int(rng.integers(x.shape[0]))]
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    squared_distances(chosen[0], d2)
     for _ in range(1, k):
         chosen.append(_draw_by_d2(d2, rng))
         # After a uniform draw d2 is all zero and stays so.
-        d2 = np.minimum(d2, np.sum((x - x[chosen[-1]]) ** 2, axis=1))
+        squared_distances(chosen[-1], to_chosen)
+        np.minimum(d2, to_chosen, out=d2)
     return x[chosen].copy()
 
 
@@ -350,7 +430,8 @@ def kmeans(
     history: list[float] = []
     reseeded = False
     for _ in range(max_iter):
-        occupied = np.bincount(assignments, minlength=k) > 0
+        counts = np.bincount(assignments, minlength=k)
+        occupied = counts > 0
         if not reseeded and not occupied.all():
             reseeded = True
             d2 = np.sum((x - centroids[assignments]) ** 2, axis=1)
@@ -359,11 +440,18 @@ def kmeans(
                 centroids[c] = x[idx]
                 d2[idx] = 0.0
             assignments = _assign(x, centroids)
-            occupied = np.bincount(assignments, minlength=k) > 0
+            counts = np.bincount(assignments, minlength=k)
+            occupied = counts > 0
 
         new_centroids = centroids.copy()
-        for c in np.flatnonzero(occupied):
-            new_centroids[c] = x[assignments == c].mean(axis=0)
+        if dim == 1:
+            # mean sums a single column pairwise, not row by row.
+            for c in np.flatnonzero(occupied):
+                new_centroids[c] = x[assignments == c].mean(axis=0)
+        else:
+            # mean adds the rows to +0.0 one by one, in index order.
+            sums = _ordered_sums(x, np.argsort(assignments, kind="stable"), counts)
+            new_centroids[occupied] = sums[occupied] / counts[occupied, None]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         history.append(_wcss(x, centroids, assignments))
@@ -371,14 +459,14 @@ def kmeans(
             break
         assignments = _assign(x, centroids)
 
-    medoids = []
-    for c in range(k):
-        members = np.flatnonzero(assignments == c)
-        if members.size == 0:
-            medoids.append(None)
-            continue
-        dists = np.linalg.norm(x[members] - centroids[c], axis=1)
-        medoids.append(int(members[int(np.argmin(dists))]))
+    # Rows by cluster, then distance to its centroid, then index: the first
+    # row of each cluster is its medoid, ties going to the lower index.
+    dists = np.linalg.norm(x - centroids[assignments], axis=1)
+    order = np.lexsort((dists, assignments))
+    firsts = order[np.flatnonzero(np.diff(assignments[order], prepend=-1))]
+    medoids = [None] * k
+    for idx in firsts.tolist():
+        medoids[assignments[idx]] = idx
 
     return Clustering(
         k=k,

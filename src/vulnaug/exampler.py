@@ -84,15 +84,16 @@ def select_examples(
     """Reduce a pool to at most ``limit`` representative records.
 
     Pools of size <= limit are returned whole. Larger pools are embedded
-    (sentence vectors of the descriptions), clustered with k = limit, and each
-    non-empty cluster contributes its medoid record, ordered by cluster index.
+    (one :meth:`EmbeddingModel.sentence_vectors` matrix of the descriptions),
+    clustered with k = limit, and each non-empty cluster contributes its
+    medoid record, ordered by cluster index.
     Empty clusters shrink the result rather than triggering a resample.
     """
     records = [corpus.records[cve_id] for cve_id in pool.union]
     if len(records) <= limit:
         return ExampleSet(members=records, selection_mode=SelectionMode.ALL)
 
-    vectors = [sentence_vector(model, rec.description) for rec in records]
+    vectors = model.sentence_vectors([rec.description for rec in records])
     clustering = kmeans(vectors, k=limit, seed=seed)
     members = [
         records[clustering.medoids[c]]

@@ -39,8 +39,8 @@ _MAGIC = b"VACORR01"
 #: Training pairs whose towers are stacked at once while the design matrix is built.
 _PAIR_BLOCK = 2048
 
-#: Texts whose token sums and article rankings are built at once; bounds the
-#: (tokens, texts, d) and (texts, articles) transients of a tower fill.
+#: Texts whose article rankings are built at once; bounds the (texts, articles)
+#: overlap matrix of a tower fill.
 _TOWER_BLOCK = 64
 
 #: Cells of one (texts, articles) overlap matrix: a store of more than
@@ -170,7 +170,7 @@ class BackgroundStore:
         the (A + 1,) body token counts, out-of-vocabulary tokens included, rows
         in sorted-title order. The last row is zero and stands for no article."""
         bodies = [self._body_tokens[term] for term in self._titles] + [[]]
-        return _token_sums(embedding, bodies), np.array([len(body) for body in bodies], dtype=np.intp)
+        return embedding.token_sums(bodies), np.array([len(body) for body in bodies], dtype=np.intp)
 
     def save(self, path: str | Path) -> None:
         atomic_write_lines(path, (f"{term}\t{body}".replace("\n", " ")
@@ -202,30 +202,6 @@ def fetch_background(
     return " ".join(store.articles[store._titles[i]] for i in picks if i < len(store))
 
 
-def _token_sums(embedding: EmbeddingModel, token_lists: Sequence[list[str]]) -> np.ndarray:
-    """The (n, d) float64 sums of each token list's word vectors.
-
-    Out-of-vocabulary tokens add nothing. Each block of at most
-    ``_TOWER_BLOCK`` lists is gathered into one zero-padded (L, k, d) float64
-    array, token position by list, and reduced over positions from 0.0. NumPy
-    adds one position's (k, d) slice at a time, so each sum equals adding its
-    token vectors one by one in token order. The exception is a block of one
-    list under a one-dimensional embedding, a single column, which NumPy sums
-    pairwise.
-    """
-    out = np.empty((len(token_lists), embedding.dim))
-    for lo in range(0, len(token_lists), _TOWER_BLOCK):
-        ids = [embedding.ids(tokens) for tokens in token_lists[lo : lo + _TOWER_BLOCK]]
-        sizes = np.array([len(i) for i in ids])
-        starts = np.cumsum(sizes) - sizes
-        flat = np.concatenate(ids)
-        rows = np.zeros((sizes.max(), len(ids), embedding.dim))
-        rows[np.arange(flat.size) - np.repeat(starts, sizes),
-             np.repeat(np.arange(len(ids)), sizes)] = embedding.vectors[flat]
-        np.add.reduce(rows, axis=0, initial=0.0, out=out[lo : lo + len(ids)])
-    return out
-
-
 def _compute_towers(embedding: EmbeddingModel, texts: Sequence[str],
                     store: BackgroundStore | None,
                     body_sums: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
@@ -237,7 +213,7 @@ def _compute_towers(embedding: EmbeddingModel, texts: Sequence[str],
     ``_OVERLAP_CELLS``.
     """
     tokens = [tokenize(text) for text in texts]
-    towers = _token_sums(embedding, tokens)
+    towers = embedding.token_sums(tokens)
     total = np.array([len(t) for t in tokens], dtype=np.intp)
     if store is not None:
         sums, counts = body_sums

@@ -15,6 +15,7 @@ from .exampler import (
     select_examples_by_similarity,
 )
 from .featcorr import (
+    AGGREGATIONS,
     BackgroundStore,
     CorrelationModel,
     RankedCandidate,
@@ -26,6 +27,21 @@ from .mapping import MappingDb
 
 #: Ways to choose a slot's in-context examples; "similarity" is the evaluation baseline.
 EXAMPLE_STRATEGIES = ("cluster", "similarity")
+
+
+def check_settings(rounds: int, example_limit: int, aggregation: str,
+                   example_strategy: str) -> None:
+    """Raise a ValueError naming the first setting that no pipeline can run
+    with: ``rounds`` or ``example_limit`` below 1, an ``aggregation`` not in
+    ``featcorr.AGGREGATIONS`` or an ``example_strategy`` not in
+    :data:`EXAMPLE_STRATEGIES`."""
+    for name, value in (("rounds", rounds), ("example_limit", example_limit)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value, allowed in (("aggregation", aggregation, AGGREGATIONS),
+                                 ("example_strategy", example_strategy, EXAMPLE_STRATEGIES)):
+        if value not in allowed:
+            raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
 
 
 def map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -70,6 +86,9 @@ class AugmentPipeline:
     temperature: float = 0.7
     aggregation: str = "mean"
     example_strategy: str = "cluster"  # one of EXAMPLE_STRATEGIES
+
+    def __post_init__(self) -> None:
+        check_settings(self.rounds, self.example_limit, self.aggregation, self.example_strategy)
 
     @property
     def identity(self) -> str:

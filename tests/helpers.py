@@ -2,15 +2,35 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
 from datetime import date
 
 import numpy as np
+import pytest
 
 from vulnaug.corpus import AspectKind, Corpus, Source, TvdRecord
+from vulnaug.embed import EmbeddingModel
 from vulnaug.exampler import ExampleSet, SelectionMode
 from vulnaug.mapping import MappingDb
 
 EPOCH = date(2020, 1, 1)
+
+
+@contextmanager
+def counted_sums():
+    """Count each token list that ``EmbeddingModel.token_sums`` sums, by its
+    tokens joined with spaces."""
+    calls = Counter()
+    token_sums = EmbeddingModel.token_sums
+
+    def counted(self, token_lists):
+        calls.update(" ".join(tokens) for tokens in token_lists)
+        return token_sums(self, token_lists)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EmbeddingModel, "token_sums", counted)
+        yield calls
 
 DESCRIPTION_WORDS = [
     "buffer", "overflow", "heap", "stack", "integer", "format", "string", "race",

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import inspect
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -10,11 +12,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from helpers import feed_text, make_record, masked_eval_fixture, struts_gov_records
+from helpers import family_corpus, feed_text, make_record, masked_eval_fixture, struts_gov_records
 import vulnaug
 from vulnaug import featcorr, genprompt
 from vulnaug.cli import cli
-from vulnaug.corpus import AspectKind
+from vulnaug.corpus import AspectKind, mask_aspect
 from vulnaug.embed import EmbeddingModel
 from vulnaug.errors import BackendError
 from vulnaug.featcorr import BackgroundStore, CorrelationModel
@@ -751,6 +753,68 @@ class TestPipelineCommands:
             reports.append([prefix.with_suffix(ext).read_bytes()
                             for ext in (".txt", ".jsonl", ".csv")])
         assert reports[0] == reports[1]
+
+
+SRC = str(Path(vulnaug.__file__).resolve().parents[1])
+
+#: sha256 of the ``augment`` output of :func:`family_run`, recorded before
+#: sentence vectors were memoised and the k-means step vectorised. A change
+#: that keeps every output bit keeps it.
+FAMILY_AUGMENT_SHA256 = "fc565e8b8f927ecdafd7ea0d8b25643b71fea5b79ec872b9830e3f75fd4c5cdc"
+
+
+def run_cli(args, threads=None):
+    """Run the CLI in a new interpreter, with OPENBLAS_NUM_THREADS set to
+    ``threads``, or unset for the library's default thread count."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    code = f"import sys; sys.path.insert(0, {SRC!r}); from vulnaug.cli import main; main()"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def family_run(tmp_path_factory):
+    """Artifacts trained on one thread from a 200-record family corpus, and
+    20 targets each missing one aspect. Every target's software has 39 other
+    records, above the example limit of 30, so every slot clusters."""
+    root = tmp_path_factory.mktemp("family")
+    records = list(family_corpus())
+    kinds = list(AspectKind)
+    targets = [mask_aspect(rec, kinds[i % len(kinds)])[0]
+               for i, rec in enumerate(records[::10])]
+    (root / "feed.jsonl").write_text(feed_text(records), encoding="utf-8")
+    (root / "targets.jsonl").write_text(feed_text(targets), encoding="utf-8")
+    (root / "background.tsv").write_text("".join(
+        f"flaw{f} soft{f}\tcause{f} impact{f} vector{f} widget\n" for f in range(5)))
+    paths = {name: str(root / name) for name in
+             ("feed.jsonl", "corpus.jsonl", "mapping.tsv", "embed.bin", "corr.bin")}
+    for step in (["ingest", paths["feed.jsonl"], "-o", paths["corpus.jsonl"]],
+                 ["build-map", "--corpus", paths["corpus.jsonl"], "-o", paths["mapping.tsv"]],
+                 ["train-embed", "--corpus", paths["corpus.jsonl"], "-o", paths["embed.bin"]],
+                 ["train-corr", "--corpus", paths["corpus.jsonl"], "--embed", paths["embed.bin"],
+                  "--epochs", "50", "-o", paths["corr.bin"]]):
+        run_cli(step, threads="1")
+    args = ["augment", "--corpus", paths["corpus.jsonl"], "--map", paths["mapping.tsv"],
+            "--embed", paths["embed.bin"], "--corr", paths["corr.bin"],
+            "--background", str(root / "background.tsv"),
+            "--targets", str(root / "targets.jsonl"), "--rounds", "2"]
+    return root, args
+
+
+class TestPinnedAugmentDigest:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", None], ids=["one-blas-thread", "default-threads"])
+    def test_augment_output_matches_the_pinned_digest(self, family_run, jobs, threads):
+        root, args = family_run
+        out = root / f"augment-{jobs}-{threads}.jsonl"
+        run_cli(["--jobs", jobs] + args + ["-o", str(out)], threads=threads)
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 20
+        assert all(row["pool_size"] > 30 and row["examples"] <= 30 for row in rows)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FAMILY_AUGMENT_SHA256
 
 
 class TestRunConfig:

@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -8,7 +10,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import family_aspects, family_corpus, family_mapping, feed_text, make_record
+from helpers import (counted_sums, family_aspects, family_corpus, family_mapping, feed_text,
+                     make_record)
 from vulnaug import embed
 from vulnaug.cli import cli
 from vulnaug.corpus import AspectKind, Corpus, mask_aspect
@@ -436,7 +439,7 @@ class TestSentenceVector:
 
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from(WORDS), max_size=60).map(" ".join), st.integers(2, 16),
+    @given(st.lists(st.sampled_from(WORDS), max_size=60).map(" ".join), st.integers(1, 16),
            st.integers(0, 2**32 - 1))
     def test_matches_token_loop(self, text, dim, seed):
         model = spread_embedding(seed, dim)
@@ -447,15 +450,104 @@ class TestSentenceVector:
         model = spread_embedding(0, 4)
         assert sentence_vector(model, "zero oov zero").tobytes() == np.zeros(4).tobytes()
 
-    def test_one_dimensional_embedding_within_rounding(self):
-        # numpy sums a single column pairwise rather than in order, so only
-        # here the sum may differ from the token loop in the last bits.
-        model = spread_embedding(0, 1)
+    def test_one_dimensional_embedding_is_exact(self):
+        # A single column summed pairwise, rather than in order, differs for
+        # about half of these seeds.
         text = " ".join(WORDS * 20)
-        got = sentence_vector(model, text)[0]
-        want = reference_sentence_vector(model, text)[0]
-        scale = np.abs(model.vectors).max()
-        assert abs(got - want) <= 200 * np.finfo(np.float64).eps * scale
+        for seed in range(8):
+            model = spread_embedding(seed, 1)
+            got = sentence_vector(model, text)
+            assert got.tobytes() == reference_sentence_vector(model, text).tobytes()
+
+
+def fresh(model):
+    """A model with ``model``'s vocabulary and vectors that keeps no sentence vectors yet."""
+    return EmbeddingModel(dim=model.dim, vocab=model.vocab, vectors=model.vectors)
+
+
+class TestSentenceVectors:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=40).map(" ".join), max_size=8),
+           st.integers(1, 16), st.sampled_from([1, 2, 3, None]), st.integers(0, 2**32 - 1))
+    def test_rows_match_the_token_loop(self, texts, dim, block, seed):
+        # Every block size, and every other text kept first, so hits and
+        # misses mix in one call.
+        model = spread_embedding(seed, dim)
+        texts = texts + ["", "oov", "zero"]
+        want = np.stack([reference_sentence_vector(model, text) for text in texts])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embed, "_SUM_BLOCK", block or embed._SUM_BLOCK)
+            model.sentence_vectors(texts[::2])
+            got = model.sentence_vectors(texts)
+        assert got.tobytes() == want.tobytes()
+
+    def test_each_distinct_text_is_summed_once(self, model):
+        model = fresh(model)
+        texts = ["alpha beta", "gamma", "alpha beta", "delta shared", "gamma"]
+        with counted_sums() as calls:
+            model.sentence_vectors(["gamma"])
+            model.sentence_vectors(texts)
+            model.sentence_vectors(texts)
+            sentence_vector(model, "delta shared")
+        assert calls == Counter(set(texts))
+
+    def test_empty_batch(self, model):
+        assert fresh(model).sentence_vectors([]).shape == (0, model.dim)
+
+    def test_memo_is_dropped_when_vectors_are_replaced(self):
+        model = spread_embedding(3, 4)
+        before = model.sentence_vectors(["alpha beta"])[0]
+        model.vectors = spread_embedding(4, 4).vectors
+        with counted_sums() as calls:
+            after = model.sentence_vectors(["alpha beta", "gamma"])
+            model.sentence_vectors(["alpha beta"])
+        assert calls == Counter({"alpha beta": 1, "gamma": 1})
+        assert not np.array_equal(before, after[0])
+        assert after[0].tobytes() == reference_sentence_vector(model, "alpha beta").tobytes()
+
+    def test_writing_a_returned_row_leaves_the_memo(self):
+        model = spread_embedding(5, 4)
+        model.sentence_vectors(["alpha"])[0] = 1.0
+        sentence_vector(model, "alpha")[:] = 2.0
+        got = model.sentence_vectors(["alpha"])[0]
+        assert got.tobytes() == reference_sentence_vector(model, "alpha").tobytes()
+
+    def test_each_text_is_summed_once_under_threads(self):
+        model = spread_embedding(6, 8)
+        texts = [" ".join(WORDS[: 1 + n % 7]) + f" t{n}" for n in range(40)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with counted_sums() as calls, ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(lambda k: [model.sentence_vectors([t])[0]
+                                                  for t in texts[k:] + texts[:k]], k)
+                           for k in range(16)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert calls == Counter(" ".join(tokenize(t)) for t in texts)
+        for k, got in enumerate(results):
+            for t, vec in zip(texts[k:] + texts[:k], got):
+                assert vec.tobytes() == reference_sentence_vector(model, t).tobytes()
+
+    def test_long_lists_are_summed_in_bounded_memory(self):
+        # 64 lists of 4,000 tokens under d = 64. Summing them as one
+        # zero-padded (tokens, lists, d) float64 array takes 125 MiB. The
+        # block holds its ids, a (tokens, lists) index table and a few
+        # index arrays of 2 MiB each, and one (lists, d) accumulator.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(2000)]
+        model = EmbeddingModel(dim=64, vocab={w: i for i, w in enumerate(words)},
+                               vectors=rng.standard_normal((2000, 64)).astype(np.float32))
+        token_lists = [list(rng.choice(words, 4000)) for _ in range(64)]
+        tracemalloc.start()
+        try:
+            got = model.token_sums(token_lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (64, 64)
+        assert peak < 16 * 2**20
 
 
 class TestPersistence:
@@ -486,7 +578,84 @@ class TestPersistence:
             EmbeddingModel.load(path)
 
 
+def reference_kmeans(vectors, k, seed=0, max_iter=200, tol=1e-6):
+    """Lloyd's algorithm one cluster at a time, for k below the number of
+    points: each centroid is the mean of its members, and each medoid the
+    first member at the least distance from its centroid. Returns
+    (assignments, centroids, medoids, objective history)."""
+    x = np.asarray(vectors, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(x.shape[0]))]
+    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        chosen.append(embed._draw_by_d2(d2, rng))
+        d2 = np.minimum(d2, np.sum((x - x[chosen[-1]]) ** 2, axis=1))
+    centroids = x[chosen].copy()
+    assignments = embed._assign(x, centroids)
+    history = []
+    reseeded = False
+    for _ in range(max_iter):
+        occupied = np.bincount(assignments, minlength=k) > 0
+        if not reseeded and not occupied.all():
+            reseeded = True
+            d2 = np.sum((x - centroids[assignments]) ** 2, axis=1)
+            for c in np.flatnonzero(~occupied):
+                idx = embed._draw_by_d2(d2, rng)
+                centroids[c] = x[idx]
+                d2[idx] = 0.0
+            assignments = embed._assign(x, centroids)
+            occupied = np.bincount(assignments, minlength=k) > 0
+        new_centroids = centroids.copy()
+        for c in np.flatnonzero(occupied):
+            new_centroids[c] = x[assignments == c].mean(axis=0)
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        history.append(float(np.sum((x - centroids[assignments]) ** 2)))
+        if shift < tol:
+            break
+        assignments = embed._assign(x, centroids)
+    medoids = []
+    for c in range(k):
+        members = np.flatnonzero(assignments == c)
+        if members.size == 0:
+            medoids.append(None)
+            continue
+        dists = np.linalg.norm(x[members] - centroids[c], axis=1)
+        medoids.append(int(members[int(np.argmin(dists))]))
+    return assignments, centroids, medoids, history
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(points, k, seed) with k + 1 to 3k + 2 points of 1-8 dims, entries
+    spread over many binades. Few distinct rows repeat, which ties medoid
+    distances and, with k above the distinct count, gives k-means++
+    duplicate centroids and so empty clusters to reseed. One column may be
+    all -0.0."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(k + 1, 3 * k + 2))
+    dim = draw(st.integers(1, 8))
+    distinct = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((distinct, dim)) * 10.0 ** rng.uniform(-4, 4, (distinct, dim))
+    x = rows[rng.integers(0, distinct, n)]
+    if draw(st.booleans()):
+        x[:, int(rng.integers(dim))] = -0.0
+    return x, k, draw(st.integers(0, 2**16))
+
+
 class TestKmeans:
+    @settings(max_examples=400, deadline=None)
+    @given(kmeans_inputs())
+    def test_matches_the_per_cluster_loop(self, case):
+        x, k, seed = case
+        assignments, centroids, medoids, history = reference_kmeans(x, k, seed=seed)
+        got = kmeans(x, k, seed=seed)
+        assert np.array_equal(got.assignments, assignments)
+        assert got.centroids.tobytes() == centroids.tobytes()
+        assert got.medoids == medoids
+        assert got.objective_history == history
+
     def test_k1_centroid_is_mean(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
         result = kmeans(pts, 1, seed=0)

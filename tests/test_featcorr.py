@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import family_aspects, family_corpus, family_mapping, make_record
-from vulnaug import featcorr
+from vulnaug import embed, featcorr
 from vulnaug.corpus import AspectKind, Corpus, mask_aspect
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.errors import DivergedTraining, EmptyTrainingSet
@@ -387,7 +387,7 @@ class TestBackgroundStore:
 
 class TestTowerVector:
     @settings(max_examples=200, deadline=None)
-    @given(article_maps, phrases, st.sampled_from([2, 3, 16]), st.booleans(),
+    @given(article_maps, phrases, st.sampled_from([1, 2, 3, 16]), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_matches_token_loop(self, articles, text, dim, with_store, seed):
         # A computed and a kept tower before and after an embedding swap, so
@@ -406,7 +406,7 @@ class TestTowerVector:
     @settings(max_examples=100, deadline=None)
     @given(article_maps, st.lists(st.one_of(phrases, st.just("zeta gamma zeta")), min_size=1,
                                   max_size=8),
-           st.sampled_from([2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
+           st.sampled_from([1, 2, 3, 16]), st.booleans(), st.integers(0, 2**32 - 1))
     def test_stack_equals_stacked_vectors(self, articles, texts, dim, with_store, seed):
         # Row i of a batch is bit-equal to the one-row tower of text i,
         # whatever the block size. "zeta" is in the vocabulary and in no article.
@@ -421,6 +421,7 @@ class TestTowerVector:
         for block, cells in [(1, None), (2, None), (3, None), (None, None), (None, 16)]:
             fresh = uncached(model)
             with mock.patch.object(featcorr, "_TOWER_BLOCK", block or featcorr._TOWER_BLOCK), \
+                    mock.patch.object(embed, "_SUM_BLOCK", block or embed._SUM_BLOCK), \
                     mock.patch.object(featcorr, "_OVERLAP_CELLS", cells or featcorr._OVERLAP_CELLS):
                 # Every other text is kept first, so hits and misses mix.
                 fresh.tower_vectors(texts[::2], store)
@@ -456,16 +457,21 @@ class TestTowerVector:
         model = random_model(8, 4)
         assert model.tower_vectors([], None).shape == (0, 4)
 
-    def test_one_dimensional_embedding_within_rounding(self):
-        # numpy sums a single column pairwise rather than in order, so only
-        # here the sum may differ from the token loop in the last bits.
+    def test_one_dimensional_embedding_is_exact(self):
         rng = np.random.default_rng(0)
         model = CorrelationModel(embedding=random_embedding(rng, 1), weights=np.zeros(3), bias=0.0)
         text = " ".join(VOCAB * 8)
         got = model.tower_vector(text, None)
-        want = reference_tower_vector(model, text, None)
-        scale = np.abs(model.embedding.vectors).max()
-        assert abs(got[0] - want[0]) <= 40 * np.finfo(np.float64).eps * scale
+        assert got.tobytes() == reference_tower_vector(model, text, None).tobytes()
+
+    def test_one_dimensional_tower_alone_equals_its_row_in_a_block(self):
+        # 40 tokens: NumPy would sum a lone text's single column pairwise.
+        rng = np.random.default_rng(0)
+        model = CorrelationModel(embedding=random_embedding(rng, 1), weights=np.zeros(3), bias=0.0)
+        text = " ".join(VOCAB * 8)
+        alone = uncached(model).tower_vector(text, None)
+        block = uncached(model).tower_vectors([text, "alpha", "beta gamma"], None)
+        assert alone.tobytes() == block[0].tobytes()
 
     def test_cache_follows_another_store(self):
         # The kept tower has no background; the second store's article matches it.
@@ -531,7 +537,8 @@ class TestTowerVector:
         # 500-article store. Ranking and summing them in one piece holds a
         # (2048, 500) overlap matrix and a zero-padded (9, 2048, 64) float64
         # sum: about 18 MiB here. Blocks of _TOWER_BLOCK texts leave the
-        # towers, their stacked copy, the body sums and one block.
+        # towers, their stacked copy, the body sums and one block's
+        # overlaps, ids and (texts, d) accumulator.
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(2000)]
         model = CorrelationModel(
@@ -822,10 +829,9 @@ class TestRankCandidates:
     @settings(max_examples=100, deadline=None)
     @given(phrases, phrases, st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_score_matches_per_pair_probability(self, feature, text, dim, seed):
-        # score takes both towers from one batch, as a one-dimensional
-        # embedding's sums show (test_one_dimensional_embedding_within_rounding).
         model = random_model(seed, dim)
-        want = reference_probability(model, *uncached(model).tower_vectors([feature, text], None))
+        want = reference_probability(model, uncached(model).tower_vector(feature, None),
+                                     uncached(model).tower_vector(text, None))
         assert score(model, feature, text) == want
 
     @settings(max_examples=100, deadline=None)
