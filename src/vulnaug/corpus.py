@@ -85,19 +85,22 @@ class Source(Enum):
         return self in (Source.GOV_CNNVD, Source.GOV_JVN, Source.GOV_CERTFR)
 
 
+#: Every kind, in kind order.
+_KINDS = tuple(AspectKind)
+
 #: Every kind, in kind order, with no value. A copy reuses the stored key
 #: hashes; hashing an AspectKind is a Python-level call.
-_NO_ASPECTS: dict[AspectKind, str | None] = dict.fromkeys(AspectKind)
+_NO_ASPECTS: dict[AspectKind, str | None] = dict.fromkeys(_KINDS)
 
 
 @dataclass
 class TvdRecord:
     """One vulnerability description plus its structured key aspects.
 
-    ``aspects`` always holds an entry for all five kinds; missing aspects are
-    ``None``. ``first_sentence`` is only populated for government-source rows
-    and carries the original (possibly non-English) opening sentence used for
-    software-name extraction.
+    ``aspects`` always holds an entry for all five kinds, first and in kind
+    order; missing aspects are ``None``. ``first_sentence`` is only populated
+    for government-source rows and carries the original (possibly
+    non-English) opening sentence used for software-name extraction.
     """
 
     cve_id: str
@@ -117,10 +120,13 @@ class TvdRecord:
             raise ValueError(f"{self.cve_id}: empty description")
         if self.revision_tag is not None and self.revision_tag not in REVISION_TAGS:
             raise ValueError(f"{self.cve_id}: bad revision_tag {self.revision_tag!r}")
-        # Five AspectKind keys are all five kinds; only a partial dict needs filling.
-        if len(self.aspects) != len(_NO_ASPECTS):
-            for kind in AspectKind:
-                self.aspects.setdefault(kind, None)
+        # Keys compare by identity. A partial or reordered dict is put in kind
+        # order in place, with any other keys after the kinds.
+        if tuple(self.aspects) != _KINDS:
+            given = self.aspects.copy()
+            self.aspects.clear()
+            self.aspects.update({kind: given.pop(kind, None) for kind in _KINDS})
+            self.aspects.update(given)
 
     def known_aspects(self) -> dict[AspectKind, str]:
         return {k: v for k, v in self.aspects.items() if v}

@@ -8,7 +8,9 @@ consecutive tokens: every pair of a block is scored against the vectors as
 they stood at the block's start, so updates within a block do not see each
 other. Sentence vectors are plain sums of word vectors, kept by text on the
 model; representative records come out of Lloyd's k-means (k-means++ seeding)
-as the medoid nearest each centroid.
+as the medoid nearest each centroid. Word-vector sums and k-means cluster
+sums are exact in order: one ``np.bincount`` adds each row's vectors to +0.0
+one by one, in order, at every dim.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ _LR_MIN = 1e-4
 #: Consecutive center positions whose updates are taken as one step.
 _CENTER_BLOCK = 8
 
-#: Token lists summed at once by :meth:`EmbeddingModel.token_sums`; bounds its
-#: (lists, d) accumulator.
-_SUM_BLOCK = 64
+#: Token cells summed by one ``np.bincount`` in :meth:`EmbeddingModel.token_sums`;
+#: bounds its (cells, d) weights.
+_SUM_CELLS = 512
 
 
 def tokenize(text: str) -> list[str]:
@@ -90,24 +92,38 @@ class EmbeddingModel:
             return np.zeros(self.dim, dtype=np.float64)
         return self.vectors[idx].astype(np.float64)
 
-    def ids(self, tokens: Sequence[str]) -> np.ndarray:
-        """Row indices of the in-vocabulary tokens, in token order."""
-        return np.array([i for i in map(self.vocab.get, tokens) if i is not None], dtype=np.intp)
-
     def token_sums(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
         """The (n, d) float64 sums of each token list's word vectors.
 
         Out-of-vocabulary tokens add nothing. Each row is its tokens' vectors
-        added one by one, in token order, to +0.0 at every dim
-        (:func:`_ordered_sums`). Lists are summed ``_SUM_BLOCK`` at a time, so
-        working memory is one block's ids and one (block, d) accumulator
-        however many lists there are and however long they are.
+        added one by one, in token order, to +0.0 at every dim: the lists'
+        tokens are taken as one run of cells, ``_SUM_CELLS`` at a time, and
+        each chunk is one :func:`_row_sums`. A list that a chunk ends in the
+        middle of goes into the next chunk with its partial sum as its first
+        row, and 0.0 + s is s. Working memory is one chunk's ids and (cells,
+        d) weights, however many lists there are and however long they are.
         """
-        out = np.empty((len(token_lists), self.dim))
-        for lo in range(0, len(token_lists), _SUM_BLOCK):
-            ids = [self.ids(tokens) for tokens in token_lists[lo : lo + _SUM_BLOCK]]
-            out[lo : lo + len(ids)] = _ordered_sums(
-                self.vectors, np.concatenate(ids), np.array([len(i) for i in ids], dtype=np.intp))
+        out = np.zeros((len(token_lists), self.dim))
+        # starts[i]: the first cell of list i, one cell per token; the last
+        # entry counts every cell.
+        starts = np.cumsum([0, *map(len, token_lists)])
+        total = int(starts[-1])
+        get = self.vocab.get
+        for lo in range(0, total, _SUM_CELLS):
+            hi = lo + _SUM_CELLS
+            # Lists first..last hold the cells lo..hi-1.
+            first, last = (starts.searchsorted([lo, min(hi, total) - 1], "right") - 1).tolist()
+            bounds = starts[first : last + 1].tolist()
+            pieces = [tokens[max(lo - start, 0) : hi - start]
+                      for tokens, start in zip(token_lists[first : last + 1], bounds)]
+            ids = np.array([get(t, -1) for piece in pieces for t in piece], dtype=np.intp)
+            known = ids >= 0
+            rows = np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])[known]
+            vecs = self.vectors[ids[known]]
+            if lo > bounds[0]:  # the first list's partial sum goes in first
+                rows = np.concatenate(([0], rows))
+                vecs = np.concatenate((out[first : first + 1], vecs))
+            out[first : last + 1] = _row_sums(rows, vecs, len(pieces))
         return out
 
     def sentence_vectors(self, texts: Sequence[str]) -> np.ndarray:
@@ -159,31 +175,14 @@ class EmbeddingModel:
         atomic_write_lines(path, lines)
 
 
-def _ordered_sums(source: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The (len(sizes), d) float64 sums of runs of ``source`` rows.
-
-    Run s is the next ``sizes[s]`` entries of ``flat``, row indices into
-    ``source``; its sum adds those rows one by one, in order, to +0.0 at every
-    dim, so it never ends at -0.0. The runs are stepped through together,
-    longest first: step p adds the p-th row of every run that has one, as
-    one gather and one add over a prefix of the runs. Besides the sums, this
-    holds a (longest run, runs) table of row indices.
-    """
-    order = np.argsort(-sizes, kind="stable")
-    ranked = sizes[order].tolist()
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    # table[p, r]: the p-th row index of the r-th longest run, 0 past its end.
-    table = np.zeros((ranked[0] if ranked else 0, len(ranked)), dtype=np.intp)
-    table[np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes),
-          np.repeat(rank, sizes)] = flat
-    acc = np.zeros((len(ranked), source.shape[1]))
-    live = len(ranked)
-    for p, ids in enumerate(table):
-        while ranked[live - 1] <= p:
-            live -= 1
-        np.add(acc[:live], source.take(ids[:live], axis=0), out=acc[:live])
-    return acc[rank]
+def _row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d) float64 sums of the (m, d) ``values`` by ``rows``: row r
+    adds every ``values[i]`` with ``rows[i] == r`` one by one, in index
+    order, to +0.0 at every dim, so it never ends at -0.0. This is one
+    ``np.bincount``, which adds its weights to their bins in input order."""
+    d = values.shape[1]
+    bins = (rows[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
 def _sigmoid(x: float | np.ndarray):
@@ -450,7 +449,7 @@ def kmeans(
                 new_centroids[c] = x[assignments == c].mean(axis=0)
         else:
             # mean adds the rows to +0.0 one by one, in index order.
-            sums = _ordered_sums(x, np.argsort(assignments, kind="stable"), counts)
+            sums = _row_sums(assignments, x, k)
             new_centroids[occupied] = sums[occupied] / counts[occupied, None]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids

@@ -39,6 +39,10 @@ _MAGIC = b"VACORR01"
 #: Training pairs whose towers are stacked at once while the design matrix is built.
 _PAIR_BLOCK = 2048
 
+#: Interaction rows of one rank_candidates score grid, unless one candidate
+#: has more features; bounds the (candidates, features, 2d+1) array.
+_GRID_ROWS = 512
+
 #: Texts whose article rankings are built at once; bounds the (texts, articles)
 #: overlap matrix of a tower fill.
 _TOWER_BLOCK = 64
@@ -140,23 +144,21 @@ class BackgroundStore:
         """The (k, ``max_terms``) sorted-title indices of the articles sharing
         the most distinct tokens with each of the k token lists, best first.
 
-        One ``np.bincount`` over the lists' postings, each offset by its row
-        times A, counts a (k, A) overlap matrix for A articles. Each rank is one
-        ``argmax`` per row, which returns the first maximum, so ties go to the
-        earlier title; the pick is then zeroed. A pick with no overlap is A,
-        the index of :meth:`body_sums`' zero row.
+        One comprehension pairs the posting array of each distinct token of
+        each list with the list's row times A, and one ``np.bincount`` over
+        the offset postings counts a (k, A) overlap matrix for A articles.
+        Each rank is one ``argmax`` per row, which returns the first maximum,
+        so ties go to the earlier title; the pick is then zeroed. A pick with
+        no overlap is A, the index of :meth:`body_sums`' zero row.
         """
         n = len(self._titles)
         picks = np.full((len(token_lists), max(max_terms, 0)), n, dtype=np.intp)
-        hits, rows = [], []
-        for row, tokens in enumerate(token_lists):
-            for found in map(self._postings.get, set(tokens)):
-                if found is not None:
-                    hits.append(found)
-                    rows.append(row * n)
+        hits = [(row * n, found) for row, tokens in enumerate(token_lists)
+                for found in map(self._postings.get, set(tokens)) if found is not None]
         if not hits or max_terms <= 0:
             return picks
-        flat = np.concatenate(hits) + np.repeat(rows, [len(h) for h in hits])
+        offsets, found = zip(*hits)
+        flat = np.concatenate(found) + np.repeat(offsets, [len(f) for f in found])
         overlap = np.bincount(flat, minlength=len(token_lists) * n).reshape(-1, n)
         every = np.arange(len(token_lists))
         for rank in range(min(max_terms, n)):
@@ -435,24 +437,13 @@ def software_features(
     masked aspect never leaks back in. With no resolvable software the
     target's own known aspects serve as the feature list.
     """
-    features: list[str] = []
-    seen: set[str] = set()
-
-    def collect(rec: TvdRecord) -> None:
-        for kind in AspectKind:
-            value = rec.aspects.get(kind)
-            if value and value not in seen:
-                seen.add(value)
-                features.append(value)
-
-    for cve_id in sorted({*siblings(db, target.cve_id), target.cve_id}):
-        if cve_id == target.cve_id:
-            collect(target)
-        else:
-            rec = corpus.get(cve_id)
-            if rec is not None:
-                collect(rec)
-    return features
+    kinds = len(AspectKind)
+    records = (target if cve_id == target.cve_id else corpus.get(cve_id)
+               for cve_id in sorted({*siblings(db, target.cve_id), target.cve_id}))
+    # A record's aspects start with every kind, in kind order; the first
+    # copy of a value is kept.
+    return list(dict.fromkeys(value for rec in records if rec is not None
+                              for value in itertools.islice(rec.aspects.values(), kinds) if value))
 
 
 @dataclass(frozen=True)
@@ -474,6 +465,11 @@ def rank_candidates(
     "sum" are available); with no features every candidate gets the neutral
     0.5 so the ordering degrades to round order. Ties break by earliest round,
     then candidate text. The first element is the pipeline's final answer.
+
+    Features and candidates get their towers from one
+    :meth:`CorrelationModel.tower_vectors` call, and the scores of every
+    (candidate, feature) pair come from one grid, bit-equal to :func:`score`
+    of each pair.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
@@ -481,9 +477,13 @@ def rank_candidates(
         raise ValueError(f"unknown aggregation: {aggregation!r}")
 
     if features:
-        feature_towers = model.tower_vectors(features, store)
-        candidate_towers = model.tower_vectors([cand.text for cand in candidates], store)
-        scores = [_probability(model, feature_towers, tower).tolist() for tower in candidate_towers]
+        f = len(features)
+        towers = model.tower_vectors([*features, *(cand.text for cand in candidates)], store)
+        # The grid is scored in slices of candidates of at most
+        # max(f, _GRID_ROWS) interaction rows.
+        step = max(1, _GRID_ROWS // f)
+        scores = [row for lo in range(f, len(towers), step) for row in
+                  _probability(model, towers[None, :f], towers[lo : lo + step, None]).tolist()]
     else:
         scores = [[0.5]] * len(candidates)  # one neutral score each
     ranked: list[RankedCandidate] = []

@@ -50,6 +50,9 @@ SOURCE_PRIORITY = {
 
 _LETTER = re.compile(r"[A-Za-z]")
 
+# A comma-joined list of ids that each match CVE_ID_RE.
+_CVE_LIST_RE = re.compile("{0}(?:,{0})*".format(CVE_ID_RE.pattern.strip("^$")))
+
 
 def canonicalize_name(name: str) -> str:
     """Trim and collapse internal whitespace; case is preserved."""
@@ -246,14 +249,29 @@ def save_mapping(db: MappingDb, path: str | Path) -> None:
 
 
 def load_mapping(path: str | Path) -> MappingDb:
+    """Read a file written by :func:`save_mapping`. A ValueError names
+    ``path:line`` for a line without a name, a cve list entry that is not a
+    CVE id, and a CVE id that an earlier line maps to another name."""
     db = MappingDb()
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{line_no}"
         name, _, cves = line.partition("\t")
         if not cves:
-            raise ValueError(f"{path}:{line_no}: expected name TAB cve list")
-        for cve_id in cves.split(","):
+            raise ValueError(f"{where}: expected name TAB cve list")
+        name = canonicalize_name(name)
+        if not name:
+            raise ValueError(f"{where}: empty software name")
+        cve_ids = cves.split(",")
+        if not _CVE_LIST_RE.fullmatch(cves):
+            bad = next(cve_id for cve_id in cve_ids if not CVE_ID_RE.match(cve_id))
+            raise ValueError(f"{where}: {bad!r} is not a CVE id" if bad
+                             else f"{where}: empty CVE id in the cve list")
+        for cve_id in cve_ids:
             db.insert(name, cve_id)
+        if db.conflicts:  # insert keeps the first name of a CVE and logs the other
+            conflict = db.conflicts[0]
+            raise ValueError(f"{where}: {conflict.cve_id} is already mapped to {conflict.kept!r}")
     return db

@@ -399,6 +399,29 @@ class TestBadInputFiles:
         assert not prefix.with_suffix(".txt").exists()
 
 
+class TestMappingFile:
+    @pytest.mark.parametrize("lines, line_no, needle", [
+        (["Foo\tCVE-2099-1000,bogus,"], 2, "'bogus' is not a CVE id"),
+        (["Foo\tCVE-2099-1000,"], 2, "empty CVE id"),
+        (["Foo\tCVE-2099-1000,,CVE-2099-1001"], 2, "empty CVE id"),
+        (["  \tCVE-2099-1000"], 2, "empty software name"),
+        (["Foo\tCVE-2099-1000", "", "Bar\tCVE-2099-1001,CVE-2099-1000"], 4,
+         "CVE-2099-1000 is already mapped to 'Foo'"),
+    ])
+    def test_bad_line_exits_two_naming_the_file_and_line(self, runner, tmp_path, artifacts,
+                                                          lines, line_no, needle):
+        corpus, good, _, _ = artifacts
+        bad = tmp_path / "mapping.tsv"
+        bad.write_text("\n".join([good.read_text().splitlines()[0], *lines]) + "\n")
+        out = tmp_path / "stats.json"
+        result = runner.invoke(cli, ["stats", "--corpus", str(corpus), "--map", str(bad),
+                                     "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"{bad}:{line_no}: {needle}" in result.output
+        assert "records=" not in result.output
+        assert not out.exists()
+
+
 def edited_header(corr_bin: bytes, edit) -> bytes:
     """A correlation model file whose JSON header ``edit`` has changed in place."""
     (size,) = struct.unpack_from("<I", corr_bin, 8)

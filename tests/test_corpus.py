@@ -80,6 +80,19 @@ class TestParseFeed:
                          published=date(2002, 7, 3))
         assert list(bare.aspects.items()) == [(k, None) for k in kinds]
 
+    def test_record_keeps_the_given_aspects_dict_in_kind_order(self):
+        kinds = list(AspectKind)
+        for given in ({AspectKind.ROOT_CAUSE: "bug", AspectKind.IMPACT: "leak"},
+                      {kind: kind.value for kind in reversed(kinds)},
+                      {"note": "kept", AspectKind.IMPACT: "leak"}):
+            expected = {kind: given.get(kind) for kind in kinds}
+            others = {key: value for key, value in given.items() if key not in expected}
+            aspects = dict(given)
+            rec = TvdRecord(cve_id="CVE-2002-0683", description="d.", source=Source.CVE,
+                            published=date(2002, 7, 3), aspects=aspects)
+            assert rec.aspects is aspects
+            assert list(rec.aspects.items()) == [*expected.items(), *others.items()]
+
     def test_duplicate_cve_rejected_with_diagnostic(self):
         rec = make_record("CVE-2020-0001", "something broke.")
         text = feed_text([rec, rec])

@@ -476,7 +476,7 @@ class TestSentenceVectors:
         texts = texts + ["", "oov", "zero"]
         want = np.stack([reference_sentence_vector(model, text) for text in texts])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embed, "_SUM_BLOCK", block or embed._SUM_BLOCK)
+            mp.setattr(embed, "_SUM_CELLS", block or embed._SUM_CELLS)
             model.sentence_vectors(texts[::2])
             got = model.sentence_vectors(texts)
         assert got.tobytes() == want.tobytes()
@@ -532,9 +532,9 @@ class TestSentenceVectors:
 
     def test_long_lists_are_summed_in_bounded_memory(self):
         # 64 lists of 4,000 tokens under d = 64. Summing them as one
-        # zero-padded (tokens, lists, d) float64 array takes 125 MiB. The
-        # block holds its ids, a (tokens, lists) index table and a few
-        # index arrays of 2 MiB each, and one (lists, d) accumulator.
+        # zero-padded (tokens, lists, d) float64 array takes 125 MiB, and as
+        # one chunk of cells about 320 MiB. One chunk's ids, bins and
+        # weights take under 1 MiB.
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(2000)]
         model = EmbeddingModel(dim=64, vocab={w: i for i, w in enumerate(words)},
@@ -548,6 +548,78 @@ class TestSentenceVectors:
             tracemalloc.stop()
         assert got.shape == (64, 64)
         assert peak < 16 * 2**20
+
+
+# Tokens that tokenize to themselves, so a token list joined with spaces is
+# its own text; "zero" is the all -0.0 row of spread_embedding, "oov" is unknown.
+TOKENS = ["alpha", "beta", "gamma", "delta", "zero", "oov"]
+
+
+def looped_sums(model, token_lists):
+    """Each list's token loop (reference_sentence_vector), stacked."""
+    return np.stack([reference_sentence_vector(model, " ".join(tokens)) for tokens in token_lists])
+
+
+@contextmanager
+def cell_cap(cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "_SUM_CELLS", cells)
+        yield
+
+
+class TestTokenSums:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=30), max_size=10),
+           st.integers(1, 16), st.sampled_from([1, 2, 3, "d+1"]), st.integers(0, 2**32 - 1))
+    def test_chunked_sums_match_the_token_loop(self, token_lists, dim, cells, seed):
+        # Small chunks cut most lists, and the long list always spans three
+        # or more of them, so rows are carried from chunk to chunk.
+        model = spread_embedding(seed, dim)
+        cells = dim + 1 if cells == "d+1" else cells
+        token_lists = token_lists + [(TOKENS * 20)[: 3 * cells + 1], [], ["oov"], ["zero"]]
+        with cell_cap(cells):
+            got = model.token_sums(token_lists)
+        assert got.tobytes() == looped_sums(model, token_lists).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    @pytest.mark.parametrize("cells", [1, 2, 3, "d+1"])
+    def test_short_lists_at_every_chunk_edge(self, dim, cells):
+        # An empty, an all-OOV and a one-token list start at every cell
+        # offset of a chunk, between lists cut by chunk edges.
+        cells = dim + 1 if cells == "d+1" else cells
+        model = spread_embedding(dim, dim)
+        long = (TOKENS[:5] * 20)[: 3 * cells + 2]
+        for edge in ([], ["oov", "oov"], ["gamma"], ["zero"]):
+            for offset in range(2 * cells + 2):
+                token_lists = [long[:offset], edge, long, edge, edge, ["delta", "oov"], edge]
+                with cell_cap(cells):
+                    got = model.token_sums(token_lists)
+                assert got.tobytes() == looped_sums(model, token_lists).tobytes(), (edge, offset)
+
+    def test_negative_zero_rows_carried_across_chunks_sum_to_positive_zero(self):
+        model = spread_embedding(1, 4)
+        with cell_cap(1):
+            got = model.token_sums([["zero"] * 5, ["oov", "zero"]])
+        assert got.tobytes() == np.zeros((2, 4)).tobytes()
+
+    def test_no_lists(self):
+        assert spread_embedding(2, 3).token_sums([]).shape == (0, 3)
+
+    def test_many_one_token_lists_are_summed_in_bounded_memory(self):
+        # 100,000 one-token lists at d = 8: the (n, d) result takes 6.1 MiB.
+        # Summed as one chunk, the cell ids, bins and weights take about
+        # 32 MiB beside it; in chunks, about 2.3 MiB, mostly the list starts.
+        model = spread_embedding(3, 8)
+        token_lists = [[TOKENS[i % len(TOKENS)]] for i in range(100_000)]
+        tracemalloc.start()
+        try:
+            got = model.token_sums(token_lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (100_000, 8)
+        assert peak < got.nbytes + 4 * 2**20
+        assert got[:6].tobytes() == looped_sums(model, token_lists[:6]).tobytes()
 
 
 class TestPersistence:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import family_aspects, family_corpus, family_mapping, make_record
+from helpers import EPOCH, family_aspects, family_corpus, family_mapping, make_record
 from vulnaug import embed, featcorr
-from vulnaug.corpus import AspectKind, Corpus, mask_aspect
+from vulnaug.corpus import AspectKind, Corpus, Source, TvdRecord, mask_aspect
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.errors import DivergedTraining, EmptyTrainingSet
 from vulnaug.featcorr import (
@@ -227,6 +227,20 @@ def counted_fills():
         yield calls
 
 
+@contextlib.contextmanager
+def counted_calls(name):
+    """Count the calls of ``featcorr.<name>``, one entry per call."""
+    calls = []
+    fn = getattr(featcorr, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    with mock.patch.object(featcorr, name, counted):
+        yield calls
+
+
 def random_model(seed, dim):
     """A correlation model whose logits stay small enough that the sigmoid
     does not saturate, so every bit of the logit shows in the score."""
@@ -421,7 +435,7 @@ class TestTowerVector:
         for block, cells in [(1, None), (2, None), (3, None), (None, None), (None, 16)]:
             fresh = uncached(model)
             with mock.patch.object(featcorr, "_TOWER_BLOCK", block or featcorr._TOWER_BLOCK), \
-                    mock.patch.object(embed, "_SUM_BLOCK", block or embed._SUM_BLOCK), \
+                    mock.patch.object(embed, "_SUM_CELLS", block or embed._SUM_CELLS), \
                     mock.patch.object(featcorr, "_OVERLAP_CELLS", cells or featcorr._OVERLAP_CELLS):
                 # Every other text is kept first, so hits and misses mix.
                 fresh.tower_vectors(texts[::2], store)
@@ -750,6 +764,33 @@ class TestSoftwareFeatures:
         assert sorted(features) == ["bug", "leak"]
 
 
+    def test_same_features_as_the_kind_walk_for_any_aspects_dict(self):
+        # The target's own dict is partial or reordered; the kind walk reads
+        # every record's aspects in kind order.
+        def kind_walk(records):
+            features = []
+            for rec in records:
+                for kind in AspectKind:
+                    value = rec.aspects.get(kind)
+                    if value and value not in features:
+                        features.append(value)
+            return features
+
+        kinds = list(AspectKind)
+        sibling = make_record("CVE-2020-8011", "s.", software=["Widget"], aspects={
+            kind: f"shared {i}" for i, kind in enumerate(kinds)})
+        for aspects in ({AspectKind.ROOT_CAUSE: "bug", AspectKind.IMPACT: "shared 3"},
+                        {kind: f"own {i}" for i, kind in reversed(list(enumerate(kinds)))},
+                        {"note": "not an aspect", AspectKind.ATTACK_VECTOR: "via port"}):
+            target = TvdRecord(cve_id="CVE-2020-8010", description="t.", source=Source.CVE,
+                               published=EPOCH, aspects=dict(aspects))
+            db = MappingDb()
+            db.insert("Widget", target.cve_id)
+            db.insert("Widget", sibling.cve_id)
+            corpus = Corpus.from_records([sibling])
+            assert software_features(target, db, corpus) == kind_walk([target, sibling])
+
+
 class TestRankCandidates:
     def test_output_is_permutation_of_input(self, family_setup):
         _, _, model, _ = family_setup
@@ -874,6 +915,41 @@ class TestRankCandidates:
         assert first == second
         assert calls == filled
         assert set(calls.values()) == {1}
+
+    def test_one_fill_and_one_grid_per_call(self):
+        model = random_model(11, 4)
+        features = ["alpha beta", "gamma", "delta x9"]
+        cands = [candidate("gamma"), candidate("beta omega", round=2), candidate("alpha", round=3)]
+        with counted_calls("_compute_towers") as fills, \
+                counted_calls("interaction_features") as grids:
+            first = rank_candidates(model, features, cands)
+            assert (fills, grids) == ([1], [1])
+            second = rank_candidates(model, features, cands)
+        assert (fills, grids) == ([1], [1, 1])
+        assert first == second
+
+    @pytest.mark.parametrize("grid_rows", [None, 1, 8, 12, 20])
+    @pytest.mark.parametrize("aggregation", ["mean", "max", "sum"])
+    def test_grid_scores_equal_per_pair_scores(self, grid_rows, aggregation):
+        # Four features, so grids of 8, 12 or 20 rows score 2, 3 or 5
+        # candidates a slice; "omega x9" has a zero tower, and a candidate
+        # repeats a feature's text and another repeats itself.
+        model = random_model(12, 6)
+        store = BackgroundStore(articles={"alpha": "beta gamma", "delta": "alpha alpha beta"})
+        features = ["alpha beta", "gamma", "omega x9", "delta gamma beta"]
+        texts = ["gamma", "beta beta", "omega x9", "beta beta", "alpha delta", "x9 gamma"]
+        cands = [candidate(text, round=r + 1) for r, text in enumerate(texts)]
+        rows = grid_rows or featcorr._GRID_ROWS
+        with mock.patch.object(featcorr, "_GRID_ROWS", rows), \
+                counted_calls("interaction_features") as grids:
+            ranked = rank_candidates(model, features, cands, store=store, aggregation=aggregation)
+        assert len(grids) == -(-len(cands) // max(1, rows // len(features)))
+        assert sorted(rc.candidate.round for rc in ranked) == list(range(1, len(cands) + 1))
+        for rc in ranked:
+            scores = [score(uncached(model), f, rc.candidate.text, store) for f in features]
+            want = {"mean": math.fsum(scores) / len(scores), "max": max(scores),
+                    "sum": math.fsum(scores)}[aggregation]
+            assert np.float64(rc.score).tobytes() == np.float64(want).tobytes()
 
     def test_unknown_aggregation_rejected(self, family_setup):
         _, _, model, _ = family_setup
