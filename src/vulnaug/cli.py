@@ -140,6 +140,13 @@ def _read_feed(path: Path, source: Source = Source.CVE) -> corpus_mod.ParseResul
     return result
 
 
+def _check_threshold(cfg: RunConfig) -> None:
+    """Reject a long-tail threshold below 1, which no software count is
+    at or below."""
+    if cfg.long_tail_threshold < 1:
+        raise ValueError(f"long_tail_threshold must be >= 1, got {cfg.long_tail_threshold}")
+
+
 def _output(cfg: RunConfig, output: str | None, name: str) -> Path:
     """``-o`` when given, else ``name`` in the output directory."""
     return Path(output) if output else Path(cfg.output_dir) / name
@@ -293,10 +300,12 @@ def build_map(cfg: RunConfig, corpus_path, no_fallback, output):
 @_guard
 def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, export_text, output):
     """Train corpus word embeddings."""
-    corpus = Corpus.from_records(_CORPUS(corpus_path))
     config = embed_mod.TrainConfig(
         window=window, epochs=epochs, negative_samples=negative, seed=cfg.seed
     )
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    corpus = Corpus.from_records(_CORPUS(corpus_path))
     model = embed_mod.train_embeddings(corpus, config, dim=dim)
     out = _output(cfg, output, "embed.bin")
     model.save(out)
@@ -491,6 +500,7 @@ def _load_testset(path: Path) -> list[tuple[TvdRecord, AspectKind, str]]:
 def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shared):
     """Score the pipeline on a masked test set."""
     cfg.override(long_tail_threshold=threshold)
+    _check_threshold(cfg)
     pipeline = _build_pipeline(cfg, **shared)
     if testset_path:
         testset = _load_testset(_prereq(testset_path, "testset file"))
@@ -563,6 +573,7 @@ def cost(n, x):
 def stats(cfg: RunConfig, corpus_path, map_path, threshold, output):
     """Gini coefficient and long-tail partition of the corpus."""
     cfg.override(long_tail_threshold=threshold)
+    _check_threshold(cfg)
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     db = _MAP.optional(map_path)
     counts = Counter(mapping.software_name(rec, db) for rec in corpus)

@@ -2,13 +2,20 @@
 
 Embeddings are trained from scratch with skip-gram plus negative sampling,
 single-threaded, with one seeded generator, so a fixed seed reproduces the
-vectors bit for bit. Each sentence draws its negatives in one block, and its
-center positions are updated in blocks of up to ``_CENTER_BLOCK`` distinct
-consecutive tokens: every pair of a block is scored against the vectors as
-they stood at the block's start, so updates within a block do not see each
-other. Sentence vectors are plain sums of word vectors, kept by text on the
-model; representative records come out of Lloyd's k-means (k-means++ seeding)
-as the medoid nearest each centroid. Word-vector sums and k-means cluster
+vectors bit for bit. Center positions are updated in blocks of up to
+``_CENTER_BLOCK`` distinct consecutive tokens: every pair of a block is scored
+against the vectors as they stood at the block's start, so updates within a
+block do not see each other. The blocks are cut once for all epochs and
+walked in groups of about ``_PLAN_CELLS`` (pair, output id) cells, which bound
+the working memory however long a sentence is. A group draws its negatives in
+one block and maps the draws to tokens by an exact inverse-CDF lookup: a table
+over ``_CDF_BUCKETS`` equal buckets of [0, 1) answers a draw whose bucket holds
+no step of the CDF and ``np.searchsorted`` the rest, so every negative is the
+one ``np.searchsorted`` alone gives. One argsort over the group's (block, id)
+keys then gives each block's distinct output rows and score cells. Sentence
+vectors are plain sums of word vectors, kept by text on the model;
+representative records come out of Lloyd's k-means (k-means++ seeding) as the
+medoid nearest each centroid. Word-vector sums and k-means cluster
 sums are exact in order: one ``np.bincount`` adds each row's vectors to +0.0
 one by one, in order, at every dim.
 """
@@ -40,6 +47,15 @@ _LR_MIN = 1e-4
 
 #: Consecutive center positions whose updates are taken as one step.
 _CENTER_BLOCK = 8
+
+#: Equal buckets of [0, 1) in the negative draws' inverse-CDF table. A power of
+#: two, so a draw's bucket, ``floor(r * _CDF_BUCKETS)``, is exact.
+_CDF_BUCKETS = 2**16
+
+#: (pair, output id) cells of one group of center blocks, whose draws and
+#: plan (:func:`_block_plans`) are made at once; a group holds fewer than this
+#: plus one block's cells, which bounds training's working memory.
+_PLAN_CELLS = 8192
 
 #: Token cells summed by one ``np.bincount`` in :meth:`EmbeddingModel.token_sums`;
 #: bounds its (cells, d) weights.
@@ -189,13 +205,17 @@ def _sigmoid(x: float | np.ndarray):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _windows(sent: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Context ids of every position of one sentence, one window after another
-    (left, then right, in sentence order), and the size of each window."""
+def _windows(starts: np.ndarray, lo: int, hi: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (center, context) pairs of positions lo..hi-1 of the corpus, whose
+    sentence i holds positions starts[i]..starts[i + 1]-1: each pair's center
+    position and context position, one window after another (left, then
+    right, in position order)."""
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
-    where = np.arange(len(sent))[:, None] + offsets
-    inside = (where >= 0) & (where < len(sent))
-    return sent[where[inside]], inside.sum(axis=1)
+    centers = np.arange(lo, hi)
+    sent = starts.searchsorted(centers, "right") - 1
+    where = centers[:, None] + offsets
+    inside = (where >= starts[sent, None]) & (where < starts[sent + 1, None])
+    return np.repeat(centers, inside.sum(axis=1)), where[inside]
 
 
 def _center_blocks(centers: Sequence[int]) -> list[int]:
@@ -216,17 +236,103 @@ def _center_blocks(centers: Sequence[int]) -> list[int]:
     return bounds
 
 
+class _InverseCdf:
+    """``np.searchsorted(cdf, r)`` for draws r in [0, 1), the CDF's last entry
+    taken as exactly 1.0, so no draw falls past it.
+
+    Bucket b of ``_CDF_BUCKETS`` holds the draws in [b / B, (b + 1) / B).
+    ``np.searchsorted`` gives every draw in it a value between those of the
+    bucket's two edges, so where the edges give the same index, every draw in
+    the bucket takes it from the table. The other buckets, one per step of the
+    CDF at most, look their draws up with ``np.searchsorted``.
+    """
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        self.cdf = np.append(cdf[:-1], 1.0)
+        edges = self.cdf.searchsorted(np.arange(_CDF_BUCKETS + 1) / _CDF_BUCKETS)
+        # Each bucket's index, or -1 where its edges differ.
+        self.table = edges[:-1]
+        self.table[edges[:-1] != edges[1:]] = -1
+
+    def __call__(self, draws: np.ndarray) -> np.ndarray:
+        found = self.table[(draws * self.table.size).astype(np.intp)]
+        missed = found < 0
+        found[missed] = self.cdf.searchsorted(draws[missed])
+        return found
+
+
+def _block_groups(starts: np.ndarray, bounds: np.ndarray, window: int,
+                  cols: int) -> list[tuple[int, int]]:
+    """The center blocks of the corpus, whose block j holds positions
+    bounds[j]..bounds[j + 1]-1, cut into groups of consecutive blocks, each as
+    its first block and the block after its last.
+
+    A group holds the blocks whose first (pair, output id) cell, at ``cols``
+    cells a pair, falls in the same ``_PLAN_CELLS`` cells of the corpus, so it
+    holds fewer than ``_PLAN_CELLS`` cells plus one block's.
+    """
+
+    def below(n: np.ndarray) -> np.ndarray:
+        """The sum of min(i, window) over 0 <= i < n."""
+        m = np.minimum(n, window + 1)
+        return m * (m - 1) // 2 + (n - m) * window
+
+    # A position p of a sentence at s..e-1 has min(p - s, window) contexts on
+    # its left and min(e - 1 - p, window) on its right.
+    lo, hi = bounds[:-1], bounds[1:]
+    sent = starts.searchsorted(lo, "right") - 1
+    s, e = starts[sent], starts[sent + 1]
+    pairs = below(hi - s) - below(lo - s) + below(e - lo) - below(e - hi)
+    first_cells = np.concatenate(([0], np.cumsum(pairs[:-1]))) * cols
+    cuts = (np.flatnonzero(np.diff(first_cells // _PLAN_CELLS)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(bounds) - 1]))
+
+
+def _block_plans(out_ids: np.ndarray, pair_pos: np.ndarray, bounds: np.ndarray,
+                 size: int) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Each center block of one group that has pairs, in order, as
+    ``(rows_ids, cells, lo, hi)``: its distinct output rows in id order, the
+    (row, center) cell ``slot * (hi - lo) + (pos - lo)`` of each output id
+    of its pairs, and its positions lo..hi-1.
+
+    ``out_ids`` holds the output ids of the group's pairs and ``pair_pos``
+    their center positions, in order; block j holds positions
+    bounds[j]..bounds[j + 1]-1, and every id is below ``size``. One argsort
+    of the group's (block, id) keys gives every block's distinct rows and the
+    place of each key among them.
+    """
+    blocks = len(bounds) - 1
+    pair_block = bounds.searchsorted(pair_pos, "right") - 1
+    keys = out_ids + (pair_block * size)[:, None]
+    order = keys.argsort(axis=None)
+    ordered = keys.ravel()[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    distinct = ordered[new]
+    place = np.empty(keys.size, dtype=np.intp)
+    place[order] = np.cumsum(new) - 1
+    # Block j's rows are distinct[row_starts[j] : row_starts[j + 1]].
+    row_starts = distinct.searchsorted(np.arange(blocks + 1) * size)
+    cells = ((place.reshape(keys.shape) - row_starts[pair_block, None])
+             * np.diff(bounds)[pair_block, None] + (pair_pos - bounds[pair_block])[:, None])
+    rows_ids = distinct % size
+    rows, lows = row_starts.tolist(), bounds.tolist()
+    pairs = pair_block.searchsorted(np.arange(blocks + 1)).tolist()  # block j's first pair
+    return [(rows_ids[rows[j] : rows[j + 1]], cells[pairs[j] : pairs[j + 1]], lows[j], lows[j + 1])
+            for j in range(blocks) if pairs[j] < pairs[j + 1]]
+
+
 def train_embeddings(
     corpus: Corpus, config: TrainConfig | None = None, dim: int = 64
 ) -> EmbeddingModel:
     """Train skip-gram-with-negative-sampling vectors over the corpus.
 
     Descriptions are visited in cve_id order and all randomness comes from one
-    seeded generator, which draws each sentence's negatives in one
-    ``rng.random`` block, so two runs with the same seed produce
-    bitwise-identical vectors. Negatives are drawn from the unigram^0.75
-    distribution; the learning rate decays linearly over all (epoch, position)
-    steps, and every (center, context) pair takes its center's step.
+    seeded generator, whose draws go to the (center, context) pairs in
+    corpus order, so two runs with the same seed produce bitwise-identical
+    vectors. Negatives are drawn from the unigram^0.75 distribution, by an
+    exact inverse-CDF lookup (:class:`_InverseCdf`); the learning rate decays
+    linearly over all (epoch, position) steps, and every (center, context)
+    pair takes its center's step.
 
     Updates are applied one block of centers at a time (see
     :func:`_center_blocks`): up to ``_CENTER_BLOCK`` consecutive positions
@@ -242,8 +348,13 @@ def train_embeddings(
     (row, center) cell with one matrix product, and sums the gradient scales
     of the pairs that share a cell with one ``np.bincount``. Both updates are
     then matrix products, written back with plain assignments, as the block's
-    centers and its rows are each distinct. Working memory is one sentence's
-    ids and draws plus one block's rows, whatever the sentence length.
+    centers and its rows are each distinct.
+
+    The blocks are cut once, then walked in groups (:func:`_block_groups`),
+    each of which draws its pairs' negatives with one ``rng.random`` call,
+    the same numbers one call per sentence would give, and plans its blocks
+    with one argsort (:func:`_block_plans`). Working memory is one group's
+    ids, draws and plan plus one block's rows, whatever the sentence length.
     """
     cfg = config or TrainConfig()
     if dim < 1:
@@ -269,52 +380,49 @@ def _train_vectors(
     freq = np.array([n for _, n in ordered], dtype=np.float64)
 
     noise = freq**0.75
-    noise_cdf = np.cumsum(noise / noise.sum())
+    negatives = _InverseCdf(np.cumsum(noise / noise.sum()))
 
     rng = np.random.default_rng(cfg.seed)
     size = len(vocab)
     w_in = (rng.random((size, dim)) - 0.5) / dim
     w_out = np.zeros((size, dim))
-    slot = np.empty(size, dtype=np.intp)  # a row's place in its block's row list
 
-    encoded = [np.array([vocab[t] for t in sent], dtype=np.intp) for sent in sentences]
-    total_steps = max(1, cfg.epochs * sum(len(s) for s in encoded))
-    step = 0
+    # The corpus as one run of positions, sentence i at starts[i]..starts[i + 1]-1,
+    # cut into center blocks and groups of them, the same in every epoch.
+    encoded = [[vocab[t] for t in sent] for sent in sentences]
+    del sentences  # training needs the token ids only, not the strings
+    tokens = np.array([i for sent in encoded for i in sent], dtype=np.intp)
+    starts = np.cumsum([0, *map(len, encoded)])
+    bounds = np.array([start + pos for sent, start in zip(encoded, starts.tolist())
+                       for pos in _center_blocks(sent)[:-1]] + [tokens.size])
     k = cfg.negative_samples
-    for _ in range(cfg.epochs):
-        for sent in encoded:
-            n = len(sent)
-            lr = np.maximum(_LR_MIN, _LR_INITIAL * (1.0 - np.arange(step, step + n) / total_steps))
-            step += n
-            if n < 2:
-                continue  # a lone token has no context; longer sentences give every position one
-            contexts, sizes = _windows(sent, cfg.window)
-            first = np.concatenate(([0], np.cumsum(sizes)))  # each position's first pair
-            pair_pos = np.repeat(np.arange(n), sizes)
+    groups = _block_groups(starts, bounds, cfg.window, 1 + k)
+    total_steps = max(1, cfg.epochs * tokens.size)
+    for epoch in range(cfg.epochs):
+        step = epoch * tokens.size  # every position is one step, lone tokens too
+        for b0, b1 in groups:
+            lo, hi = int(bounds[b0]), int(bounds[b1])
+            pair_pos, contexts = _windows(starts, lo, hi, cfg.window)
+            if pair_pos.size == 0:
+                continue  # lone tokens: no context, no draws
+            lr = np.maximum(_LR_MIN,
+                            _LR_INITIAL * (1.0 - np.arange(step + lo, step + hi) / total_steps))
             # Column 0 of each pair's output ids is its context, the rest its negatives.
-            out_ids = np.concatenate(
-                (contexts[:, None], np.searchsorted(noise_cdf, rng.random((contexts.size, k)))),
-                axis=1)
-            bounds = _center_blocks(sent.tolist())
-            for lo, hi in zip(bounds, bounds[1:]):
-                ids = out_ids[first[lo] : first[hi]]
-                # The block's distinct output rows, in id order, and the place
-                # of each (pair, output id) among them.
-                sorted_ids = np.sort(ids, axis=None)
-                rows_ids = sorted_ids[np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))]
-                slot[rows_ids] = np.arange(rows_ids.size)
+            out_ids = np.empty((pair_pos.size, 1 + k), dtype=np.intp)
+            out_ids[:, 0] = tokens[contexts]
+            out_ids[:, 1:] = negatives(rng.random((pair_pos.size, k)))
+            plans = _block_plans(out_ids, pair_pos, bounds[b0 : b1 + 1], size)
+            for rows_ids, cells, c0, c1 in plans:
                 rows = w_out[rows_ids]
-                centers = w_in[sent[lo:hi]]
-                # The (output row, center) cell of every (pair, output id).
-                width = hi - lo
-                cell = slot[ids] * width + (pair_pos[first[lo] : first[hi], None] - lo)
-                g = _sigmoid((rows @ centers.T).ravel()[cell])
+                centers = w_in[tokens[c0:c1]]
+                g = _sigmoid((rows @ centers.T).ravel()[cells])
                 g[:, 0] -= 1.0
                 # coef[r, c] sums g over the pairs of center c that touch output row r.
-                coef = np.bincount(cell.ravel(), weights=g.ravel(), minlength=rows_ids.size * width)
-                coef = coef.reshape(rows_ids.size, width)
-                w_in[sent[lo:hi]] = centers - lr[lo:hi, None] * (coef.T @ rows)
-                w_out[rows_ids] = rows - (coef * lr[lo:hi]) @ centers
+                coef = np.bincount(cells.ravel(), weights=g.ravel(),
+                                   minlength=rows_ids.size * (c1 - c0))
+                coef = coef.reshape(rows_ids.size, c1 - c0)
+                w_in[tokens[c0:c1]] = centers - lr[c0 - lo : c1 - lo, None] * (coef.T @ rows)
+                w_out[rows_ids] = rows - (coef * lr[c0 - lo : c1 - lo]) @ centers
     return vocab, w_in
 
 

@@ -248,6 +248,21 @@ class TestTrainEmbedSettings:
         assert name in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--dim", "0", "dim"),
+        ("--epochs", "0", "epochs"),
+        ("--window", "-1", "window"),
+        ("--negative", "0", "negative_samples"),
+    ])
+    def test_bad_setting_exits_two_before_reading_the_corpus(self, runner, tmp_path, flag,
+                                                             value, name):
+        # A missing corpus would exit 3: the setting is checked first.
+        result = runner.invoke(cli, ["train-embed", "--corpus", str(tmp_path / "missing.jsonl"),
+                                     flag, value, "-o", str(tmp_path / "embed.bin")])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {name} must be >= 1")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainCorrSettings:
     @pytest.mark.parametrize("flag,value,name", [
@@ -291,6 +306,26 @@ class TestCost:
 
 
 class TestStats:
+    @pytest.mark.parametrize("group,command", [
+        ([], ["--threshold", "0"]),
+        ([], ["--threshold", "-4"]),
+        (["--config", "CONFIG"], []),
+    ])
+    def test_threshold_below_one_exits_two_before_loading(self, runner, tmp_path, monkeypatch,
+                                                          group, command):
+        reads = []
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"long_tail_threshold": 0}))
+        corpus = write_feed(tmp_path, small_feed_records(3))
+        out = tmp_path / "stats.json"
+        args = [str(config) if arg == "CONFIG" else arg for arg in group]
+        result = runner.invoke(cli, args + ["stats", "--corpus", str(corpus)] + command
+                               + ["-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: long_tail_threshold must be >= 1")
+        assert reads == [] and not out.exists()
+
     def test_matches_corpus_oracles(self, runner, tmp_path):
         records = small_feed_records(9)
         feed = write_feed(tmp_path, records)
@@ -614,6 +649,25 @@ class TestPipelineCommands:
         assert loads == []
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command,settings", [
+        (["--threshold", "0"], {}),
+        (["--threshold", "-1"], {}),
+        ([], {"long_tail_threshold": 0}),
+    ])
+    def test_evaluate_threshold_below_one_exits_two_before_loading(
+            self, runner, tmp_path, artifacts, monkeypatch, command, settings):
+        loads = []
+        monkeypatch.setattr(EmbeddingModel, "load", lambda path: loads.append(path))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "report"
+        result = runner.invoke(cli, ["--config", str(config)] + pipeline_args("evaluate", artifacts)
+                               + ["--aspect", "impact"] + command + ["-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: long_tail_threshold must be >= 1")
+        assert loads == []
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_evaluate_with_oracle_backend(self, runner, tmp_path):
         corpus_obj, _, testset = masked_eval_fixture(8)
         records = list(corpus_obj)
@@ -838,6 +892,15 @@ class TestPinnedAugmentDigest:
         assert len(rows) == 20
         assert all(row["pool_size"] > 30 and row["examples"] <= 30 for row in rows)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FAMILY_AUGMENT_SHA256
+
+
+class TestTrainEmbedThreads:
+    def test_model_file_does_not_depend_on_the_blas_thread_count(self, family_run):
+        # family_run trained its embed.bin under one BLAS thread.
+        root, _ = family_run
+        out = root / "embed-default-threads.bin"
+        run_cli(["train-embed", "--corpus", str(root / "corpus.jsonl"), "-o", str(out)])
+        assert out.read_bytes() == (root / "embed.bin").read_bytes()
 
 
 class TestRunConfig:

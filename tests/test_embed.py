@@ -281,6 +281,74 @@ def reference_block_vectors(corpus, cfg, dim=64, cap=8):
     return vocab, w_in
 
 
+def reference_sentence_block_loop(corpus, cfg, dim=64):
+    """Vocabulary and float64 input vectors of the block step walked one
+    sentence at a time: each sentence draws its negatives with one
+    ``rng.random`` call and maps them with ``np.searchsorted``, and each block
+    sorts its own output ids for its distinct rows. Training must give these
+    bytes."""
+    sentences = [tokenize(rec.description) for rec in corpus]
+    counts = Counter(tok for sent in sentences for tok in sent)
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    vocab = {tok: i for i, (tok, _) in enumerate(ordered)}
+    noise = np.array([n for _, n in ordered], dtype=np.float64) ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+
+    rng = np.random.default_rng(cfg.seed)
+    size = len(vocab)
+    w_in = (rng.random((size, dim)) - 0.5) / dim
+    w_out = np.zeros((size, dim))
+    slot = np.empty(size, dtype=np.intp)
+
+    encoded = [np.array([vocab[t] for t in sent], dtype=np.intp) for sent in sentences]
+    total_steps = max(1, cfg.epochs * sum(len(s) for s in encoded))
+    step = 0
+    k = cfg.negative_samples
+    offsets = np.concatenate((np.arange(-cfg.window, 0), np.arange(1, cfg.window + 1)))
+    for _ in range(cfg.epochs):
+        for sent in encoded:
+            n = len(sent)
+            lr = np.maximum(embed._LR_MIN,
+                            embed._LR_INITIAL * (1.0 - np.arange(step, step + n) / total_steps))
+            step += n
+            if n < 2:
+                continue
+            where = np.arange(n)[:, None] + offsets
+            inside = (where >= 0) & (where < n)
+            contexts, sizes = sent[where[inside]], inside.sum(axis=1)
+            first = np.concatenate(([0], np.cumsum(sizes)))
+            pair_pos = np.repeat(np.arange(n), sizes)
+            out_ids = np.concatenate(
+                (contexts[:, None], np.searchsorted(noise_cdf, rng.random((contexts.size, k)))),
+                axis=1)
+            bounds = embed._center_blocks(sent.tolist())
+            for lo, hi in zip(bounds, bounds[1:]):
+                ids = out_ids[first[lo] : first[hi]]
+                sorted_ids = np.sort(ids, axis=None)
+                rows_ids = sorted_ids[np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))]
+                slot[rows_ids] = np.arange(rows_ids.size)
+                rows = w_out[rows_ids]
+                centers = w_in[sent[lo:hi]]
+                width = hi - lo
+                cell = slot[ids] * width + (pair_pos[first[lo] : first[hi], None] - lo)
+                g = embed._sigmoid((rows @ centers.T).ravel()[cell])
+                g[:, 0] -= 1.0
+                coef = np.bincount(cell.ravel(), weights=g.ravel(), minlength=rows_ids.size * width)
+                coef = coef.reshape(rows_ids.size, width)
+                w_in[sent[lo:hi]] = centers - lr[lo:hi, None] * (coef.T @ rows)
+                w_out[rows_ids] = rows - (coef * lr[lo:hi]) @ centers
+    return vocab, w_in
+
+
+@contextmanager
+def plan_cells(cells):
+    """``_PLAN_CELLS`` set to ``cells``, or left alone for None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(embed, "_PLAN_CELLS", cells)
+        yield
+
+
 class TestBlockTraining:
     @settings(max_examples=60, deadline=None)
     @given(TRAIN_TEXTS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 2),
@@ -293,6 +361,32 @@ class TestBlockTraining:
         want_vocab, want = reference_block_vectors(corpus, cfg, dim, embed._CENTER_BLOCK)
         assert vocab == want_vocab
         np.testing.assert_allclose(w_in, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(TRAIN_TEXTS, st.integers(1, 6), st.integers(1, 4), st.integers(1, 2),
+           st.integers(1, 9), st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64, None]))
+    def test_small_corpora_bytes_match_the_sentence_block_loop(
+            self, texts, window, negatives, epochs, dim, seed, cells):
+        # Groups of one block, of a few and of the whole corpus.
+        corpus = text_corpus(texts)
+        cfg = TrainConfig(window=window, epochs=epochs, negative_samples=negatives, seed=seed)
+        with plan_cells(cells):
+            vocab, w_in = embed._train_vectors(corpus, cfg, dim)
+        want_vocab, want = reference_sentence_block_loop(corpus, cfg, dim)
+        assert vocab == want_vocab
+        assert w_in.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 100, 1000, None])
+    def test_long_sentences_bytes_match_the_sentence_block_loop(self, cells):
+        # Sentences of several groups each, lone tokens and empty texts among them.
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(60)]
+        texts = [" ".join(rng.choice(words, n)) or "; ;" for n in (700, 1, 0, 90, 1, 450)]
+        corpus = text_corpus(texts)
+        cfg = TrainConfig(window=4, epochs=2, negative_samples=6, seed=21)
+        with plan_cells(cells):
+            got = embed._train_vectors(corpus, cfg, 24)[1]
+        assert got.tobytes() == reference_sentence_block_loop(corpus, cfg, 24)[1].tobytes()
 
     @pytest.mark.parametrize("texts", [
         # Lone tokens still take a learning-rate step each.
@@ -325,6 +419,27 @@ class TestBlockTraining:
                 # A block ends early only before a center it already holds.
                 assert len(block) == cap or nxt[0] in block
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=30), min_size=1, max_size=8)
+           .filter(lambda sents: any(sents)),
+           st.integers(1, 6), st.integers(2, 7), st.sampled_from([1, 16, 100, 1000]))
+    def test_groups_hold_the_blocks_that_start_in_one_span_of_cells(
+            self, sentences, window, cols, cells):
+        starts = np.cumsum([0, *map(len, sentences)])
+        bounds = np.array([start + pos for sent, start in zip(sentences, starts.tolist())
+                           for pos in embed._center_blocks(sent)[:-1]] + [starts[-1]])
+        # Each block's first cell, from its pairs as _windows lists them.
+        first_cells = np.cumsum([0] + [embed._windows(starts, lo, hi, window)[0].size * cols
+                                       for lo, hi in zip(bounds[:-2], bounds[1:-1])])
+        want = []
+        for j, first in enumerate(first_cells.tolist()):
+            if want and first // cells == first_cells[want[-1][0]] // cells:
+                want[-1][1] = j + 1
+            else:
+                want.append([j, j + 1])
+        with plan_cells(cells):
+            assert embed._block_groups(starts, bounds, window, cols) == list(map(tuple, want))
+
     @pytest.mark.parametrize("seed", [11, 12, 13, 14])
     def test_planted_aspect_ranks_first(self, seed):
         # Acceptance criterion 08 with the embedding trained at other seeds.
@@ -345,6 +460,73 @@ class TestBlockTraining:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+#: Draw weights with runs of zeros, so a CDF holds equal consecutive entries.
+NOISE_WEIGHTS = st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e6)), min_size=1,
+                         max_size=40).filter(lambda w: sum(w) > 0)
+
+
+@contextmanager
+def cdf_buckets(buckets):
+    with pytest.MonkeyPatch.context() as mp:
+        if buckets is not None:
+            mp.setattr(embed, "_CDF_BUCKETS", buckets)
+        yield
+
+
+class TestInverseCdf:
+    """The bucketed lookup is ``np.searchsorted`` on the CDF with its last
+    entry set to 1.0, for every draw in [0, 1)."""
+
+    @staticmethod
+    def check(cdf, draws, buckets=None):
+        with cdf_buckets(buckets):
+            lookup = embed._InverseCdf(cdf)
+        fixed = np.append(cdf[:-1], 1.0)
+        got = lookup(draws.copy())
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(fixed, draws))
+        # Where searchsorted on the CDF itself stays in range, it agrees.
+        plain = np.searchsorted(cdf, draws)
+        assert np.array_equal(got[plain < cdf.size], plain[plain < cdf.size])
+
+    @settings(max_examples=200, deadline=None)
+    @given(NOISE_WEIGHTS, st.sampled_from([1, 2**3, 2**10, None]), st.integers(0, 2**32 - 1))
+    def test_matches_searchsorted(self, weights, buckets, seed):
+        w = np.array(weights)
+        cdf = np.cumsum(w / w.sum())
+        b = buckets or embed._CDF_BUCKETS
+        rng = np.random.default_rng(seed)
+        inner = cdf[cdf < 1.0]
+        draws = np.concatenate((
+            rng.random(500),
+            np.arange(b) / b,  # every bucket edge
+            inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),  # on and beside each step
+            [0.0, 1.0 - 2**-53],
+        ))
+        draws = draws[draws < 1.0]
+        self.check(cdf, draws, buckets)
+
+    @pytest.mark.parametrize("buckets", [2**3, None])
+    def test_steps_on_bucket_edges(self, buckets):
+        # Entries equal to bucket edges, repeated, and a zero first weight.
+        cdf = np.array([0.0, 0.125, 0.125, 0.5, 0.5, 0.5, 0.75, 1.0])
+        b = buckets or embed._CDF_BUCKETS
+        edges = np.arange(b) / b
+        self.check(cdf, np.concatenate((edges, np.nextafter(edges[1:], 0.0))), buckets)
+
+    def test_draw_above_a_last_entry_below_one_takes_the_last_index(self):
+        cdf = np.array([0.25, 0.5, 1.0 - 2**-40])
+        draws = np.array([1.0 - 2**-53, 1.0 - 2**-41, 0.3])
+        assert np.searchsorted(cdf, draws[0]) == cdf.size  # an index past the vocabulary
+        assert embed._InverseCdf(cdf)(draws).tolist() == [2, 2, 1]
+
+    def test_most_buckets_come_from_the_table(self):
+        weights = np.arange(1, 1001, dtype=float) ** 0.75
+        lookup = embed._InverseCdf(np.cumsum(weights / weights.sum()))
+        assert lookup.table.size == 2**16
+        assert (lookup.table < 0).sum() < 1000
 
 
 def planted_aspect_trial(embedding_seed):
