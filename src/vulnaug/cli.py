@@ -189,18 +189,19 @@ _BACKGROUND = _Artifact("--background", "background store",
                         lambda path: featcorr.BackgroundStore.from_file(path))
 
 
-def _make_backend(cfg: RunConfig) -> genprompt.LlmBackend:
+def _make_backend(cfg: RunConfig, answers: dict[str, str] | None = None) -> genprompt.LlmBackend:
+    """The configured backend, wrapped for the audit log when one is set.
+    The oracle answers from ``answers`` unless an answer file is given."""
     if cfg.backend == "mock":
         backend: genprompt.LlmBackend = genprompt.MockBackend()
     elif cfg.backend == "echo":
         backend = genprompt.EchoBackend()
     elif cfg.backend == "oracle":
-        answers: dict[str, str] = {}
         if cfg.oracle_answers:
             answers = json.loads(Path(cfg.oracle_answers).read_text(encoding="utf-8"))
             if not isinstance(answers, dict) or not all(isinstance(a, str) for a in answers.values()):
                 raise ValueError(f"{cfg.oracle_answers}: expected a JSON object of answer strings")
-        backend = genprompt.OracleBackend(answers=answers)
+        backend = genprompt.OracleBackend(answers=answers or {})
     elif cfg.backend == "http":
         conf_path = _prereq(cfg.backend_config, "backend config")
         backend = genprompt.HttpBackend(_load_settings(genprompt.BackendConfig, conf_path))
@@ -409,12 +410,12 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
             dump_examples, output, **shared):
     """Fill missing aspects for every target record."""
     cfg.override(rounds=rounds, example_limit=example_limit, audit=audit)
+    only = AspectKind.from_key(aspect) if aspect else None
     pipeline = _build_pipeline(cfg, **shared)
     if targets_path:
         targets = _read_feed(_prereq(targets_path, "targets file")).records
     else:
         targets = [rec for rec in pipeline.corpus if rec.missing_aspects()]
-    only = AspectKind.from_key(aspect) if aspect else None
 
     tasks: list[tuple[TvdRecord, AspectKind]] = []
     for rec in sorted(targets, key=lambda r: r.cve_id):
@@ -477,6 +478,10 @@ def _load_testset(path: Path) -> list[tuple[TvdRecord, AspectKind, str]]:
             record = TvdRecord.from_json_obj(obj)
             kind = AspectKind.from_key(obj["masked_aspect"])
             label = obj["label"]
+            if not isinstance(label, str) or not embed_mod.tokenize(label):
+                raise ValueError(f"label must be a string of at least one token, got {label!r}")
+            if record.aspects.get(kind):
+                raise ValueError(f"masked_aspect {kind.json_key!r} is still set in aspects")
         except KeyError as exc:
             raise FeedFormatError(f"missing field {exc} in {path}", line=line_no) from None
         except json.JSONDecodeError as exc:
@@ -501,12 +506,12 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
     """Score the pipeline on a masked test set."""
     cfg.override(long_tail_threshold=threshold)
     _check_threshold(cfg)
+    kind = AspectKind.from_key(aspect) if aspect else None
     pipeline = _build_pipeline(cfg, **shared)
     if testset_path:
         testset = _load_testset(_prereq(testset_path, "testset file"))
         dataset_id = str(testset_path)
-    elif aspect:
-        kind = AspectKind.from_key(aspect)
+    elif kind is not None:
         testset = []
         for rec in pipeline.corpus:
             try:
@@ -519,9 +524,7 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
         raise ValueError("evaluate needs --testset or --aspect")
 
     if cfg.backend == "oracle" and not cfg.oracle_answers:
-        pipeline.backend = genprompt.OracleBackend(
-            answers={rec.cve_id: label for rec, _, label in testset}
-        )
+        pipeline.backend = _make_backend(cfg, {rec.cve_id: label for rec, _, label in testset})
 
     report = evalkit.evaluate(
         pipeline,

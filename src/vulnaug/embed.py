@@ -99,15 +99,6 @@ class EmbeddingModel:
     _sentences: tuple = field(default_factory=lambda: (None, {}), init=False, repr=False,
                               compare=False)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocab
-
-    def vector(self, token: str) -> np.ndarray:
-        idx = self.vocab.get(token)
-        if idx is None:
-            return np.zeros(self.dim, dtype=np.float64)
-        return self.vectors[idx].astype(np.float64)
-
     def token_sums(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
         """The (n, d) float64 sums of each token list's word vectors.
 

@@ -47,36 +47,25 @@ def soft_score(
     Token-pair similarity is 1 for string-equal tokens, the cosine of their
     vectors clamped to [0, 1] when both are in vocabulary, and 0 otherwise.
     Raises UndefinedScore when either side tokenizes to nothing.
+
+    The (candidate × reference) grid is scored at once: one
+    :meth:`EmbeddingModel.token_sums` call gives every token's vector, zero
+    when out of vocabulary, and ``np.vecdot`` runs one BLAS dot per row and
+    per cell, so each cell equals a pairwise ``np.dot`` of unit vectors.
     """
     cand = tokenize(candidate)
     ref = tokenize(reference)
     if not cand or not ref:
         raise UndefinedScore("both texts must tokenize to at least one token")
 
-    def unit(token: str) -> np.ndarray | None:
-        if token not in model:
-            return None
-        v = model.vector(token)
-        norm = float(np.linalg.norm(v))
-        return v / norm if norm > 0.0 else None
-
-    cand_vecs = [unit(t) for t in cand]
-    ref_vecs = [unit(t) for t in ref]
-
-    def sim(i: int, j: int) -> float:
-        if cand[i] == ref[j]:
-            return 1.0
-        u, v = cand_vecs[i], ref_vecs[j]
-        if u is None or v is None:
-            return 0.0
-        return min(1.0, max(0.0, float(np.dot(u, v))))
-
-    precision = math.fsum(
-        max(sim(i, j) for j in range(len(ref))) for i in range(len(cand))
-    ) / len(cand)
-    recall = math.fsum(
-        max(sim(i, j) for i in range(len(cand))) for j in range(len(ref))
-    ) / len(ref)
+    v = model.token_sums([[t] for t in cand + ref])
+    norms = np.sqrt(np.vecdot(v, v))
+    u = v / np.where(norms > 0.0, norms, 1.0)[:, None]  # zero rows stay zero
+    c = len(cand)
+    sim = np.clip(np.vecdot(u[:c, None], u[None, c:]), 0.0, 1.0)
+    sim[np.array(cand)[:, None] == np.array(ref)] = 1.0
+    precision = math.fsum(sim.max(axis=1)) / len(cand)
+    recall = math.fsum(sim.max(axis=0)) / len(ref)
     return SimilarityScore(precision=precision, recall=recall, f1=_f1(precision, recall))
 
 

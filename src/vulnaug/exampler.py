@@ -111,17 +111,19 @@ def select_examples_by_similarity(
     limit: int = EXAMPLE_LIMIT,
 ) -> ExampleSet:
     """Evaluation baseline: the ``limit`` pool members whose descriptions are
-    cosine-closest to the target text, ties broken by cve_id."""
+    cosine-closest to the target text, ties broken by cve_id.
+
+    The descriptions are one :meth:`EmbeddingModel.sentence_vectors` matrix,
+    and ``np.vecdot`` takes one BLAS dot per row; a zero norm on either side
+    gives closeness 0."""
+    records = [corpus.records[cve_id] for cve_id in pool.union]
+    vectors = model.sentence_vectors([rec.description for rec in records])
     target_vec = sentence_vector(model, target_text)
     target_norm = float(np.linalg.norm(target_vec))
-
-    def closeness(rec: TvdRecord) -> float:
-        vec = sentence_vector(model, rec.description)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or target_norm == 0.0:
-            return 0.0
-        return float(vec @ target_vec) / (norm * target_norm)
-
-    records = [corpus.records[cve_id] for cve_id in pool.union]
-    ranked = sorted(records, key=lambda rec: (-closeness(rec), rec.cve_id))
-    return ExampleSet(members=ranked[:limit], selection_mode=SelectionMode.SIMILARITY)
+    norms = np.sqrt(np.vecdot(vectors, vectors))
+    closeness = np.divide(np.vecdot(vectors, target_vec), norms * target_norm,
+                          out=np.zeros(len(records)), where=(norms != 0.0) & (target_norm != 0.0))
+    key = (-closeness).tolist()
+    order = sorted(range(len(records)), key=lambda i: (key[i], records[i].cve_id))
+    return ExampleSet(members=[records[i] for i in order[:limit]],
+                      selection_mode=SelectionMode.SIMILARITY)

@@ -415,7 +415,17 @@ class TestBadInputFiles:
         (without("label"), "label"),
         (without("published"), "published"),
         (lambda good: json.dumps({**good, "masked_aspect": "no such aspect"}), "no such aspect"),
-    ], ids=["not-json", "not-object", "no-aspect", "no-label", "no-published", "bad-aspect"])
+        (lambda good: json.dumps({**good, "label": 5}), "label"),
+        (lambda good: json.dumps({**good, "label": None}), "label"),
+        (lambda good: json.dumps({**good, "label": ""}), "label"),
+        (lambda good: json.dumps({**good, "label": "..."}), "label"),
+        (lambda good: json.dumps({**good, "label": ["x"]}), "label"),
+        (lambda good: json.dumps({**good, "aspects": {**good["aspects"],
+                                                      "attacker_type": "attacker group0"}}),
+         "attacker_type"),
+    ], ids=["not-json", "not-object", "no-aspect", "no-label", "no-published", "bad-aspect",
+            "label-int", "label-null", "label-empty", "label-no-token", "label-list",
+            "slot-filled"])
     def test_bad_testset_line_exits_two_with_line_number(
         self, runner, tmp_path, artifacts, make_line, needle
     ):
@@ -816,20 +826,51 @@ class TestPipelineCommands:
         background.write_text("".join(
             f"attacker group{i}\tattackers in group{i} cause impact result{i} via port{i}\n"
             for i in range(12)))
-        reports = []
-        for jobs in ["1", "3"]:
-            prefix = tmp_path / f"report-{jobs}"
+        for strategy in ["cluster", "similarity"]:
+            reports = []
+            for jobs in ["1", "3"]:
+                prefix = tmp_path / f"report-{strategy}-{jobs}"
+                result = runner.invoke(
+                    cli,
+                    ["--jobs", jobs, "--backend", "oracle", "evaluate",
+                     "--corpus", str(corpus), "--map", str(mapping),
+                     "--embed", str(embedding), "--corr", str(correlation),
+                     "--background", str(background), "--example-strategy", strategy,
+                     "--aspect", "impact", "-o", str(prefix)],
+                )
+                assert result.exit_code == 0, result.output
+                reports.append([prefix.with_suffix(ext).read_bytes()
+                                for ext in (".txt", ".jsonl", ".csv")])
+            assert reports[0] == reports[1], strategy
+
+    def test_evaluate_audits_the_oracle_like_any_backend(self, runner, tmp_path):
+        corpus, mapping, embedding, correlation = build_artifacts(
+            runner, tmp_path, small_feed_records()
+        )
+        audit_lines = {}
+        for backend in ["mock", "oracle"]:
+            audit = tmp_path / f"audit-{backend}.jsonl"
+            config = tmp_path / f"config-{backend}.json"
+            config.write_text(json.dumps({"audit": str(audit)}))
             result = runner.invoke(
                 cli,
-                ["--jobs", jobs, "--backend", "oracle", "evaluate",
+                ["--config", str(config), "--backend", backend, "evaluate",
                  "--corpus", str(corpus), "--map", str(mapping),
                  "--embed", str(embedding), "--corr", str(correlation),
-                 "--background", str(background), "--aspect", "impact", "-o", str(prefix)],
+                 "--aspect", "impact", "-o", str(tmp_path / f"report-{backend}")],
             )
             assert result.exit_code == 0, result.output
-            reports.append([prefix.with_suffix(ext).read_bytes()
-                            for ext in (".txt", ".jsonl", ".csv")])
-        assert reports[0] == reports[1]
+            audit_lines[backend] = audit.read_text().splitlines()
+        assert len(audit_lines["oracle"]) == len(audit_lines["mock"]) > 0
+        assert {json.loads(line)["backend"] for line in audit_lines["oracle"]} == {"oracle"}
+
+    @pytest.mark.parametrize("command", ["augment", "evaluate"])
+    def test_bad_aspect_exits_two_before_loading(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [command, "--aspect", "bogus", "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: unknown aspect: 'bogus'")
+        assert list(tmp_path.iterdir()) == []
 
 
 SRC = str(Path(vulnaug.__file__).resolve().parents[1])

@@ -74,7 +74,7 @@ class TestTraining:
         model = train_embeddings(cooccurrence_corpus(), TrainConfig(seed=7))
 
         def cos(x, y):
-            vx, vy = model.vector(x), model.vector(y)
+            vx, vy = model.vectors[model.vocab[x]], model.vectors[model.vocab[y]]
             return float(np.dot(vx, vy) / (np.linalg.norm(vx) * np.linalg.norm(vy)))
 
         assert cos("alpha", "beta") > cos("alpha", "gamma")
@@ -83,7 +83,7 @@ class TestTraining:
         model = train_embeddings(cooccurrence_corpus(), TrainConfig(seed=7), dim=64)
         assert model.dim == 64
         assert model.vectors.shape == (len(model.vocab), 64)
-        assert all(model.vector(t).shape == (64,) for t in ("alpha", "never-seen"))
+        assert model.vectors[model.vocab["alpha"]].shape == (64,)
 
     def test_insufficient_vocabulary(self):
         corpus = Corpus.from_records([make_record("CVE-2020-9000", "word word word")])
@@ -569,7 +569,8 @@ def reference_sentence_vector(model, text):
     """Add one token vector at a time to a zero vector."""
     out = np.zeros(model.dim, dtype=np.float64)
     for token in tokenize(text):
-        out += model.vector(token)
+        if token in model.vocab:
+            out += model.vectors[model.vocab[token]]
     return out
 
 
@@ -597,7 +598,7 @@ class TestSentenceVector:
         assert np.array_equal(sentence_vector(model, ""), np.zeros(model.dim))
 
     def test_single_token_is_its_vector(self, model):
-        assert np.array_equal(sentence_vector(model, "alpha"), model.vector("alpha"))
+        assert np.array_equal(sentence_vector(model, "alpha"), model.vectors[model.vocab["alpha"]])
 
     def test_oov_contributes_zero(self, model):
         assert np.array_equal(

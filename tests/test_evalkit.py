@@ -1,15 +1,19 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_record
 from vulnaug.corpus import AspectKind, Corpus
-from vulnaug.embed import TrainConfig, train_embeddings
+from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.errors import UndefinedScore
 from vulnaug.evalkit import (
     LONG_TAIL,
     NON_LONG_TAIL,
     CostParams,
+    SimilarityScore,
     effectiveness_threshold,
     evaluate,
     expected_lookups,
@@ -62,6 +66,84 @@ class TestSoftScore:
         result = soft_score("buffer crash zzqx", "leak overflow parser", model)
         for value in (result.precision, result.recall, result.f1):
             assert 0.0 <= value <= 1.0
+
+
+def reference_soft_score(candidate, reference, model):
+    """Score each (candidate, reference) token pair on its own: 1 when
+    string-equal, else the clamped dot of the two unit vectors, 0 when either
+    is out of vocabulary or zero; then fsum the best match of each token."""
+    cand, ref = tokenize(candidate), tokenize(reference)
+
+    def unit(token):
+        if token not in model.vocab:
+            return None
+        v = model.vectors[model.vocab[token]].astype(np.float64)
+        norm = float(np.linalg.norm(v))
+        return v / norm if norm > 0.0 else None
+
+    cand_vecs = [unit(t) for t in cand]
+    ref_vecs = [unit(t) for t in ref]
+
+    def sim(i, j):
+        if cand[i] == ref[j]:
+            return 1.0
+        u, v = cand_vecs[i], ref_vecs[j]
+        if u is None or v is None:
+            return 0.0
+        return min(1.0, max(0.0, float(np.dot(u, v))))
+
+    precision = math.fsum(
+        max(sim(i, j) for j in range(len(ref))) for i in range(len(cand))
+    ) / len(cand)
+    recall = math.fsum(
+        max(sim(i, j) for i in range(len(cand))) for j in range(len(ref))
+    ) / len(ref)
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0.0 else 0.0
+    return SimilarityScore(precision=precision, recall=recall, f1=f1)
+
+
+def bits(score):
+    return np.array([score.precision, score.recall, score.f1]).tobytes()
+
+
+# Tokens that tokenize to themselves; "zero" has the all -0.0 row, "nil" the
+# all +0.0 row, and "oov" and "unseen" are out of vocabulary.
+GRID_VOCAB = ["alpha", "beta", "gamma", "delta", "zero", "nil"]
+GRID_TOKENS = GRID_VOCAB + ["oov", "unseen"]
+
+
+@st.composite
+def grid_models(draw):
+    """Entries across many binades, some of them +0.0 and some -0.0."""
+    dim = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(GRID_VOCAB), dim)
+    vectors = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    vectors[rng.random(shape) < 0.2] = 0.0
+    vectors[rng.random(shape) < 0.2] = -0.0
+    vectors[GRID_VOCAB.index("zero")] = -0.0
+    vectors[GRID_VOCAB.index("nil")] = 0.0
+    return EmbeddingModel(dim=dim, vocab={t: i for i, t in enumerate(GRID_VOCAB)},
+                          vectors=vectors.astype(np.float32))
+
+
+class TestSoftScoreGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_models(),
+           st.lists(st.sampled_from(GRID_TOKENS), min_size=1, max_size=8),
+           st.lists(st.sampled_from(GRID_TOKENS), min_size=1, max_size=8))
+    def test_grid_equals_the_pairwise_loop(self, model, cand, ref):
+        candidate, reference = " ".join(cand), " ".join(ref)
+        got = soft_score(candidate, reference, model)
+        want = reference_soft_score(candidate, reference, model)
+        assert bits(got) == bits(want)
+
+    def test_repeated_and_out_of_vocabulary_tokens(self, model):
+        for candidate, reference in [("buffer buffer zzqx", "overflow zzqx zzqx"),
+                                     ("zzqx", "buffer"), ("crash crash", "crash")]:
+            got = soft_score(candidate, reference, model)
+            want = reference_soft_score(candidate, reference, model)
+            assert bits(got) == bits(want)
 
 
 def build_testset(n=8):

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from helpers import make_record, pool_fixture
 from vulnaug.corpus import Corpus
-from vulnaug.embed import TrainConfig, train_embeddings
+from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.exampler import (
+    ExamplePool,
     SelectionMode,
     retrieve_pool,
     select_examples,
@@ -132,6 +134,49 @@ class TestSelectExamples:
             assert rec.aspects == corpus.records[rec.cve_id].aspects
 
 
+def reference_similarity_order(pool, corpus, model, target_text):
+    """The pool's cve_ids by the cosine of each description's token-loop sum
+    with the target's, computed one record at a time, ties by cve_id."""
+
+    def summed(text):
+        out = np.zeros(model.dim)
+        for token in tokenize(text):
+            if token in model.vocab:
+                out += model.vectors[model.vocab[token]]
+        return out
+
+    target_vec = summed(target_text)
+    target_norm = float(np.linalg.norm(target_vec))
+
+    def closeness(rec):
+        vec = summed(rec.description)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0 or target_norm == 0.0:
+            return 0.0
+        return float(vec @ target_vec) / (norm * target_norm)
+
+    records = [corpus.records[cve_id] for cve_id in pool.union]
+    return [rec.cve_id for rec in sorted(records, key=lambda rec: (-closeness(rec), rec.cve_id))]
+
+
+def signed_zero_pool():
+    """A pool whose descriptions include all-OOV ones and ones that sum to
+    zero, over a model with an all -0.0 row, in shuffled cve_id order."""
+    tokens = ["alpha", "beta", "gamma", "delta", "zero"]
+    rng = np.random.default_rng(5)
+    vectors = rng.standard_normal((len(tokens), 3))
+    vectors[tokens.index("zero")] = -0.0
+    model = EmbeddingModel(dim=3, vocab={t: i for i, t in enumerate(tokens)},
+                           vectors=vectors.astype(np.float32))
+    texts = ["alpha beta.", "zero.", "unknown words.", "gamma.", "alpha beta.", "delta zero oov.",
+             "beta alpha.", "zero zero.", "gamma delta.", "nothing here.", "alpha.", "delta."]
+    records = [make_record(f"CVE-2011-{1000 + i}", text) for i, text in enumerate(texts)]
+    corpus = Corpus.from_records([records[i] for i in rng.permutation(len(records))])
+    union = sorted(rec.cve_id for rec in records)
+    pool = ExamplePool(target="CVE-2011-0001", from_software=set(), from_cwe=set(union), union=union)
+    return pool, corpus, model
+
+
 class TestSimilarityBaseline:
     def test_returns_limit_closest(self, big_pool):
         target, db, corpus, model = big_pool
@@ -150,3 +195,37 @@ class TestSimilarityBaseline:
             pool, corpus, model, corpus.records[pool.union[0]].description, limit=5
         )
         assert selected.members[0].cve_id == pool.union[0]
+
+    @pytest.mark.parametrize("target_text", ["alpha beta", "gamma", "zero", "unknown oov words",
+                                             "", "delta zero oov"])
+    @pytest.mark.parametrize("limit", [1, 5, 30])
+    def test_order_matches_the_per_record_loop(self, target_text, limit):
+        pool, corpus, model = signed_zero_pool()
+        selected = select_examples_by_similarity(pool, corpus, model, target_text, limit=limit)
+        want = reference_similarity_order(pool, corpus, model, target_text)
+        assert [rec.cve_id for rec in selected.members] == want[:limit]
+
+    def test_order_matches_the_per_record_loop_on_a_large_pool(self, big_pool):
+        target, db, corpus, model = big_pool
+        pool = retrieve_pool(target, db, corpus)
+        for text in (target.description, corpus.records[pool.union[7]].description, "zzqx"):
+            selected = select_examples_by_similarity(pool, corpus, model, text, limit=40)
+            want = reference_similarity_order(pool, corpus, model, text)
+            assert [rec.cve_id for rec in selected.members] == want[:40]
+
+    def test_one_token_sums_fill_for_the_pool(self, big_pool, monkeypatch):
+        target, db, corpus, trained = big_pool
+        # A new model keeps no sentence vectors yet.
+        model = EmbeddingModel(dim=trained.dim, vocab=trained.vocab, vectors=trained.vectors)
+        pool = retrieve_pool(target, db, corpus)
+        fills = []
+        token_sums = EmbeddingModel.token_sums
+
+        def counted(self, token_lists):
+            fills.append(len(token_lists))
+            return token_sums(self, token_lists)
+
+        monkeypatch.setattr(EmbeddingModel, "token_sums", counted)
+        select_examples_by_similarity(pool, corpus, model, "zzqx unseen target", limit=30)
+        distinct = {corpus.records[cve_id].description for cve_id in pool.union}
+        assert fills == [len(distinct), 1]

@@ -98,7 +98,8 @@ def token_loop_sum(model, tokens):
     """Add one token vector at a time, from zero."""
     acc = np.zeros(model.embedding.dim, dtype=np.float64)
     for tok in tokens:
-        acc += model.embedding.vector(tok)
+        if tok in model.embedding.vocab:
+            acc += model.embedding.vectors[model.embedding.vocab[tok]]
     return acc
 
 
