@@ -370,7 +370,9 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
                  oracle_answers=oracle_answers, example_strategy=example_strategy)
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
-    check_settings(cfg.rounds, cfg.example_limit, cfg.aggregation, cfg.example_strategy)
+    check_settings(cfg.rounds, cfg.example_limit, cfg.aggregation, cfg.example_strategy,
+                   cfg.temperature)
+    backend = _make_backend(cfg)
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     db = _MAP(map_path)
     embedding = _EMBED(embed_path)
@@ -381,7 +383,7 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
         db=db,
         embedding=embedding,
         correlation=correlation,
-        backend=_make_backend(cfg),
+        backend=backend,
         store=store,
         example_limit=cfg.example_limit,
         rounds=cfg.rounds,
@@ -507,11 +509,14 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
     cfg.override(long_tail_threshold=threshold)
     _check_threshold(cfg)
     kind = AspectKind.from_key(aspect) if aspect else None
-    pipeline = _build_pipeline(cfg, **shared)
     if testset_path:
-        testset = _load_testset(_prereq(testset_path, "testset file"))
+        testset = [row for row in _load_testset(_prereq(testset_path, "testset file"))
+                   if kind is None or row[1] == kind]
         dataset_id = str(testset_path)
-    elif kind is not None:
+    elif kind is None:
+        raise ValueError("evaluate needs --testset or --aspect")
+    pipeline = _build_pipeline(cfg, **shared)
+    if not testset_path:
         testset = []
         for rec in pipeline.corpus:
             try:
@@ -520,8 +525,6 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
                 continue
             testset.append((masked, kind, label))
         dataset_id = f"masked:{kind.json_key}"
-    else:
-        raise ValueError("evaluate needs --testset or --aspect")
 
     if cfg.backend == "oracle" and not cfg.oracle_answers:
         pipeline.backend = _make_backend(cfg, {rec.cve_id: label for rec, _, label in testset})

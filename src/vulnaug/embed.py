@@ -469,6 +469,10 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return x[chosen].copy()
 
 
+_KMEANS_MAX_ITER = 200
+_KMEANS_TOL = 1e-6
+
+
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d2 = (
         np.sum(x**2, axis=1)[:, None]
@@ -486,16 +490,14 @@ def kmeans(
     vectors: Sequence[np.ndarray] | np.ndarray,
     k: int,
     seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-6,
 ) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Stops after ``max_iter`` iterations or when the largest centroid shift
-    falls below ``tol``. Empty clusters are reseeded (distance-squared
-    sampling) once; surviving empties are accepted. ``k`` larger than the
-    number of points degrades to one singleton cluster per point plus empty
-    surplus clusters, with a warning.
+    Stops after ``_KMEANS_MAX_ITER`` iterations or when the largest centroid
+    shift falls below ``_KMEANS_TOL``. Empty clusters are reseeded
+    (distance-squared sampling) once; surviving empties are accepted. ``k``
+    larger than the number of points degrades to one singleton cluster per
+    point plus empty surplus clusters, with a warning.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -527,7 +529,7 @@ def kmeans(
     assignments = _assign(x, centroids)
     history: list[float] = []
     reseeded = False
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         counts = np.bincount(assignments, minlength=k)
         occupied = counts > 0
         if not reseeded and not occupied.all():
@@ -553,7 +555,7 @@ def kmeans(
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         history.append(_wcss(x, centroids, assignments))
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
         assignments = _assign(x, centroids)
 

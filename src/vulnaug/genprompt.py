@@ -211,24 +211,26 @@ def build_selection(
     return Prompt(PromptKind.SELECTION, _selection_text(context, missing, ans_direct, ans_fill))
 
 
+_FEW_SHOT = 3
+
+
 def build_baseline(
     record: TvdRecord,
     kind: AspectKind,
     exemplar_candidates: Iterable[TvdRecord],
     seed: int = 0,
-    few_shot: int = 3,
 ) -> Prompt:
     """Few-shot baseline prompt in the fixed question/noting/examples shape.
 
-    Three exemplars (fewer when the candidate list is short) are sampled with
-    the seed from candidates that have the aspect populated; each is shown with
-    the aspect value replaced by "unknown <name>" and the removed value as the
-    answer line.
+    ``_FEW_SHOT`` exemplars (fewer when the candidate list is short) are
+    sampled with the seed from candidates that have the aspect populated; each
+    is shown with the aspect value replaced by "unknown <name>" and the removed
+    value as the answer line.
     """
     usable = [c for c in exemplar_candidates if c.aspects.get(kind) and c.cve_id != record.cve_id]
     usable.sort(key=lambda r: r.cve_id)
     picker = random.Random(seed)
-    chosen = usable if len(usable) <= few_shot else picker.sample(usable, few_shot)
+    chosen = usable if len(usable) <= _FEW_SHOT else picker.sample(usable, _FEW_SHOT)
 
     software = record.raw_software_names[0] if record.raw_software_names else ""
     name = kind.display_name
@@ -237,7 +239,7 @@ def build_baseline(
         f"software name: {software}",
         f"noting: {name} is phrase.",
     ]
-    if len(chosen) < few_shot:
+    if len(chosen) < _FEW_SHOT:
         lines.append(f"noting: only {len(chosen)} examples available.")
     for exemplar in chosen:
         value = exemplar.aspects[kind]
@@ -402,14 +404,14 @@ class ConstantBackend:
 
 
 class RateLimiter:
-    """Token bucket; acquire() blocks until a token is available."""
+    """Token bucket holding at most one token; acquire() blocks until a
+    token is available."""
 
-    def __init__(self, rate_per_s: float, capacity: int = 1):
+    def __init__(self, rate_per_s: float):
         if not (math.isfinite(rate_per_s) and rate_per_s > 0):
             raise ValueError(f"rate must be finite and > 0 requests per second, got {rate_per_s!r}")
         self.rate = rate_per_s
-        self.capacity = capacity
-        self._tokens = float(capacity)
+        self._tokens = 1.0
         self._stamp = time.monotonic()
         self._lock = threading.Lock()
 
@@ -417,9 +419,7 @@ class RateLimiter:
         while True:
             with self._lock:
                 now = time.monotonic()
-                self._tokens = min(
-                    self.capacity, self._tokens + (now - self._stamp) * self.rate
-                )
+                self._tokens = min(1.0, self._tokens + (now - self._stamp) * self.rate)
                 self._stamp = now
                 if self._tokens >= 1.0:
                     self._tokens -= 1.0

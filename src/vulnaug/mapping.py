@@ -1,9 +1,12 @@
 """Software-CVE mapping: canonical software names joined to CVE ids.
 
-Government-style advisories open with a standardized software name; three
-regular-expression templates pull the Latin seed out of the (possibly CJK)
-first sentence, a token-extension pass grows the seed to the full multi-word
-name, and the results are indexed bidirectionally with CVE-ID as the key.
+Government-style advisories open with a standardized software name. The
+template for the advisory's source captures a Latin seed of that name in the
+(possibly CJK) first sentence. The seed starts where the name starts and grows
+forward to the end of its run of ASCII-letter tokens joined by single spaces
+or hyphens, so a capture like "Apache S" comes back as "Apache Struts"; a
+digit, a CJK character, other punctuation or a doubled separator ends the run.
+The results are indexed bidirectionally with CVE-ID as the key.
 """
 
 from __future__ import annotations
@@ -17,29 +20,21 @@ from .corpus import CVE_ID_RE, Source, TvdRecord
 from .errors import NotFound
 from .ioutil import atomic_write_lines
 
-# Extraction templates. T1 expects a CJK character directly before the name
-# (CNNVD style), T2 a Latin name optionally trailed by a version (CERT-FR
-# style), T3 a CJK character before a single Latin word (JVN style).
-TEMPLATE1_PATTERN = r"[一-龥]([a-zA-Z]+[\s-]?[a-zA-Z])"
-TEMPLATE2_PATTERN = r"([a-zA-Z]+[\s-]?[a-zA-Z])(?:\d+(?:\.\d+)?[.])?"
-TEMPLATE3_PATTERN = r"[一-龥]([a-zA-Z]+)(?:[\s-].*?)"
+# Extraction templates, group 1 being the seed. T1 expects a CJK character
+# directly before the name (CNNVD style), T2 a Latin name optionally trailed by
+# a version (CERT-FR style), T3 a CJK character before a single Latin word
+# (JVN style). No seed starts inside a token run: a CJK character comes right
+# before a T1 or T3 seed, and a letter, or a letter and a separator, before a
+# T2 seed would start an earlier match.
+TEMPLATES: dict[Source, re.Pattern] = {
+    Source.GOV_CNNVD: re.compile(r"[一-龥]([a-zA-Z]+[\s-]?[a-zA-Z])"),
+    Source.GOV_CERTFR: re.compile(r"([a-zA-Z]+[\s-]?[a-zA-Z])(?:\d+(?:\.\d+)?[.])?"),
+    Source.GOV_JVN: re.compile(r"[一-龥]([a-zA-Z]+)(?:[\s-].*?)"),
+}
 
-
-@dataclass(frozen=True)
-class NameTemplate:
-    id: str
-    pattern: str
-    applicable_source: Source
-
-    def compiled(self) -> re.Pattern:
-        return re.compile(self.pattern)
-
-
-DEFAULT_TEMPLATES = [
-    NameTemplate("T1", TEMPLATE1_PATTERN, Source.GOV_CNNVD),
-    NameTemplate("T2", TEMPLATE2_PATTERN, Source.GOV_CERTFR),
-    NameTemplate("T3", TEMPLATE3_PATTERN, Source.GOV_JVN),
-]
+# The rest of a seed's token run: ASCII-letter tokens joined by single spaces
+# or hyphens.
+_RUN = re.compile(r"[A-Za-z]*(?:[ -][A-Za-z]+)*")
 
 # Conflict resolution prefers the larger repository.
 SOURCE_PRIORITY = {
@@ -47,8 +42,6 @@ SOURCE_PRIORITY = {
     Source.GOV_JVN: 2,
     Source.GOV_CERTFR: 1,
 }
-
-_LETTER = re.compile(r"[A-Za-z]")
 
 # A comma-joined list of ids that each match CVE_ID_RE.
 _CVE_LIST_RE = re.compile("{0}(?:,{0})*".format(CVE_ID_RE.pattern.strip("^$")))
@@ -59,55 +52,16 @@ def canonicalize_name(name: str) -> str:
     return " ".join(name.split())
 
 
-def _is_letter(ch: str) -> bool:
-    return bool(_LETTER.match(ch))
-
-
-def _extend_token_run(sentence: str, start: int, end: int) -> tuple[int, int]:
-    """Grow [start, end) to the maximal run of ASCII-letter tokens joined by
-    single spaces or hyphens. Digits, CJK, and doubled separators stop the run.
+def extract_software_name(first_sentence: str, template: re.Pattern) -> str | None:
+    """Apply a template to an advisory's first sentence and return the name:
+    the template's group-1 seed grown to the end of its token run,
+    canonicalized. Returns None when the template does not match.
     """
-    while start > 0 and _is_letter(sentence[start - 1]):
-        start -= 1
-    while end < len(sentence) and _is_letter(sentence[end]):
-        end += 1
-    while (
-        start >= 2
-        and sentence[start - 1] in " -"
-        and _is_letter(sentence[start - 2])
-    ):
-        start -= 2
-        while start > 0 and _is_letter(sentence[start - 1]):
-            start -= 1
-    while (
-        end + 1 < len(sentence)
-        and sentence[end] in " -"
-        and _is_letter(sentence[end + 1])
-    ):
-        end += 2
-        while end < len(sentence) and _is_letter(sentence[end]):
-            end += 1
-    return start, end
-
-
-def extract_software_name(first_sentence: str, template: NameTemplate) -> str | None:
-    """Apply a template to an advisory's first sentence and return the name.
-
-    The template capture is only a seed (the raw patterns stop after a single
-    trailing letter); the seed is extended to the surrounding token run so a
-    capture like "Apache S" comes back as "Apache Struts". Returns None when
-    the template does not match.
-    """
-    if not first_sentence:
+    match = template.search(first_sentence)
+    if match is None:
         return None
-    match = template.compiled().search(first_sentence)
-    if match is None or match.lastindex is None:
-        return None
-    start, end = match.span(1)
-    if start == end:
-        return None
-    start, end = _extend_token_run(first_sentence, start, end)
-    return canonicalize_name(first_sentence[start:end])
+    end = _RUN.match(first_sentence, match.end(1)).end()
+    return canonicalize_name(first_sentence[match.start(1):end])
 
 
 @dataclass(frozen=True)
@@ -146,34 +100,24 @@ class MappingDb:
                 self.conflicts.append(NameConflict(cve_id, kept=current, dropped=name))
                 return
             self.conflicts.append(NameConflict(cve_id, kept=name, dropped=current))
-            self._unlink(cve_id, current)
+            members = self.name_to_cves[current]
+            members.discard(cve_id)
+            if not members:
+                del self.name_to_cves[current]
         self.name_to_cves.setdefault(name, set()).add(cve_id)
         self.cve_to_name[cve_id] = name
         self.cve_source[cve_id] = source
 
-    def _unlink(self, cve_id: str, name: str) -> None:
-        members = self.name_to_cves.get(name)
-        if members is not None:
-            members.discard(cve_id)
-            if not members:
-                del self.name_to_cves[name]
-        self.cve_to_name.pop(cve_id, None)
-        self.cve_source.pop(cve_id, None)
 
-
-def build_mapping(
-    gov_records: Iterable[TvdRecord],
-    templates: Iterable[NameTemplate] = DEFAULT_TEMPLATES,
-) -> MappingDb:
+def build_mapping(gov_records: Iterable[TvdRecord]) -> MappingDb:
     """Extract a name from every gov record and index it under its CVE id.
 
     Records whose source has no template, that lack a first sentence, or whose
     sentence yields no name land on the db's ``unresolved`` list.
     """
-    by_source = {t.applicable_source: t for t in templates}
     db = MappingDb()
     for rec in gov_records:
-        template = by_source.get(rec.source)
+        template = TEMPLATES.get(rec.source)
         if template is None or not rec.first_sentence:
             db.unresolved.append(rec.cve_id)
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,11 +31,12 @@ EXAMPLE_STRATEGIES = ("cluster", "similarity")
 
 
 def check_settings(rounds: int, example_limit: int, aggregation: str,
-                   example_strategy: str) -> None:
+                   example_strategy: str, temperature: float) -> None:
     """Raise a ValueError naming the first setting that no pipeline can run
     with: ``rounds`` or ``example_limit`` below 1, an ``aggregation`` not in
-    ``featcorr.AGGREGATIONS`` or an ``example_strategy`` not in
-    :data:`EXAMPLE_STRATEGIES`."""
+    ``featcorr.AGGREGATIONS``, an ``example_strategy`` not in
+    :data:`EXAMPLE_STRATEGIES` or a ``temperature`` that is negative or not
+    finite."""
     for name, value in (("rounds", rounds), ("example_limit", example_limit)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -42,6 +44,8 @@ def check_settings(rounds: int, example_limit: int, aggregation: str,
                                  ("example_strategy", example_strategy, EXAMPLE_STRATEGIES)):
         if value not in allowed:
             raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
 
 
 def map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -88,7 +92,8 @@ class AugmentPipeline:
     example_strategy: str = "cluster"  # one of EXAMPLE_STRATEGIES
 
     def __post_init__(self) -> None:
-        check_settings(self.rounds, self.example_limit, self.aggregation, self.example_strategy)
+        check_settings(self.rounds, self.example_limit, self.aggregation, self.example_strategy,
+                       self.temperature)
 
     @property
     def identity(self) -> str:

@@ -375,6 +375,18 @@ def pipeline_args(command, artifacts):
             "--embed", str(embedding), "--corr", str(correlation)]
 
 
+def write_testset(path, testset):
+    """Write (masked record, kind, label) rows as masked-testset JSONL."""
+    lines = []
+    for masked, kind, label in testset:
+        obj = masked.to_json_obj()
+        obj["masked_aspect"] = kind.json_key
+        obj["label"] = label
+        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def without(key):
     return lambda good: json.dumps({k: v for k, v in good.items() if k != key})
 
@@ -508,6 +520,8 @@ class TestModelFiles:
         args = pipeline_args(command, artifacts)
         if command == "train-corr":
             args = ["train-corr", "--corpus", str(corpus), "--embed", str(embedding)]
+        if command == "evaluate":
+            args += ["--aspect", "impact"]
         args[args.index(flag) + 1] = str(damaged)
         out = tmp_path / "out"
         result = runner.invoke(cli, args + ["-o", str(out)])
@@ -638,26 +652,53 @@ class TestPipelineCommands:
         assert f"{name} must be >= 1" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,settings,key", [
-        ("augment", {"example_strategy": "foo"}, "example_strategy"),
-        ("evaluate", {"example_strategy": "foo"}, "example_strategy"),
-        ("augment", {"aggregation": "median"}, "aggregation"),
-        ("augment", {"rounds": 0}, "rounds"),
-        ("evaluate", {"rounds": -2}, "rounds"),
+    # ``{inputs}`` stands for a directory holding answers.json, a JSON list
+    # where an answer table belongs, and testset.jsonl, whose first line is
+    # not JSON.
+    @pytest.mark.parametrize("command,settings,message", [
+        ("augment", {"example_strategy": "foo"}, "example_strategy must be"),
+        ("evaluate", {"example_strategy": "foo"}, "example_strategy must be"),
+        ("augment", {"aggregation": "median"}, "aggregation must be"),
+        ("augment", {"rounds": 0}, "rounds must be"),
+        ("evaluate", {"rounds": -2}, "rounds must be"),
+        ("augment", {"backend": "bogus"}, "unknown backend: 'bogus'"),
+        ("evaluate", {"backend": "bogus"}, "unknown backend: 'bogus'"),
+        ("augment", {"backend": "oracle", "oracle_answers": "{inputs}/answers.json"},
+         "{inputs}/answers.json: expected a JSON object"),
+        ("evaluate", {"backend": "oracle", "oracle_answers": "{inputs}/answers.json"},
+         "{inputs}/answers.json: expected a JSON object"),
+        ("evaluate --testset {inputs}/testset.jsonl", {}, "line 1: "),
+        ("augment", {"temperature": -3.0}, "temperature must be"),
+        ("augment", {"temperature": float("nan")}, "temperature must be"),
+        ("evaluate", {"temperature": float("inf")}, "temperature must be"),
+    ], ids=[
+        "augment-settings0-example_strategy", "evaluate-settings1-example_strategy",
+        "augment-settings2-aggregation", "augment-settings3-rounds", "evaluate-settings4-rounds",
+        "augment-backend", "evaluate-backend", "augment-oracle-answers",
+        "evaluate-oracle-answers", "evaluate-testset-line", "augment-temperature-negative",
+        "augment-temperature-nan", "evaluate-temperature-inf",
     ])
     def test_bad_pipeline_setting_exits_two_before_loading(self, runner, tmp_path, artifacts,
-                                                           monkeypatch, command, settings, key):
+                                                           monkeypatch, command, settings,
+                                                           message):
         loads = []
         monkeypatch.setattr(EmbeddingModel, "load", lambda path: loads.append(path))
-        config = tmp_path / "config.json"
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "answers.json").write_text("[1]")
+        (inputs / "testset.jsonl").write_text("{not json\n")
+        config = inputs / "config.json"
+        settings = {key: value.format(inputs=inputs) if isinstance(value, str) else value
+                    for key, value in settings.items()}
         config.write_text(json.dumps({**settings, "audit": str(tmp_path / "audit.jsonl")}))
+        name, *extra = command.format(inputs=inputs).split()
         out = tmp_path / "out"
-        result = runner.invoke(cli, ["--config", str(config)] + pipeline_args(command, artifacts)
-                               + ["-o", str(out)])
+        result = runner.invoke(cli, ["--config", str(config)] + pipeline_args(name, artifacts)
+                               + extra + ["--aspect", "impact", "-o", str(out)])
         assert result.exit_code == 2, result.output
-        assert result.output.startswith(f"error: {key} must be")
+        assert result.output.startswith(f"error: {message.format(inputs=inputs)}")
         assert loads == []
-        assert list(tmp_path.iterdir()) == [config]
+        assert list(tmp_path.iterdir()) == [inputs]
 
     @pytest.mark.parametrize("command,settings", [
         (["--threshold", "0"], {}),
@@ -682,14 +723,7 @@ class TestPipelineCommands:
         corpus_obj, _, testset = masked_eval_fixture(8)
         records = list(corpus_obj)
         corpus, mapping, embedding, correlation = build_artifacts(runner, tmp_path, records)
-        testset_path = tmp_path / "testset.jsonl"
-        lines = []
-        for masked, kind, label in testset:
-            obj = masked.to_json_obj()
-            obj["masked_aspect"] = kind.json_key
-            obj["label"] = label
-            lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-        testset_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        testset_path = write_testset(tmp_path / "testset.jsonl", testset)
         prefix = tmp_path / "report"
         result = runner.invoke(
             cli,
@@ -703,6 +737,26 @@ class TestPipelineCommands:
         assert (prefix.with_suffix(".csv")).exists()
         rows = [json.loads(line) for line in prefix.with_suffix(".jsonl").read_text().splitlines()]
         assert rows and all(row["mean_f1"] == 1.0 for row in rows)
+
+    def test_evaluate_testset_keeps_only_the_aspect_given(self, runner, tmp_path):
+        corpus_obj, _, testset = masked_eval_fixture(10)
+        corpus, mapping, embedding, correlation = build_artifacts(runner, tmp_path, list(corpus_obj))
+        testset_path = write_testset(tmp_path / "testset.jsonl", testset)
+        prefix = tmp_path / "report"
+        result = runner.invoke(
+            cli,
+            ["--backend", "oracle", "evaluate",
+             "--corpus", str(corpus), "--map", str(mapping),
+             "--embed", str(embedding), "--corr", str(correlation),
+             "--testset", str(testset_path), "--aspect", "impact", "-o", str(prefix)],
+        )
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in prefix.with_suffix(".jsonl").read_text().splitlines()]
+        impact_rows = sum(1 for _, kind, _ in testset if kind == AspectKind.IMPACT)
+        assert 0 < impact_rows < len(testset)
+        assert rows and all(row["aspect"] == "impact" for row in rows)
+        assert sum(row["count"] for row in rows) == impact_rows
+        assert all(row["dataset"] == str(testset_path) for row in rows)
 
     def test_build_map_resolves_struts(self, runner, tmp_path):
         feed = write_feed(tmp_path, struts_gov_records(), "gov.jsonl")
@@ -863,6 +917,12 @@ class TestPipelineCommands:
             audit_lines[backend] = audit.read_text().splitlines()
         assert len(audit_lines["oracle"]) == len(audit_lines["mock"]) > 0
         assert {json.loads(line)["backend"] for line in audit_lines["oracle"]} == {"oracle"}
+
+    def test_evaluate_without_testset_or_aspect_exits_two_before_loading(self, runner, tmp_path):
+        result = runner.invoke(cli, ["evaluate", "-o", str(tmp_path / "report")])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: evaluate needs --testset or --aspect")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["augment", "evaluate"])
     def test_bad_aspect_exits_two_before_loading(self, runner, tmp_path, command):

@@ -1,14 +1,17 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record, struts_gov_records
 from vulnaug.corpus import Source
 from vulnaug.errors import NotFound
 from vulnaug.mapping import (
-    DEFAULT_TEMPLATES,
+    TEMPLATES,
     MappingDb,
     build_mapping,
+    canonicalize_name,
     extend_with_fallback,
     extract_software_name,
     load_mapping,
@@ -19,7 +22,57 @@ from vulnaug.mapping import (
     software_name,
 )
 
-T1, T2, T3 = DEFAULT_TEMPLATES
+T1, T2, T3 = (TEMPLATES[source] for source in (Source.GOV_CNNVD, Source.GOV_CERTFR, Source.GOV_JVN))
+
+_LETTER = re.compile(r"[A-Za-z]")
+
+
+def _is_letter(ch):
+    return bool(_LETTER.match(ch))
+
+
+def reference_extend_token_run(sentence, start, end):
+    """Grow [start, end) to the maximal run of ASCII-letter tokens joined by
+    single spaces or hyphens, one character at a time."""
+    while start > 0 and _is_letter(sentence[start - 1]):
+        start -= 1
+    while end < len(sentence) and _is_letter(sentence[end]):
+        end += 1
+    while (
+        start >= 2
+        and sentence[start - 1] in " -"
+        and _is_letter(sentence[start - 2])
+    ):
+        start -= 2
+        while start > 0 and _is_letter(sentence[start - 1]):
+            start -= 1
+    while (
+        end + 1 < len(sentence)
+        and sentence[end] in " -"
+        and _is_letter(sentence[end + 1])
+    ):
+        end += 2
+        while end < len(sentence) and _is_letter(sentence[end]):
+            end += 1
+    return start, end
+
+
+def reference_extract(sentence, template):
+    if not sentence:
+        return None
+    match = template.search(sentence)
+    if match is None or match.lastindex is None:
+        return None
+    start, end = match.span(1)
+    if start == end:
+        return None
+    start, end = reference_extend_token_run(sentence, start, end)
+    return canonicalize_name(sentence[start:end])
+
+
+# Letters, both separators, the other whitespace that T1 and T2 accept inside
+# a seed, digits, a version dot, a non-ASCII letter and CJK.
+_SENTENCE_CHARS = list("aBzZ") * 3 + [" ", " ", "-", "\t", "\n", "0", "9", ".", "é", "该", "製"]
 
 
 class TestExtraction:
@@ -46,12 +99,31 @@ class TestExtraction:
     @settings(max_examples=200)
     @given(st.text(max_size=80))
     def test_never_cjk_or_padded(self, sentence):
-        for template in DEFAULT_TEMPLATES:
+        for template in TEMPLATES.values():
             name = extract_software_name(sentence, template)
             if name is None:
                 continue
             assert name == name.strip()
             assert not any("一" <= ch <= "龥" for ch in name)
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet=st.sampled_from(_SENTENCE_CHARS), max_size=60))
+    @example("该Apache\tStruts存在")
+    @example("该Apache\nStruts 2 存在")
+    @example("Red\t\tHat Linux 2.5. est")
+    @example("该Red  Hat--Linux -x- y存在")
+    @example("该ab-cd ef- gh存在")
+    @example("Apache Struts")
+    @example("x该Apache")
+    @example("该ab9cd efé gh.ij")
+    @example("x -Ab cd")
+    @example("ab  cd-ef 1.0.")
+    @example("")
+    def test_matches_the_character_scanner(self, sentence):
+        # The reference also grows a seed backwards, which never moves it: no
+        # template's seed starts inside a token run.
+        for template in TEMPLATES.values():
+            assert extract_software_name(sentence, template) == reference_extract(sentence, template)
 
 
 class TestBuildMapping:
