@@ -47,7 +47,6 @@ class RunConfig:
     backend_config: str | None = None
     oracle_answers: str | None = None
     audit: str | None = None
-    aggregation: str = "mean"
     example_limit: int = EXAMPLE_LIMIT
     example_strategy: str = "cluster"
     rounds: int = genprompt.DEFAULT_ROUNDS
@@ -76,7 +75,7 @@ def _fits(value, hint) -> bool:
 def _load_settings(cls, path: str | Path):
     """Build dataclass ``cls`` from a JSON object file; a ValueError names the
     file and any keys ``cls`` does not declare, requires but did not get, or
-    got with a value of the wrong type."""
+    got with a value of the wrong type or one that ``cls`` rejects."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -93,7 +92,10 @@ def _load_settings(cls, path: str | Path):
              for name, value in obj.items() if not _fits(value, hints[name])]
     if wrong:
         raise ValueError(f"{path}: {'; '.join(wrong)}")
-    return cls(**obj)
+    try:
+        return cls(**obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _fmt_num(value: float) -> str:
@@ -183,8 +185,8 @@ class _Artifact:
 _CORPUS = _Artifact("--corpus", "corpus file", lambda path: _read_feed(path).records)
 _MAP = _Artifact("--map", "mapping file", lambda path: mapping.load_mapping(path))
 _EMBED = _Artifact("--embed", "embedding model", lambda path: embed_mod.EmbeddingModel.load(path))
-_CORR = _Artifact("--corr", "correlation model",
-                  lambda path, embedding: featcorr.CorrelationModel.load(path, embedding))
+_CORR = _Artifact("--corr", "correlation model", lambda path, embedding, store:
+                  featcorr.CorrelationModel.load(path, embedding, store))
 _BACKGROUND = _Artifact("--background", "background store",
                         lambda path: featcorr.BackgroundStore.from_file(path))
 
@@ -370,27 +372,23 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
                  oracle_answers=oracle_answers, example_strategy=example_strategy)
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
-    check_settings(cfg.rounds, cfg.example_limit, cfg.aggregation, cfg.example_strategy,
-                   cfg.temperature)
+    check_settings(cfg.rounds, cfg.example_limit, cfg.example_strategy, cfg.temperature)
     backend = _make_backend(cfg)
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     db = _MAP(map_path)
     embedding = _EMBED(embed_path)
-    correlation = _CORR(corr_path, embedding)
-    store = _BACKGROUND.optional(background_path)
+    correlation = _CORR(corr_path, embedding, _BACKGROUND.optional(background_path))
     return AugmentPipeline(
         corpus=corpus,
         db=db,
         embedding=embedding,
         correlation=correlation,
         backend=backend,
-        store=store,
         example_limit=cfg.example_limit,
         rounds=cfg.rounds,
         seed=cfg.seed,
         decode_seed=cfg.decode_seed,
         temperature=cfg.temperature,
-        aggregation=cfg.aggregation,
         example_strategy=cfg.example_strategy,
     )
 
@@ -512,6 +510,9 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
     if testset_path:
         testset = [row for row in _load_testset(_prereq(testset_path, "testset file"))
                    if kind is None or row[1] == kind]
+        if not testset:
+            masking = f" that masks {kind.json_key!r}" if kind else ""
+            raise ValueError(f"nothing to evaluate: {testset_path} holds no line{masking}")
         dataset_id = str(testset_path)
     elif kind is None:
         raise ValueError("evaluate needs --testset or --aspect")
@@ -524,6 +525,8 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
             except VulnaugError:
                 continue
             testset.append((masked, kind, label))
+        if not testset:
+            raise ValueError(f"nothing to evaluate: no corpus record can mask {kind.json_key!r}")
         dataset_id = f"masked:{kind.json_key}"
 
     if cfg.backend == "oracle" and not cfg.oracle_answers:

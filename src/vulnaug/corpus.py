@@ -92,6 +92,9 @@ _KINDS = tuple(AspectKind)
 #: hashes; hashing an AspectKind is a Python-level call.
 _NO_ASPECTS: dict[AspectKind, str | None] = dict.fromkeys(_KINDS)
 
+#: The types of a feed field that holds text or null.
+_TEXT_OR_NULL = (str, type(None))
+
 
 @dataclass
 class TvdRecord:
@@ -156,9 +159,24 @@ class TvdRecord:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping, default_source: Source = Source.CVE) -> "TvdRecord":
+        """The record of one feed object. A TypeError names the field when
+        ``aspects`` is not an object of strings or nulls, ``software_names``
+        not a list of strings, or ``description``, ``cwe_id`` or
+        ``first_sentence`` neither a string nor null."""
+        given = obj.get("aspects") or {}
+        if not isinstance(given, dict):
+            raise TypeError(f"aspects must be an object, got {given!r}")
         aspects = _NO_ASPECTS.copy()
-        for key, value in (obj.get("aspects") or {}).items():
+        for key, value in given.items():
+            if not isinstance(value, _TEXT_OR_NULL):
+                raise TypeError(f"aspects[{key!r}] must be a string or null, got {value!r}")
             aspects[AspectKind.from_key(key)] = value or None
+        names = obj.get("software_names") or []
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise TypeError(f"software_names must be a list of strings, got {names!r}")
+        for key in ("description", "cwe_id", "first_sentence"):
+            if not isinstance(obj.get(key), _TEXT_OR_NULL):
+                raise TypeError(f"{key} must be a string or null, got {obj[key]!r}")
         src = Source(obj["source"]) if obj.get("source") else default_source
         return cls(
             cve_id=obj.get("cve_id", ""),
@@ -167,7 +185,7 @@ class TvdRecord:
             published=date.fromisoformat(obj["published"]),
             cwe_id=obj.get("cwe_id") or None,
             aspects=aspects,
-            raw_software_names=list(obj.get("software_names") or []),
+            raw_software_names=list(names),
             revision_tag=obj.get("revision_tag"),
             first_sentence=obj.get("first_sentence"),
         )

@@ -28,7 +28,7 @@ import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,23 +81,49 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+class _TextCache:
+    """Rows kept by text, each computed once.
+
+    :meth:`stack` looks every text up, and when any is missing it takes the
+    lock, looks again and computes the distinct texts still missing with one
+    ``fill`` call, so threads that ask for the same text together compute it
+    once. The rows come back stacked into a new array, so a caller cannot
+    change a kept row.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self._dim = dim
+        self._rows: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def stack(self, texts: Sequence[str],
+              fill: Callable[[list[str]], np.ndarray]) -> np.ndarray:
+        """The (n, d) rows of ``texts``; ``fill`` maps a list of distinct
+        texts to their rows."""
+        found = list(map(self._rows.get, texts))
+        if any(row is None for row in found):
+            with self._lock:
+                missed = [text for text in dict.fromkeys(texts) if text not in self._rows]
+                self._rows.update(zip(missed, fill(missed)))
+                found = list(map(self._rows.get, texts))
+        return np.stack(found) if found else np.empty((0, self._dim))
+
+
 @dataclass
 class EmbeddingModel:
     """Vocabulary-to-vector table. Out-of-vocabulary tokens map to zero.
 
-    The model keeps every sentence vector it computes
-    (:meth:`sentence_vectors`).
+    ``vectors`` is fixed once the model is built: the model keeps every
+    sentence vector it computes (:meth:`sentence_vectors`).
     """
 
     dim: int
     vocab: dict[str, int]
     vectors: np.ndarray  # (|vocab|, dim) float32
     train_config: TrainConfig = field(default_factory=TrainConfig)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
-                                  compare=False)
-    # (the vectors array they were summed from, text -> sentence vector)
-    _sentences: tuple = field(default_factory=lambda: (None, {}), init=False, repr=False,
-                              compare=False)
+
+    def __post_init__(self) -> None:
+        self._sentences = _TextCache(self.dim)
 
     def token_sums(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
         """The (n, d) float64 sums of each token list's word vectors.
@@ -135,25 +161,11 @@ class EmbeddingModel:
 
     def sentence_vectors(self, texts: Sequence[str]) -> np.ndarray:
         """The (n, d) sentence vectors of ``texts`` in a new array: each
-        text's :meth:`token_sums` row of its tokens.
-
-        Vectors are kept by text for the ``vectors`` array they were summed
-        from, the same object: after ``vectors`` is replaced, a call drops
-        them first. Misses are filled under a lock, after a second look, by
-        one :meth:`token_sums` call, so threads that ask for the same text
-        together compute it once.
+        text's :meth:`token_sums` row of its tokens. Vectors are kept by
+        text; the misses of a call are summed by one :meth:`token_sums` call.
         """
-        held, kept = self._sentences
-        found = list(map((kept if held is self.vectors else {}).get, texts))
-        if any(vec is None for vec in found):
-            with self._lock:
-                if self._sentences[0] is not self.vectors:
-                    self._sentences = (self.vectors, {})
-                kept = self._sentences[1]
-                missed = [text for text in dict.fromkeys(texts) if text not in kept]
-                kept.update(zip(missed, self.token_sums([tokenize(t) for t in missed])))
-                found = list(map(kept.get, texts))
-        return np.stack(found) if found else np.empty((0, self.dim))
+        return self._sentences.stack(
+            texts, lambda missed: self.token_sums([tokenize(text) for text in missed]))
 
     def save(self, path: str | Path) -> None:
         header = {"dim": self.dim, "vocab_size": len(self.vocab),

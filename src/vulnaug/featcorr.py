@@ -6,7 +6,7 @@ downsampled to twice the positive count). Each side of a pair is enriched with
 background text looked up in a local article store, encoded as an average of
 word vectors, and a logistic combiner over symmetric interaction features
 predicts the association probability. Ranking a target's candidate answers by
-their aggregate probability against the software's known features filters out
+their mean probability against the software's known features filters out
 hallucinated values.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import AspectKind, Corpus, TvdRecord
-from .embed import EmbeddingModel, _sigmoid, tokenize
+from .embed import EmbeddingModel, _sigmoid, _TextCache, tokenize
 from .errors import DivergedTraining, EmptyTrainingSet
 from .genprompt import CandidateAnswer
 from .ioutil import atomic_write_lines, read_model_file, write_model_file
@@ -30,9 +29,6 @@ from .mapping import MappingDb, siblings
 
 #: Negatives are downsampled to twice the positive count; fixed by contract.
 NEG_RATIO = 2
-
-#: How rank_candidates combines a candidate's scores over the features.
-AGGREGATIONS = ("mean", "max", "sum")
 
 _MAGIC = b"VACORR01"
 
@@ -247,9 +243,12 @@ class CorrTrainConfig:
 class CorrelationModel:
     """Two-tower scorer: avg-of-word-vector towers plus a logistic combiner.
 
-    Feature and background tokens share ``embedding``. ``weights`` act on the
-    interaction features [u*v, |u-v|, cos(u, v)]. The model keeps every tower
-    it computes (:meth:`tower_vectors`).
+    Feature and background tokens share ``embedding``, and ``store`` (None
+    for no background) gives each tower its background. Both are fixed once
+    the model is built: the model computes the store's
+    :meth:`BackgroundStore.body_sums` then, and keeps every tower it computes
+    (:meth:`tower_vectors`). ``weights`` act on the interaction features
+    [u*v, |u-v|, cos(u, v)].
     """
 
     embedding: EmbeddingModel
@@ -257,13 +256,13 @@ class CorrelationModel:
     bias: float
     train_config: CorrTrainConfig = field(default_factory=CorrTrainConfig)
     loss_history: list[float] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
-                                  compare=False)
-    # (embedding, store, that store's body sums, text -> tower)
-    _towers: tuple = field(default_factory=lambda: (None, None, None, {}), init=False,
-                          repr=False, compare=False)
+    store: BackgroundStore | None = None
 
-    def tower_vectors(self, texts: Sequence[str], store: BackgroundStore | None) -> np.ndarray:
+    def __post_init__(self) -> None:
+        self._body_sums = None if self.store is None else self.store.body_sums(self.embedding)
+        self._towers = _TextCache(self.embedding.dim)
+
+    def tower_vectors(self, texts: Sequence[str]) -> np.ndarray:
         """The (n, d) towers of ``texts`` in a new array: each text's average
         word vector, enriched with its background.
 
@@ -277,32 +276,15 @@ class CorrelationModel:
         Out-of-vocabulary tokens count toward the number as zero vectors; a
         text with no tokens has a zero tower.
 
-        Towers are kept by text for one ``(embedding, store)`` stamp, the same
-        objects: a call under another drops them first. Misses are filled
-        under a lock, after a second look, by one batched computation, so
-        threads that ask for the same text together compute it once.
+        Towers are kept by text; the misses of a call are computed by one
+        batched computation.
         """
-        towers = self._held(store) or {}
-        found = list(map(towers.get, texts))
-        if any(tower is None for tower in found):
-            with self._lock:
-                if self._held(store) is None:
-                    sums = None if store is None else store.body_sums(self.embedding)
-                    self._towers = (self.embedding, store, sums, {})
-                embedding, _, sums, towers = self._towers
-                missed = [text for text in dict.fromkeys(texts) if text not in towers]
-                towers.update(zip(missed, _compute_towers(embedding, missed, store, sums)))
-                found = list(map(towers.get, texts))
-        return np.stack(found) if found else np.empty((0, self.embedding.dim))
+        return self._towers.stack(texts, lambda missed: _compute_towers(
+            self.embedding, missed, self.store, self._body_sums))
 
-    def _held(self, store: BackgroundStore | None) -> dict[str, np.ndarray] | None:
-        """The kept towers if they were built with this embedding and ``store``."""
-        embedding, held, _, towers = self._towers
-        return towers if embedding is self.embedding and held is store else None
-
-    def tower_vector(self, text: str, store: BackgroundStore | None) -> np.ndarray:
+    def tower_vector(self, text: str) -> np.ndarray:
         """The tower of one text: row 0 of :meth:`tower_vectors` of ``[text]``."""
-        return self.tower_vectors([text], store)[0]
+        return self.tower_vectors([text])[0]
 
     def save(self, path: str | Path) -> None:
         header = {"dim": int(self.weights.size), "bias": self.bias,
@@ -310,9 +292,11 @@ class CorrelationModel:
         write_model_file(path, _MAGIC, header, self.weights.astype("<f8").tobytes())
 
     @classmethod
-    def load(cls, path: str | Path, embedding: EmbeddingModel) -> "CorrelationModel":
-        """Read a model saved by :meth:`save`; a ValueError names ``path`` when
-        the file is damaged or its weights do not fit ``embedding``."""
+    def load(cls, path: str | Path, embedding: EmbeddingModel,
+             store: BackgroundStore | None = None) -> "CorrelationModel":
+        """Read a model saved by :meth:`save`, with ``store`` as its
+        background; a ValueError names ``path`` when the file is damaged or
+        its weights do not fit ``embedding``."""
         header, _, weights = read_model_file(
             path, _MAGIC, leading=0, dtype="<f8", shape=("dim",), config=CorrTrainConfig)
         if type(header.get("bias")) not in (int, float):
@@ -325,6 +309,7 @@ class CorrelationModel:
             weights=weights,
             bias=float(header["bias"]),
             train_config=header["train_config"],
+            store=store,
         )
 
     def export_text(self, path: str | Path) -> None:
@@ -366,7 +351,8 @@ def train_correlation(
     embedding: EmbeddingModel,
     config: CorrTrainConfig | None = None,
 ) -> CorrelationModel:
-    """Fit the logistic combiner with full-batch gradient descent.
+    """Fit the logistic combiner with full-batch gradient descent, on a model
+    built with ``store`` as its background.
 
     Weights start at zero, so training is deterministic; the per-epoch binary
     cross-entropy is kept on the model for inspection and diverging (non-
@@ -380,6 +366,7 @@ def train_correlation(
         weights=np.zeros(2 * embedding.dim + 1),
         bias=0.0,
         train_config=cfg,
+        store=store,
     )
     # x is filled one block of pairs at a time, so only one block's towers
     # are stacked beside it; each row is bit-equal to building it alone.
@@ -388,8 +375,8 @@ def train_correlation(
     for lo in range(0, n, _PAIR_BLOCK):
         block = pairs[lo : lo + _PAIR_BLOCK]
         x[lo : lo + len(block)] = interaction_features(
-            model.tower_vectors([p.a for p in block], store),
-            model.tower_vectors([p.b for p in block], store))
+            model.tower_vectors([p.a for p in block]),
+            model.tower_vectors([p.b for p in block]))
     y = np.array([p.label for p in pairs], dtype=np.float64)
     positive = y == 1.0
 
@@ -416,14 +403,9 @@ def train_correlation(
     return model
 
 
-def score(
-    model: CorrelationModel,
-    feature: str,
-    candidate: str,
-    store: BackgroundStore | None = None,
-) -> float:
+def score(model: CorrelationModel, feature: str, candidate: str) -> float:
     """Association probability between a known feature and a candidate value."""
-    u, v = model.tower_vectors([feature, candidate], store)
+    u, v = model.tower_vectors([feature, candidate])
     return float(_probability(model, u, v))
 
 
@@ -456,15 +438,12 @@ def rank_candidates(
     model: CorrelationModel,
     features: Sequence[str],
     candidates: Sequence[CandidateAnswer],
-    store: BackgroundStore | None = None,
-    aggregation: str = "mean",
 ) -> list[RankedCandidate]:
-    """Order candidates by aggregated association with the software features.
+    """Order candidates by their mean association with the software features.
 
-    The aggregate is the mean score over all features by default ("max" and
-    "sum" are available); with no features every candidate gets the neutral
-    0.5 so the ordering degrades to round order. Ties break by earliest round,
-    then candidate text. The first element is the pipeline's final answer.
+    With no features every candidate gets the neutral 0.5 so the ordering
+    degrades to round order. Ties break by earliest round, then candidate
+    text. The first element is the pipeline's final answer.
 
     Features and candidates get their towers from one
     :meth:`CorrelationModel.tower_vectors` call, and the scores of every
@@ -473,12 +452,10 @@ def rank_candidates(
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"unknown aggregation: {aggregation!r}")
 
     if features:
         f = len(features)
-        towers = model.tower_vectors([*features, *(cand.text for cand in candidates)], store)
+        towers = model.tower_vectors([*features, *(cand.text for cand in candidates)])
         # The grid is scored in slices of candidates of at most
         # max(f, _GRID_ROWS) interaction rows.
         step = max(1, _GRID_ROWS // f)
@@ -486,15 +463,8 @@ def rank_candidates(
                   _probability(model, towers[None, :f], towers[lo : lo + step, None]).tolist()]
     else:
         scores = [[0.5]] * len(candidates)  # one neutral score each
-    ranked: list[RankedCandidate] = []
-    for cand, cand_scores in zip(candidates, scores):
-        # fsum keeps aggregation exactly permutation-invariant.
-        if aggregation == "mean":
-            aggregate = math.fsum(cand_scores) / len(cand_scores)
-        elif aggregation == "max":
-            aggregate = max(cand_scores)
-        else:
-            aggregate = math.fsum(cand_scores)
-        ranked.append(RankedCandidate(candidate=cand, score=aggregate))
+    # fsum keeps the mean exactly permutation-invariant.
+    ranked = [RankedCandidate(candidate=cand, score=math.fsum(cand_scores) / len(cand_scores))
+              for cand, cand_scores in zip(candidates, scores)]
     ranked.sort(key=lambda rc: (-rc.score, rc.candidate.round, rc.candidate.text))
     return ranked

@@ -439,12 +439,19 @@ class BackendConfig:
     api_key_env: str = "VULNAUG_API_KEY"
     rate_per_s: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
+
 
 class HttpBackend:
     """OpenAI-style chat-completions client with retry and backoff.
 
     Network failures, rate limiting (HTTP 429) and server errors are retried
-    up to ``config.max_retries`` times; any other 4xx fails at once.
+    up to ``config.max_retries`` times; any other 4xx, and a reply whose
+    message content is not text, fails at once.
 
     Building one without an API key in ``config.api_key_env`` raises
     :class:`MissingPrerequisite`, before any request is sent.
@@ -489,7 +496,7 @@ class HttpBackend:
             try:
                 with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
                     body = json.loads(resp.read().decode("utf-8"))
-                return body["choices"][0]["message"]["content"]
+                content = body["choices"][0]["message"]["content"]
             except urllib.error.HTTPError as exc:
                 # A client error other than rate limiting fails the same way
                 # on every retry (bad key, wrong endpoint or model).
@@ -498,6 +505,10 @@ class HttpBackend:
                 last_error = exc
             except Exception as exc:  # noqa: BLE001 - network failures vary widely
                 last_error = exc
+            else:
+                if isinstance(content, str):
+                    return content
+                raise BackendError(f"backend reply content is not text: {content!r}")
             if attempt < self.config.max_retries:
                 time.sleep(2.0**attempt)
         raise BackendError(f"backend call failed after retries: {last_error}")

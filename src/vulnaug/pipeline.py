@@ -15,14 +15,7 @@ from .exampler import (
     select_examples,
     select_examples_by_similarity,
 )
-from .featcorr import (
-    AGGREGATIONS,
-    BackgroundStore,
-    CorrelationModel,
-    RankedCandidate,
-    rank_candidates,
-    software_features,
-)
+from .featcorr import CorrelationModel, RankedCandidate, rank_candidates, software_features
 from .genprompt import DEFAULT_ROUNDS, LlmBackend, generate_candidates
 from .mapping import MappingDb
 
@@ -30,20 +23,18 @@ from .mapping import MappingDb
 EXAMPLE_STRATEGIES = ("cluster", "similarity")
 
 
-def check_settings(rounds: int, example_limit: int, aggregation: str,
-                   example_strategy: str, temperature: float) -> None:
+def check_settings(rounds: int, example_limit: int, example_strategy: str,
+                   temperature: float) -> None:
     """Raise a ValueError naming the first setting that no pipeline can run
-    with: ``rounds`` or ``example_limit`` below 1, an ``aggregation`` not in
-    ``featcorr.AGGREGATIONS``, an ``example_strategy`` not in
-    :data:`EXAMPLE_STRATEGIES` or a ``temperature`` that is negative or not
+    with: ``rounds`` or ``example_limit`` below 1, an ``example_strategy`` not
+    in :data:`EXAMPLE_STRATEGIES` or a ``temperature`` that is negative or not
     finite."""
     for name, value in (("rounds", rounds), ("example_limit", example_limit)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    for name, value, allowed in (("aggregation", aggregation, AGGREGATIONS),
-                                 ("example_strategy", example_strategy, EXAMPLE_STRATEGIES)):
-        if value not in allowed:
-            raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
+    if example_strategy not in EXAMPLE_STRATEGIES:
+        raise ValueError(f"example_strategy must be one of {list(EXAMPLE_STRATEGIES)},"
+                         f" got {example_strategy!r}")
     if not (math.isfinite(temperature) and temperature >= 0):
         raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
 
@@ -74,7 +65,8 @@ class AugmentPipeline:
     """Bundles the trained artifacts and drives one aspect at a time.
 
     Calling the pipeline as ``pipeline(record, kind)`` returns just the final
-    answer text, which is the shape the evaluation loop expects.
+    answer text, which is the shape the evaluation loop expects. The
+    background store is the correlation model's.
     """
 
     corpus: Corpus
@@ -82,25 +74,21 @@ class AugmentPipeline:
     embedding: EmbeddingModel
     correlation: CorrelationModel
     backend: LlmBackend
-    store: BackgroundStore | None = None
     example_limit: int = EXAMPLE_LIMIT
     rounds: int = DEFAULT_ROUNDS
     seed: int = 42
     decode_seed: int = 1000
     temperature: float = 0.7
-    aggregation: str = "mean"
     example_strategy: str = "cluster"  # one of EXAMPLE_STRATEGIES
 
     def __post_init__(self) -> None:
-        check_settings(self.rounds, self.example_limit, self.aggregation, self.example_strategy,
-                       self.temperature)
+        check_settings(self.rounds, self.example_limit, self.example_strategy, self.temperature)
 
     @property
     def identity(self) -> str:
         return (
             f"augment(backend={self.backend.identity},rounds={self.rounds},"
-            f"limit={self.example_limit},agg={self.aggregation},"
-            f"examples={self.example_strategy})"
+            f"limit={self.example_limit},examples={self.example_strategy})"
         )
 
     def augment(self, record: TvdRecord, kind: AspectKind) -> AugmentOutcome:
@@ -124,13 +112,7 @@ class AugmentPipeline:
             temperature=self.temperature,
         )
         features = software_features(record, self.db, self.corpus)
-        ranked = rank_candidates(
-            self.correlation,
-            features,
-            outcome.candidates,
-            store=self.store,
-            aggregation=self.aggregation,
-        )
+        ranked = rank_candidates(self.correlation, features, outcome.candidates)
         best = ranked[0]
         return AugmentOutcome(
             cve_id=record.cve_id,

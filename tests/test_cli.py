@@ -396,6 +396,12 @@ class TestBadInputFiles:
         ({"endpoint": "http://localhost:9/v1", "model": "m", "bogus": 1}, "bogus"),
         ({"endpoint": "http://localhost:9/v1"}, "model"),
         (["http://localhost:9/v1", "m"], "JSON object"),
+        ({"endpoint": "http://localhost:9/v1", "model": "m", "max_retries": -1}, "max_retries"),
+        ({"endpoint": "http://localhost:9/v1", "model": "m", "timeout_s": 0}, "timeout_s"),
+        ({"endpoint": "http://localhost:9/v1", "model": "m", "timeout_s": float("inf")},
+         "timeout_s"),
+        ({"endpoint": "http://localhost:9/v1", "model": "m", "timeout_s": float("nan")},
+         "timeout_s"),
     ])
     def test_backend_config_exits_two(self, runner, tmp_path, artifacts, settings, needle):
         config = tmp_path / "backend.json"
@@ -435,9 +441,14 @@ class TestBadInputFiles:
         (lambda good: json.dumps({**good, "aspects": {**good["aspects"],
                                                       "attacker_type": "attacker group0"}}),
          "attacker_type"),
+        (lambda good: json.dumps({**good, "aspects": ["x"]}), "aspects"),
+        (lambda good: json.dumps({**good, "aspects": {**good["aspects"], "impact": 7}}),
+         "impact"),
+        (lambda good: json.dumps({**good, "description": 5}), "description"),
+        (lambda good: json.dumps({**good, "software_names": "abc"}), "software_names"),
     ], ids=["not-json", "not-object", "no-aspect", "no-label", "no-published", "bad-aspect",
             "label-int", "label-null", "label-empty", "label-no-token", "label-list",
-            "slot-filled"])
+            "slot-filled", "aspects-list", "aspect-int", "description-int", "names-string"])
     def test_bad_testset_line_exits_two_with_line_number(
         self, runner, tmp_path, artifacts, make_line, needle
     ):
@@ -658,7 +669,8 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("command,settings,message", [
         ("augment", {"example_strategy": "foo"}, "example_strategy must be"),
         ("evaluate", {"example_strategy": "foo"}, "example_strategy must be"),
-        ("augment", {"aggregation": "median"}, "aggregation must be"),
+        ("augment", {"aggregation": "mean"},
+         "bad config file: {inputs}/config.json: unknown keys ['aggregation']"),
         ("augment", {"rounds": 0}, "rounds must be"),
         ("evaluate", {"rounds": -2}, "rounds must be"),
         ("augment", {"backend": "bogus"}, "unknown backend: 'bogus'"),
@@ -917,6 +929,45 @@ class TestPipelineCommands:
             audit_lines[backend] = audit.read_text().splitlines()
         assert len(audit_lines["oracle"]) == len(audit_lines["mock"]) > 0
         assert {json.loads(line)["backend"] for line in audit_lines["oracle"]} == {"oracle"}
+
+    @pytest.mark.parametrize("lines,aspect", [
+        (["{testset_line}"], "impact"), (["", " "], None), ([], "attacker_type")],
+        ids=["aspect-not-masked", "blank-lines", "empty-file"])
+    def test_evaluate_testset_with_nothing_to_score_exits_two_before_loading(
+            self, runner, tmp_path, artifacts, monkeypatch, lines, aspect):
+        good = small_feed_records(1)[0].to_json_obj()
+        testset = tmp_path / "testset.jsonl"
+        testset.write_text("".join(line.format(testset_line=json.dumps(
+            {**good, "masked_aspect": "attacker_type", "label": "attacker group0"})) + "\n"
+            for line in lines))
+        loads = []
+        monkeypatch.setattr(EmbeddingModel, "load", lambda path: loads.append(path))
+        prefix = tmp_path / "report"
+        result = runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
+                               + ["--testset", str(testset), "-o", str(prefix)]
+                               + (["--aspect", aspect] if aspect else []))
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: nothing to evaluate: {testset} holds no line")
+        assert (f"that masks {aspect!r}" in result.output) == (aspect is not None)
+        assert loads == []
+        assert not prefix.with_suffix(".txt").exists()
+
+    def test_evaluate_aspect_that_no_record_can_mask_exits_two(self, runner, tmp_path,
+                                                               artifacts):
+        # Each record's impact is set but not written in its description.
+        records = [make_record(f"CVE-2023-{2000 + i}", f"flaw kind{i} in widget{i}.",
+                               aspects={AspectKind.IMPACT: f"impact result{i}"})
+                   for i in range(3)]
+        corpus = write_feed(tmp_path, records, "unmaskable.jsonl")
+        _, mapping, embedding, correlation = artifacts
+        prefix = tmp_path / "report"
+        result = runner.invoke(cli, ["--backend", "oracle", "evaluate", "--corpus", str(corpus),
+                                     "--map", str(mapping), "--embed", str(embedding),
+                                     "--corr", str(correlation), "--aspect", "impact",
+                                     "-o", str(prefix)])
+        assert result.exit_code == 2, result.output
+        assert "nothing to evaluate: no corpus record can mask 'impact'" in result.output
+        assert not prefix.with_suffix(".txt").exists()
 
     def test_evaluate_without_testset_or_aspect_exits_two_before_loading(self, runner, tmp_path):
         result = runner.invoke(cli, ["evaluate", "-o", str(tmp_path / "report")])

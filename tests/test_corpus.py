@@ -118,6 +118,28 @@ class TestParseFeed:
         assert len(result.diagnostics) == 1
         assert "cve_id" in result.diagnostics[0].message
 
+    @pytest.mark.parametrize("field,value", [
+        ("aspects", ["x"]), ("aspects", "impact"), ("aspects", {"impact": 7}),
+        ("aspects", {"impact": ["x"]}), ("description", 5), ("cwe_id", 119),
+        ("first_sentence", {"text": "x"}), ("software_names", "abc"),
+        ("software_names", ["a", 1]),
+    ])
+    def test_field_of_the_wrong_type_is_a_diagnostic(self, field, value):
+        good = make_record("CVE-2020-0004", "fine.").to_json_obj()
+        bad = json.dumps({**make_record("CVE-2020-0005", "fine.").to_json_obj(), field: value})
+        result = parse_feed("\n".join([json.dumps(good), bad]))
+        assert [rec.cve_id for rec in result.records] == ["CVE-2020-0004"]
+        assert [(d.line, d.cve_id) for d in result.diagnostics] == [(2, "CVE-2020-0005")]
+        assert field in result.diagnostics[0].message
+
+    def test_null_optional_fields_are_accepted(self):
+        obj = {**make_record("CVE-2020-0006", "fine.").to_json_obj(), "cwe_id": None,
+               "first_sentence": None, "software_names": None, "aspects": {"impact": None}}
+        result = parse_feed(json.dumps(obj))
+        assert not result.diagnostics
+        rec = result.records[0]
+        assert (rec.cwe_id, rec.first_sentence, rec.raw_software_names) == (None, None, [])
+
     def test_malformed_line_raises_with_line_number(self):
         good = make_record("CVE-2020-0003", "fine.").to_json_line()
         with pytest.raises(FeedFormatError) as exc_info:

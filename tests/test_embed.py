@@ -677,17 +677,6 @@ class TestSentenceVectors:
     def test_empty_batch(self, model):
         assert fresh(model).sentence_vectors([]).shape == (0, model.dim)
 
-    def test_memo_is_dropped_when_vectors_are_replaced(self):
-        model = spread_embedding(3, 4)
-        before = model.sentence_vectors(["alpha beta"])[0]
-        model.vectors = spread_embedding(4, 4).vectors
-        with counted_sums() as calls:
-            after = model.sentence_vectors(["alpha beta", "gamma"])
-            model.sentence_vectors(["alpha beta"])
-        assert calls == Counter({"alpha beta": 1, "gamma": 1})
-        assert not np.array_equal(before, after[0])
-        assert after[0].tobytes() == reference_sentence_vector(model, "alpha beta").tobytes()
-
     def test_writing_a_returned_row_leaves_the_memo(self):
         model = spread_embedding(5, 4)
         model.sentence_vectors(["alpha"])[0] = 1.0

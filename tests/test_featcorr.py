@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -103,20 +104,20 @@ def token_loop_sum(model, tokens):
     return acc
 
 
-def reference_tower_vector(model, text, store):
+def reference_tower_vector(model, text):
     """The text's token-loop sum, then each chosen body's token-loop sum in
     rank order, over the number of tokens."""
-    parts = [tokenize(text)] + [tokenize(store.articles[term])
-                                for term in reference_best_terms(text, store)]
+    parts = [tokenize(text)] + [tokenize(model.store.articles[term])
+                                for term in reference_best_terms(text, model.store)]
     acc = np.zeros(model.embedding.dim, dtype=np.float64)
     for part in parts:
         acc += token_loop_sum(model, part)
     return acc / max(1, sum(map(len, parts)))
 
 
-def token_loop_tower_vector(model, text, store):
+def token_loop_tower_vector(model, text):
     """Re-tokenize the joined background and add one token vector at a time."""
-    tokens = tokenize(text) + tokenize(reference_fetch_background(text, store))
+    tokens = tokenize(text) + tokenize(reference_fetch_background(text, model.store))
     return token_loop_sum(model, tokens) / max(1, len(tokens))
 
 
@@ -133,25 +134,20 @@ def reference_probability(model, u, v):
     return float(1.0 / (1.0 + np.exp(-logit)))
 
 
-def reference_rank(model, features, candidates, store, aggregation):
+def reference_rank(model, features, candidates):
     """The per-pair loop: each candidate against each feature tower in turn,
     every tower computed for its one text."""
     model = uncached(model)
-    towers = [model.tower_vector(f, store) for f in features]
+    towers = [model.tower_vector(f) for f in features]
     ranked = []
     for cand in candidates:
         if not towers:
-            aggregate = 0.5
+            mean = 0.5
         else:
-            v = model.tower_vector(cand.text, store)
+            v = model.tower_vector(cand.text)
             scores = [reference_probability(model, u, v) for u in towers]
-            if aggregation == "mean":
-                aggregate = math.fsum(scores) / len(scores)
-            elif aggregation == "max":
-                aggregate = max(scores)
-            else:
-                aggregate = math.fsum(scores)
-        ranked.append((aggregate, cand.round, cand.text))
+            mean = math.fsum(scores) / len(scores)
+        ranked.append((mean, cand.round, cand.text))
     ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
     return ranked
 
@@ -160,11 +156,11 @@ def reference_train_correlation(pairs, store, embedding, cfg):
     """Both full tower stacks beside x, and three passes over x and two logs
     per epoch. Returns (weights, bias, loss history)."""
     model = CorrelationModel(embedding=embedding, weights=np.zeros(2 * embedding.dim + 1),
-                             bias=0.0)
+                             bias=0.0, store=store)
     towers = {}
     for text in [p.a for p in pairs] + [p.b for p in pairs]:
         if text not in towers:
-            towers[text] = model.tower_vector(text, store)
+            towers[text] = model.tower_vector(text)
     x = interaction_features(np.stack([towers[p.a] for p in pairs]),
                              np.stack([towers[p.b] for p in pairs]))
     y = np.array([p.label for p in pairs], dtype=np.float64)
@@ -209,9 +205,18 @@ def dyadic_embedding(rng, dim, vocab=VOCAB):
                           vectors=vectors.astype(np.float32))
 
 
-def uncached(model):
-    """A model with ``model``'s embedding and weights that keeps no towers yet."""
-    return CorrelationModel(embedding=model.embedding, weights=model.weights, bias=model.bias)
+def uncached(model, **changes):
+    """A model with ``model``'s fields, apart from ``changes``, that keeps no
+    towers yet."""
+    return dataclasses.replace(model, **changes)
+
+
+def zero_model(embedding, articles=None):
+    """A model with zero weights over ``embedding`` and, unless ``articles``
+    is None, a store of them."""
+    store = None if articles is None else BackgroundStore(articles=articles)
+    return CorrelationModel(embedding=embedding, weights=np.zeros(2 * embedding.dim + 1),
+                            bias=0.0, store=store)
 
 
 @contextlib.contextmanager
@@ -242,15 +247,17 @@ def counted_calls(name):
         yield calls
 
 
-def random_model(seed, dim):
+def random_model(seed, dim, articles=None):
     """A correlation model whose logits stay small enough that the sigmoid
-    does not saturate, so every bit of the logit shows in the score."""
+    does not saturate, so every bit of the logit shows in the score; with a
+    store of ``articles`` unless that is None."""
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal(2 * dim + 1) * 10.0 ** rng.uniform(-3, 0, 2 * dim + 1)
     return CorrelationModel(
         embedding=random_embedding(rng, dim, binades=1),
         weights=weights,
         bias=float(rng.standard_normal()),
+        store=None if articles is None else BackgroundStore(articles=articles),
     )
 
 
@@ -405,18 +412,12 @@ class TestTowerVector:
     @given(article_maps, phrases, st.sampled_from([1, 2, 3, 16]), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_matches_token_loop(self, articles, text, dim, with_store, seed):
-        # A computed and a kept tower before and after an embedding swap, so
-        # the swap lands on a filled cache.
-        rng = np.random.default_rng(seed)
-        model = CorrelationModel(embedding=random_embedding(rng, dim),
-                                 weights=np.zeros(2 * dim + 1), bias=0.0)
-        store = BackgroundStore(articles=articles) if with_store else None
-        for swap in [True, False]:
-            want = reference_tower_vector(model, text, store)
-            assert np.array_equal(model.tower_vector(text, store), want)
-            assert np.array_equal(model.tower_vectors([text], store)[0], want)
-            if swap:
-                model.embedding = random_embedding(rng, dim)
+        # A computed tower, then the kept one.
+        model = zero_model(random_embedding(np.random.default_rng(seed), dim),
+                           articles if with_store else None)
+        want = reference_tower_vector(model, text)
+        assert np.array_equal(model.tower_vector(text), want)
+        assert np.array_equal(model.tower_vectors([text])[0], want)
 
     @settings(max_examples=100, deadline=None)
     @given(article_maps, st.lists(st.one_of(phrases, st.just("zeta gamma zeta")), min_size=1,
@@ -427,20 +428,19 @@ class TestTowerVector:
         # whatever the block size. "zeta" is in the vocabulary and in no article.
         texts = texts + ["", "omega x9", "zeta"]
         rng = np.random.default_rng(seed)
-        model = CorrelationModel(embedding=random_embedding(rng, dim, vocab=VOCAB + ["zeta"]),
-                                 weights=np.zeros(2 * dim + 1), bias=0.0)
-        store = BackgroundStore(articles=articles) if with_store else None
-        want = np.stack([uncached(model).tower_vector(text, store) for text in texts])
+        model = zero_model(random_embedding(rng, dim, vocab=VOCAB + ["zeta"]),
+                           articles if with_store else None)
+        want = np.stack([uncached(model).tower_vector(text) for text in texts])
         assert want.tobytes() == np.stack(
-            [reference_tower_vector(model, text, store) for text in texts]).tobytes()
+            [reference_tower_vector(model, text) for text in texts]).tobytes()
         for block, cells in [(1, None), (2, None), (3, None), (None, None), (None, 16)]:
             fresh = uncached(model)
             with mock.patch.object(featcorr, "_TOWER_BLOCK", block or featcorr._TOWER_BLOCK), \
                     mock.patch.object(embed, "_SUM_CELLS", block or embed._SUM_CELLS), \
                     mock.patch.object(featcorr, "_OVERLAP_CELLS", cells or featcorr._OVERLAP_CELLS):
                 # Every other text is kept first, so hits and misses mix.
-                fresh.tower_vectors(texts[::2], store)
-                got = fresh.tower_vectors(texts, store)
+                fresh.tower_vectors(texts[::2])
+                got = fresh.tower_vectors(texts)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -450,93 +450,74 @@ class TestTowerVector:
     def test_exact_sums_equal_the_token_loop(self, articles, texts, dim, with_store, seed):
         # Where float64 holds every partial sum, adding each body's sum as one
         # part equals adding its tokens one by one after the text's own.
-        model = CorrelationModel(embedding=dyadic_embedding(np.random.default_rng(seed), dim),
-                                 weights=np.zeros(2 * dim + 1), bias=0.0)
-        store = BackgroundStore(articles=articles) if with_store else None
-        want = np.stack([token_loop_tower_vector(model, text, store) for text in texts])
-        assert model.tower_vectors(texts, store).tobytes() == want.tobytes()
+        model = zero_model(dyadic_embedding(np.random.default_rng(seed), dim),
+                           articles if with_store else None)
+        want = np.stack([token_loop_tower_vector(model, text) for text in texts])
+        assert model.tower_vectors(texts).tobytes() == want.tobytes()
         for text, row in zip(texts, want):
-            assert uncached(model).tower_vector(text, store).tobytes() == row.tobytes()
+            assert uncached(model).tower_vector(text).tobytes() == row.tobytes()
 
     def test_stack_computes_each_text_once(self):
         model = random_model(8, 4)
         texts = ["alpha", "beta gamma", "alpha", "delta", "beta gamma"]
         with counted_fills() as calls:
-            model.tower_vectors(["delta"], None)
-            model.tower_vectors(texts, None)
-            model.tower_vectors(texts, None)
-            model.tower_vector("alpha", None)
+            model.tower_vectors(["delta"])
+            model.tower_vectors(texts)
+            model.tower_vectors(texts)
+            model.tower_vector("alpha")
         assert calls == Counter(set(texts))
 
     def test_empty_batch(self):
         model = random_model(8, 4)
-        assert model.tower_vectors([], None).shape == (0, 4)
+        assert model.tower_vectors([]).shape == (0, 4)
 
     def test_one_dimensional_embedding_is_exact(self):
-        rng = np.random.default_rng(0)
-        model = CorrelationModel(embedding=random_embedding(rng, 1), weights=np.zeros(3), bias=0.0)
+        model = zero_model(random_embedding(np.random.default_rng(0), 1))
         text = " ".join(VOCAB * 8)
-        got = model.tower_vector(text, None)
-        assert got.tobytes() == reference_tower_vector(model, text, None).tobytes()
+        got = model.tower_vector(text)
+        assert got.tobytes() == reference_tower_vector(model, text).tobytes()
 
     def test_one_dimensional_tower_alone_equals_its_row_in_a_block(self):
         # 40 tokens: NumPy would sum a lone text's single column pairwise.
-        rng = np.random.default_rng(0)
-        model = CorrelationModel(embedding=random_embedding(rng, 1), weights=np.zeros(3), bias=0.0)
+        model = zero_model(random_embedding(np.random.default_rng(0), 1))
         text = " ".join(VOCAB * 8)
-        alone = uncached(model).tower_vector(text, None)
-        block = uncached(model).tower_vectors([text, "alpha", "beta gamma"], None)
+        alone = uncached(model).tower_vector(text)
+        block = uncached(model).tower_vectors([text, "alpha", "beta gamma"])
         assert alone.tobytes() == block[0].tobytes()
-
-    def test_cache_follows_another_store(self):
-        # The kept tower has no background; the second store's article matches it.
-        model = random_model(3, 4)
-        store = BackgroundStore(articles={"gamma": "delta delta"})
-        before = model.tower_vectors(["alpha beta"], store)[0]
-        assert np.array_equal(before, reference_tower_vector(model, "alpha beta", store))
-        store = BackgroundStore(articles={"gamma": "delta delta",
-                                          "alpha": "gamma cve-2020-1 omega"})
-        after = model.tower_vectors(["alpha beta"], store)[0]
-        assert not np.array_equal(before, after)
-        assert after.tobytes() == uncached(model).tower_vector("alpha beta", store).tobytes()
-        assert after.tobytes() == reference_tower_vector(model, "alpha beta", store).tobytes()
-
-    def test_cache_follows_embedding_swap(self):
-        model = random_model(4, 4)
-        store = BackgroundStore(articles={"alpha": "beta gamma delta"})
-        before = model.tower_vectors(["alpha"], store)[0]
-        model.embedding = random_embedding(np.random.default_rng(5), 4, binades=1)
-        after = model.tower_vectors(["alpha"], store)[0]
-        assert not np.array_equal(before, after)
-        assert after.tobytes() == reference_tower_vector(model, "alpha", store).tobytes()
 
     def test_writing_a_stacked_row_leaves_the_cache(self):
         model = random_model(6, 4)
-        model.tower_vectors(["alpha"], None)[0] = 1.0
-        model.tower_vector("alpha", None)[:] = 2.0
-        got = model.tower_vectors(["alpha"], None)[0]
-        assert got.tobytes() == uncached(model).tower_vector("alpha", None).tobytes()
+        model.tower_vectors(["alpha"])[0] = 1.0
+        model.tower_vector("alpha")[:] = 2.0
+        got = model.tower_vectors(["alpha"])[0]
+        assert got.tobytes() == uncached(model).tower_vector("alpha").tobytes()
 
-    def test_body_sums_are_computed_once_per_stamp(self):
-        model = random_model(6, 4)
-        store = BackgroundStore(articles={"alpha": "beta gamma delta"})
+    def test_body_sums_are_computed_once_per_model(self, family_setup):
+        # Training, and every tower, score and ranking of the trained model,
+        # use the body sums computed when the model was built.
+        corpus, embedding, _, _ = family_setup
+        store = BackgroundStore(articles={"flaw0": "cause0 vector0", "soft0": "flaw1 rec1"})
         with mock.patch.object(BackgroundStore, "body_sums", autospec=True,
                                side_effect=BackgroundStore.body_sums) as body_sums:
-            model.tower_vectors(["alpha"], store)
-            model.tower_vectors(["beta", "gamma"], store)
-            model.tower_vectors(["beta"], None)
-            model.tower_vectors(["delta"], store)
-        assert body_sums.call_count == 2
+            model = train_correlation(shuffled_pairs(corpus, 3 * _PAIR_BLOCK), store, embedding,
+                                      CorrTrainConfig(epochs=2))
+            assert body_sums.call_count == 1
+            model.tower_vectors(["flaw0", "soft0 rec1"])
+            model.tower_vectors(["flaw0 cause0", "rec1"])
+            score(model, "flaw1", "cause0")
+            rank_candidates(model, ["flaw0"], [candidate("cause0"), candidate("soft0", round=2)])
+        assert body_sums.call_count == 1
+        assert model.tower_vector("soft0 rec1").tobytes() == reference_tower_vector(
+            model, "soft0 rec1").tobytes()
 
     def test_cache_computes_each_text_once_under_threads(self):
-        model = random_model(7, 8)
-        store = BackgroundStore(articles={w: " ".join(VOCAB) for w in VOCAB})
+        model = random_model(7, 8, articles={w: " ".join(VOCAB) for w in VOCAB})
         texts = [" ".join(VOCAB[: 1 + n % 5]) + f" t{n}" for n in range(40)]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with counted_fills() as calls, ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(lambda k: [model.tower_vectors([t], store)[0]
+                futures = [pool.submit(lambda k: [model.tower_vectors([t])[0]
                                                   for t in texts[k:] + texts[:k]], k)
                            for k in range(16)]
                 results = [f.result(timeout=60) for f in futures]
@@ -545,30 +526,29 @@ class TestTowerVector:
         assert calls == Counter(texts)
         for k, got in enumerate(results):
             for t, tower in zip(texts[k:] + texts[:k], got):
-                assert tower.tobytes() == uncached(model).tower_vector(t, store).tobytes()
+                assert tower.tobytes() == uncached(model).tower_vector(t).tobytes()
 
     def test_stack_memory_is_bounded_by_the_block(self):
         # 2,048 distinct texts, as train-corr asks for at once, against a
         # 500-article store. Ranking and summing them in one piece holds a
         # (2048, 500) overlap matrix and a zero-padded (9, 2048, 64) float64
         # sum: about 18 MiB here. Blocks of _TOWER_BLOCK texts leave the
-        # towers, their stacked copy, the body sums and one block's
-        # overlaps, ids and (texts, d) accumulator.
+        # towers, their stacked copy and one block's overlaps, ids and
+        # (texts, d) accumulator.
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(2000)]
-        model = CorrelationModel(
-            embedding=EmbeddingModel(dim=64, vocab={w: i for i, w in enumerate(words)},
-                                     vectors=rng.standard_normal((2000, 64)).astype(np.float32)),
-            weights=np.zeros(129), bias=0.0)
 
         def phrase(n):
             return " ".join(words[j] for j in rng.integers(0, len(words), n))
 
-        store = BackgroundStore(articles={f"t{a} {phrase(2)}": phrase(40) for a in range(500)})
+        model = zero_model(
+            EmbeddingModel(dim=64, vocab={w: i for i, w in enumerate(words)},
+                           vectors=rng.standard_normal((2000, 64)).astype(np.float32)),
+            {f"t{a} {phrase(2)}": phrase(40) for a in range(500)})
         texts = [f"{phrase(8)} t{i}" for i in range(2048)]
         tracemalloc.start()
         try:
-            got = model.tower_vectors(texts, store)
+            got = model.tower_vectors(texts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -578,26 +558,23 @@ class TestTowerVector:
     def test_overlap_matrix_is_bounded_for_a_large_store(self):
         # 20,000 articles sharing one word: a (64, 20000) overlap matrix of
         # 64-bit counts alone takes 9.8 MiB.
-        model = random_model(9, 4)
-        store = BackgroundStore(articles={f"a{i}": "alpha" for i in range(20_000)})
+        model = random_model(9, 4, articles={f"a{i}": "alpha" for i in range(20_000)})
         texts = [f"alpha t{i}" for i in range(64)]
-        model.tower_vectors(["alpha"], store)  # keeps the store's body sums
         tracemalloc.start()
         try:
-            got = model.tower_vectors(texts, store)
+            got = model.tower_vectors(texts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # Every text ties with every article; "t<i>" is out of vocabulary.
-        want = reference_tower_vector(model, texts[0], store)
+        want = reference_tower_vector(model, texts[0])
         assert all(row.tobytes() == want.tobytes() for row in got)
         assert peak < 4 * 2**20
 
     def test_empty_text_is_zero(self):
-        model = CorrelationModel(embedding=random_embedding(np.random.default_rng(1), 4),
-                                 weights=np.zeros(9), bias=0.0)
-        assert np.array_equal(model.tower_vector("", None), np.zeros(4))
-        assert np.array_equal(model.tower_vector("omega x9", None), np.zeros(4))
+        model = zero_model(random_embedding(np.random.default_rng(1), 4))
+        assert np.array_equal(model.tower_vector(""), np.zeros(4))
+        assert np.array_equal(model.tower_vector("omega x9"), np.zeros(4))
 
 
 @pytest.fixture(scope="module")
@@ -838,42 +815,35 @@ class TestRankCandidates:
         backward = rank_candidates(model, list(reversed(features)), cands)[0].score
         assert forward == backward
 
-    @pytest.mark.parametrize("aggregation", ["mean", "max", "sum"])
-    def test_aggregate_equals_per_pair_scores(self, family_setup, aggregation):
-        _, _, model, _ = family_setup
-        store = BackgroundStore(articles={
-            f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)
-        })
+    def test_mean_equals_per_pair_scores(self, family_setup):
+        _, _, trained, _ = family_setup
+        model = uncached(trained, store=BackgroundStore(articles={
+            f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)}))
         features = ["flaw0 rec0 rec0", "vector0 rec0 rec0", "impact1 rec3 rec3", "", "omega"]
         cands = [candidate(text, round=r + 1) for r, text in enumerate(
             ["cause0 rec0 rec0", "cause2 rec7 rec7", "omega", "flaw0 rec0 rec0"])]
-        for rc in rank_candidates(model, features, cands, store=store, aggregation=aggregation):
-            scores = [score(model, f, rc.candidate.text, store) for f in features]
-            want = {"mean": math.fsum(scores) / len(scores), "max": max(scores),
-                    "sum": math.fsum(scores)}[aggregation]
-            assert rc.score == want
+        for rc in rank_candidates(model, features, cands):
+            scores = [score(model, f, rc.candidate.text) for f in features]
+            assert rc.score == math.fsum(scores) / len(scores)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(phrases, min_size=1, max_size=6),
            st.lists(candidate_texts, min_size=1, max_size=4),
-           st.sampled_from(["mean", "max", "sum"]), st.integers(1, 8), st.booleans(),
-           article_maps, st.integers(0, 2**32 - 1))
-    def test_matches_per_pair_loop(self, features, texts, aggregation, dim, with_store,
-                                   articles, seed):
+           st.integers(1, 8), st.booleans(), article_maps, st.integers(0, 2**32 - 1))
+    def test_matches_per_pair_loop(self, features, texts, dim, with_store, articles, seed):
         # Phrases of only "omega" / "x9" give zero towers, on either side.
-        model = random_model(seed, dim)
-        store = BackgroundStore(articles=articles) if with_store else None
+        model = random_model(seed, dim, articles if with_store else None)
         cands = [candidate(text, round=r % 3 + 1) for r, text in enumerate(texts)]
         got = [(rc.score, rc.candidate.round, rc.candidate.text) for rc in
-               rank_candidates(model, features, cands, store=store, aggregation=aggregation)]
-        assert got == reference_rank(model, features, cands, store, aggregation)
+               rank_candidates(model, features, cands)]
+        assert got == reference_rank(model, features, cands)
 
     @settings(max_examples=100, deadline=None)
     @given(phrases, phrases, st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_score_matches_per_pair_probability(self, feature, text, dim, seed):
         model = random_model(seed, dim)
-        want = reference_probability(model, uncached(model).tower_vector(feature, None),
-                                     uncached(model).tower_vector(text, None))
+        want = reference_probability(model, uncached(model).tower_vector(feature),
+                                     uncached(model).tower_vector(text))
         assert score(model, feature, text) == want
 
     @settings(max_examples=100, deadline=None)
@@ -901,12 +871,12 @@ class TestRankCandidates:
 
     def test_pipelines_sharing_a_model_compute_each_text_once(self, family_setup):
         corpus, embedding, trained, _ = family_setup
-        model = uncached(trained)
-        store = BackgroundStore(articles={"flaw0": "cause0 vector0", "soft0": "flaw1 rec1"})
+        model = uncached(trained, store=BackgroundStore(articles={"flaw0": "cause0 vector0",
+                                                                 "soft0": "flaw1 rec1"}))
         db = family_mapping(corpus)
         masked, _ = mask_aspect(corpus.get("CVE-2021-1000"), AspectKind.ROOT_CAUSE)
         pipelines = [AugmentPipeline(corpus=corpus, db=db, embedding=embedding, correlation=model,
-                                     backend=MockBackend(), store=store, rounds=2)
+                                     backend=MockBackend(), rounds=2)
                      for _ in range(2)]
         with counted_fills() as calls:
             first = pipelines[0].augment(masked, AspectKind.ROOT_CAUSE)
@@ -930,32 +900,25 @@ class TestRankCandidates:
         assert first == second
 
     @pytest.mark.parametrize("grid_rows", [None, 1, 8, 12, 20])
-    @pytest.mark.parametrize("aggregation", ["mean", "max", "sum"])
-    def test_grid_scores_equal_per_pair_scores(self, grid_rows, aggregation):
+    def test_grid_scores_equal_per_pair_scores(self, grid_rows):
         # Four features, so grids of 8, 12 or 20 rows score 2, 3 or 5
         # candidates a slice; "omega x9" has a zero tower, and a candidate
         # repeats a feature's text and another repeats itself.
-        model = random_model(12, 6)
-        store = BackgroundStore(articles={"alpha": "beta gamma", "delta": "alpha alpha beta"})
+        model = random_model(12, 6, articles={"alpha": "beta gamma",
+                                              "delta": "alpha alpha beta"})
         features = ["alpha beta", "gamma", "omega x9", "delta gamma beta"]
         texts = ["gamma", "beta beta", "omega x9", "beta beta", "alpha delta", "x9 gamma"]
         cands = [candidate(text, round=r + 1) for r, text in enumerate(texts)]
         rows = grid_rows or featcorr._GRID_ROWS
         with mock.patch.object(featcorr, "_GRID_ROWS", rows), \
                 counted_calls("interaction_features") as grids:
-            ranked = rank_candidates(model, features, cands, store=store, aggregation=aggregation)
+            ranked = rank_candidates(model, features, cands)
         assert len(grids) == -(-len(cands) // max(1, rows // len(features)))
         assert sorted(rc.candidate.round for rc in ranked) == list(range(1, len(cands) + 1))
         for rc in ranked:
-            scores = [score(uncached(model), f, rc.candidate.text, store) for f in features]
-            want = {"mean": math.fsum(scores) / len(scores), "max": max(scores),
-                    "sum": math.fsum(scores)}[aggregation]
+            scores = [score(uncached(model), f, rc.candidate.text) for f in features]
+            want = math.fsum(scores) / len(scores)
             assert np.float64(rc.score).tobytes() == np.float64(want).tobytes()
-
-    def test_unknown_aggregation_rejected(self, family_setup):
-        _, _, model, _ = family_setup
-        with pytest.raises(ValueError):
-            rank_candidates(model, [], [candidate("x")], aggregation="median")
 
     def test_empty_candidates_rejected(self, family_setup):
         _, _, model, _ = family_setup
@@ -975,3 +938,16 @@ class TestModelPersistence:
         assert score(loaded, "flaw0 rec0 rec0", "cause0 rec0 rec0") == score(
             model, "flaw0 rec0 rec0", "cause0 rec0 rec0"
         )
+
+    def test_load_binds_the_store(self, family_setup, tmp_path):
+        corpus, embedding, _, _ = family_setup
+        store = BackgroundStore(articles={"flaw0": "cause0 vector0", "soft0": "flaw1 rec1"})
+        model = train_correlation(shuffled_pairs(corpus, 200), store, embedding,
+                                  CorrTrainConfig(epochs=5))
+        path = tmp_path / "corr.bin"
+        model.save(path)
+        loaded = CorrelationModel.load(path, embedding, store)
+        assert loaded.store is store
+        assert loaded.tower_vector("flaw0").tobytes() == model.tower_vector("flaw0").tobytes()
+        assert score(loaded, "flaw0", "soft0") == score(model, "flaw0", "soft0")
+        assert CorrelationModel.load(path, embedding).store is None

@@ -1,4 +1,5 @@
 import io
+import json
 import urllib.error
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -354,6 +355,27 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match=str(code)):
             self.backend().complete("prompt")
         assert events == ["attempt", 1.0, "attempt", 2.0, "attempt", 4.0, "attempt"]
+
+    @pytest.mark.parametrize("content", [None, 5, ["text"], {"text": "x"}])
+    def test_reply_without_text_fails_at_once(self, monkeypatch, content):
+        monkeypatch.setenv("VULNAUG_TEST_KEY", "secret")
+        events = []
+
+        def fake_urlopen(request, timeout):
+            events.append("attempt")
+            body = {"choices": [{"message": {"content": content}}]}
+            return io.BytesIO(json.dumps(body).encode("utf-8"))
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        monkeypatch.setattr(genprompt.time, "sleep", lambda s: events.append(s))
+        with pytest.raises(BackendError, match="not text"):
+            self.backend().complete("prompt")
+        assert events == ["attempt"]
+        # Each round fails as a round, and the slot as GenerationFailed.
+        masked, _ = mask_aspect(prompt_target_record(), AspectKind.ATTACKER_TYPE)
+        with pytest.raises(GenerationFailed, match="all 2 rounds failed.*not text"):
+            generate_candidates(self.backend(), prompt_example_set(), masked,
+                                AspectKind.ATTACKER_TYPE, rounds=2)
 
 
 class TestCandidateAnswer:

@@ -30,7 +30,7 @@ def pipeline(family, **settings):
 class TestSettings:
     @pytest.mark.parametrize("key,value", [
         ("rounds", 0), ("rounds", -2), ("example_limit", 0), ("example_limit", -1),
-        ("aggregation", "median"), ("example_strategy", "foo"), ("example_strategy", "Cluster"),
+        ("example_strategy", "foo"), ("example_strategy", "Cluster"),
         ("temperature", -0.5), ("temperature", float("nan")), ("temperature", float("-inf")),
     ])
     def test_bad_setting_raises_naming_it(self, family, key, value):
@@ -38,9 +38,9 @@ class TestSettings:
             pipeline(family, **{key: value})
 
     def test_good_settings_build(self, family):
-        built = pipeline(family, rounds=1, example_limit=1, aggregation="sum",
-                         example_strategy="similarity", temperature=0.0)
-        assert built.identity.endswith("limit=1,agg=sum,examples=similarity)")
+        built = pipeline(family, rounds=1, example_limit=1, example_strategy="similarity",
+                         temperature=0.0)
+        assert built.identity.endswith("limit=1,examples=similarity)")
 
 
 class TestSharedEmbedding:
