@@ -135,8 +135,12 @@ def _prereq(path: str | None, artifact: str) -> Path:
 
 
 def _read_feed(path: Path, source: Source = Source.CVE) -> corpus_mod.ParseResult:
-    """Parse a feed file, warning on stderr about each line it skipped."""
-    result = corpus_mod.parse_feed(path.read_bytes(), source=source)
+    """Parse a feed file, warning on stderr about each line it skipped. A
+    malformed line raises a FeedFormatError that names ``path``."""
+    try:
+        result = corpus_mod.parse_feed(path.read_bytes(), source=source)
+    except FeedFormatError as exc:
+        raise FeedFormatError(exc.message, exc.line, path) from None
     for diag in result.diagnostics:
         click.echo(f"warning: {path}:{diag.line}: {diag.message}", err=True)
     return result
@@ -468,7 +472,8 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
 
 def _load_testset(path: Path) -> list[tuple[TvdRecord, AspectKind, str]]:
     testset = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    # One line per "\n", as in corpus.parse_feed.
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -262,7 +262,10 @@ def parse_feed(raw: bytes | str, source: Source = Source.CVE) -> ParseResult:
 
     result = ParseResult()
     seen: set[tuple[str, str, str | None]] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" alone: str.splitlines() also breaks at U+0085, U+2028
+    # and U+2029, which JSON strings may hold raw. A "\r" left by a CRLF
+    # line end is JSON whitespace.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -1,15 +1,24 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
+import os
+
 
 class VulnaugError(Exception):
     """Base class for all package errors."""
 
 
 class FeedFormatError(VulnaugError):
-    """A feed stream is structurally malformed (not parseable line-by-line)."""
+    """A feed stream is structurally malformed (not parseable line-by-line).
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    The text names the line as ``path:line`` when the feed's path is known.
+    """
+
+    def __init__(self, message: str, line: int, path: str | os.PathLike | None = None):
+        where = f"line {line}" if path is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
 
 

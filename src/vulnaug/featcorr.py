@@ -32,8 +32,16 @@ NEG_RATIO = 2
 
 _MAGIC = b"VACORR01"
 
-#: Training pairs whose towers are stacked at once while the design matrix is built.
+#: Training pairs whose interaction rows are built at once while the fit's
+#: gradient and Hessian are summed.
 _PAIR_BLOCK = 2048
+
+#: Ridge penalty on the combiner weights: the fit minimises the summed
+#: cross-entropy plus _RIDGE / 2 times the squared norm of w.
+_RIDGE = 1.0
+
+#: The fit has converged once the Newton decrement per pair falls below this.
+_NEWTON_TOL = 1e-12
 
 #: Interaction rows of one rank_candidates score grid, unless one candidate
 #: has more features; bounds the (candidates, features, 2d+1) array.
@@ -227,6 +235,10 @@ def _compute_towers(embedding: EmbeddingModel, texts: Sequence[str],
 
 @dataclass
 class CorrTrainConfig:
+    """Settings of :func:`train_correlation`: ``epochs`` caps the number of
+    Newton steps, and ``learning_rate``, in (0, 1), is the factor that scales
+    a step down while it does not lower the penalized loss."""
+
     learning_rate: float = 0.5
     epochs: int = 300
     seed: int = 0
@@ -235,8 +247,8 @@ class CorrTrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < 1.0:
+            raise ValueError(f"learning_rate must be in (0, 1), got {self.learning_rate}")
 
 
 @dataclass
@@ -345,18 +357,77 @@ def _probability(model: "CorrelationModel", u: np.ndarray, v: np.ndarray) -> np.
     return _sigmoid(np.vecdot(interaction_features(u, v), model.weights) + model.bias)
 
 
+def _block_terms(x: np.ndarray, positive: np.ndarray,
+                 theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The summed cross-entropy, gradient and Hessian, in the 2d+2 unknowns
+    ``theta`` = (w, b), of the pairs whose interaction rows are ``x``.
+
+    The loss takes one ``logaddexp`` per pair: log(1 + e^-t) for a positive
+    and log(1 + e^t) for a negative, at logit t. The gradient's sums are
+    ``np.add.reduce`` calls, which BLAS does not split; the Hessian's
+    xᵀ·diag(s)·x is one matrix product.
+    """
+    t = np.vecdot(x, theta[:-1]) + theta[-1]
+    with np.errstate(over="ignore"):  # e^-t = inf gives p = 0, its limit
+        p = _sigmoid(t)
+    r = p - positive
+    s = p * (1.0 - p)
+    grad = np.append(np.add.reduce(x * r[:, None], axis=0), np.add.reduce(r))
+    sx = x * s[:, None]
+    hess = np.empty((theta.size, theta.size))
+    hess[:-1, :-1] = x.T @ sx
+    hess[:-1, -1] = hess[-1, :-1] = np.add.reduce(sx, axis=0)
+    hess[-1, -1] = np.add.reduce(s)
+    return float(np.add.reduce(np.logaddexp(0.0, np.where(positive, -t, t)))), grad, hess
+
+
+def _newton_terms(towers: np.ndarray, ia: np.ndarray, ib: np.ndarray, positive: np.ndarray,
+                  theta: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The fit's terms at ``theta`` = (w, b): the summed cross-entropy, the
+    penalized loss, and the penalized loss's gradient and Hessian.
+
+    Pair i's interaction row is built from ``towers[ia[i]]`` and
+    ``towers[ib[i]]``, ``_PAIR_BLOCK`` rows at a time, and each block's
+    :func:`_block_terms` are added to the totals in block order, so only one
+    block's rows exist at a time.
+    """
+    k = theta.size
+    loss, grad, hess = 0.0, np.zeros(k), np.zeros((k, k))
+    for lo in range(0, len(ia), _PAIR_BLOCK):
+        block = slice(lo, lo + _PAIR_BLOCK)
+        block_loss, block_grad, block_hess = _block_terms(
+            interaction_features(towers[ia[block]], towers[ib[block]]), positive[block], theta)
+        loss += block_loss
+        grad += block_grad
+        hess += block_hess
+    w = theta[:-1]
+    grad[:-1] += _RIDGE * w
+    hess[np.arange(k - 1), np.arange(k - 1)] += _RIDGE
+    return loss, loss + 0.5 * _RIDGE * float(np.vecdot(w, w)), grad, hess
+
+
 def train_correlation(
     pairs: Sequence[FeaturePair],
     store: BackgroundStore | None,
     embedding: EmbeddingModel,
     config: CorrTrainConfig | None = None,
 ) -> CorrelationModel:
-    """Fit the logistic combiner with full-batch gradient descent, on a model
-    built with ``store`` as its background.
+    """Fit the logistic combiner by damped Newton steps, on a model built
+    with ``store`` as its background.
 
-    Weights start at zero, so training is deterministic; the per-epoch binary
-    cross-entropy is kept on the model for inspection and diverging (non-
-    finite) loss raises.
+    The fit minimises the summed cross-entropy plus ``_RIDGE`` / 2 · |w|²
+    (the bias is not penalized) from w = 0, b = 0, so training is
+    deterministic. Each step solves H·δ = g for the Newton step δ. A step
+    whose penalized loss is not below the current one is scaled by
+    ``config.learning_rate`` until it is; the pass that checks it also sums
+    the next step's gradient and Hessian. The fit stops after
+    ``config.epochs`` steps, or once the Newton decrement gᵀδ per pair falls
+    below ``_NEWTON_TOL``. Each step's unpenalized mean cross-entropy is kept
+    in ``loss_history``; a non-finite loss or step raises
+    :class:`DivergedTraining` naming the step.
+
+    Besides the labels, only two index arrays are kept per pair: each side's
+    row in one stack of the distinct texts' towers.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -368,38 +439,42 @@ def train_correlation(
         train_config=cfg,
         store=store,
     )
-    # x is filled one block of pairs at a time, so only one block's towers
-    # are stacked beside it; each row is bit-equal to building it alone.
     n = len(pairs)
-    x = np.empty((n, 2 * embedding.dim + 1))
-    for lo in range(0, n, _PAIR_BLOCK):
-        block = pairs[lo : lo + _PAIR_BLOCK]
-        x[lo : lo + len(block)] = interaction_features(
-            model.tower_vectors([p.a for p in block]),
-            model.tower_vectors([p.b for p in block]))
-    y = np.array([p.label for p in pairs], dtype=np.float64)
-    positive = y == 1.0
+    index: dict[str, int] = {}
+    ia = np.array([index.setdefault(p.a, len(index)) for p in pairs], dtype=np.intp)
+    ib = np.array([index.setdefault(p.b, len(index)) for p in pairs], dtype=np.intp)
+    towers = model.tower_vectors(list(index))
+    positive = np.array([p.label == 1 for p in pairs])
 
-    w = model.weights
-    b = 0.0
-    # The probabilities under the updated weights serve both this epoch's
-    # loss and the next epoch's gradient, so each epoch passes over x twice.
-    p = _sigmoid(x @ w + b)
-    for _ in range(cfg.epochs):
-        g = p - y
-        w = w - cfg.learning_rate * (x.T @ g) / n
-        b = b - cfg.learning_rate * float(g.mean())
-        p = _sigmoid(x @ w + b)
-        # y is 0 or 1 (FeaturePair checks), so log(q) for a positive and
-        # log(1 - q) for a negative equal y*log(q) + (1-y)*log(1-q) bit for
-        # bit: the term dropped is 0 times a finite log.
-        q = np.clip(p, 1e-12, 1.0 - 1e-12)
-        loss = float(-np.mean(np.log(np.where(positive, q, 1.0 - q))))
-        if not math.isfinite(loss):
-            raise DivergedTraining(f"non-finite loss after epoch {len(model.loss_history) + 1}")
-        model.loss_history.append(loss)
-    model.weights = w
-    model.bias = b
+    def terms(theta: np.ndarray, step: int):
+        found = _newton_terms(towers, ia, ib, positive, theta)
+        if not math.isfinite(found[1]):
+            raise DivergedTraining(f"non-finite loss at step {step}")
+        return found
+
+    theta = np.zeros(2 * embedding.dim + 2)
+    loss, penalized, grad, hess = terms(theta, 1)
+    floor = _NEWTON_TOL * n
+    for step in range(1, cfg.epochs + 1):
+        delta = np.linalg.solve(hess, grad)
+        decrement = float(grad @ delta)
+        if not (math.isfinite(decrement) and np.isfinite(delta).all()):
+            raise DivergedTraining(f"non-finite Newton step at step {step}")
+        scale = 1.0
+        while scale * decrement >= floor:
+            trial = theta - scale * delta
+            found = terms(trial, step)
+            if found[1] <= penalized:
+                break
+            scale *= cfg.learning_rate
+        else:
+            break  # converged: what is left of the step is below rounding
+        theta, (loss, penalized, grad, hess) = trial, found
+        model.loss_history.append(loss / n)
+    if not model.loss_history:  # the starting point is the optimum
+        model.loss_history.append(loss / n)
+    model.weights = theta[:-1]
+    model.bias = float(theta[-1])
     return model
 
 

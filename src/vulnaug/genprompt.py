@@ -446,12 +446,37 @@ class BackendConfig:
             raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
 
 
+def _reply_content(raw: bytes) -> str:
+    """The message content of a chat-completions reply body.
+
+    A reply that holds no content, such as ``{"error": {...}}`` or a body
+    that is not JSON, raises BackendError quoting the server's
+    ``error.message``, or else the body's first 200 characters; so does
+    content that is not text.
+    """
+    text = raw.decode("utf-8", errors="replace")
+    try:
+        body = json.loads(text)
+    except ValueError:
+        body = None
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (LookupError, TypeError):
+        error = body.get("error") if isinstance(body, dict) else None
+        message = error.get("message") if isinstance(error, dict) else None
+        detail = message if isinstance(message, str) else text[:200]
+        raise BackendError(f"backend reply holds no content: {detail!r}") from None
+    if not isinstance(content, str):
+        raise BackendError(f"backend reply content is not text: {content!r}")
+    return content
+
+
 class HttpBackend:
     """OpenAI-style chat-completions client with retry and backoff.
 
     Network failures, rate limiting (HTTP 429) and server errors are retried
-    up to ``config.max_retries`` times; any other 4xx, and a reply whose
-    message content is not text, fails at once.
+    up to ``config.max_retries`` times; any other 4xx, and a reply that holds
+    no text content (see :func:`_reply_content`), fails at once.
 
     Building one without an API key in ``config.api_key_env`` raises
     :class:`MissingPrerequisite`, before any request is sent.
@@ -495,8 +520,7 @@ class HttpBackend:
             )
             try:
                 with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
-                    body = json.loads(resp.read().decode("utf-8"))
-                content = body["choices"][0]["message"]["content"]
+                    raw = resp.read()
             except urllib.error.HTTPError as exc:
                 # A client error other than rate limiting fails the same way
                 # on every retry (bad key, wrong endpoint or model).
@@ -506,9 +530,7 @@ class HttpBackend:
             except Exception as exc:  # noqa: BLE001 - network failures vary widely
                 last_error = exc
             else:
-                if isinstance(content, str):
-                    return content
-                raise BackendError(f"backend reply content is not text: {content!r}")
+                return _reply_content(raw)
             if attempt < self.config.max_retries:
                 time.sleep(2.0**attempt)
         raise BackendError(f"backend call failed after retries: {last_error}")

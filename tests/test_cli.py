@@ -1,8 +1,11 @@
+import dataclasses
 import functools
 import hashlib
 import inspect
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -111,6 +114,25 @@ class TestIngest:
         first = out.read_bytes()
         runner.invoke(cli, ["ingest", str(feed), "-o", str(out)])
         assert out.read_bytes() == first
+
+
+    def test_line_separators_inside_strings_survive_the_training_chain(self, runner,
+                                                                      tmp_path):
+        # ingest writes U+0085, U+2028 and U+2029 raw; every later reader
+        # must split lines at "\n" alone.
+        records = small_feed_records(6)
+        records[0] = dataclasses.replace(records[0], raw_software_names=["Foo\u0085Bar"])
+        records[1] = dataclasses.replace(records[1],
+                                         description="widget1 \u2028 fails\u2029 badly.")
+        feed = write_feed(tmp_path, records)
+        corpus = tmp_path / "corpus.jsonl"
+        for step in (["ingest", str(feed), "-o", str(corpus)],
+                     ["build-map", "--corpus", str(corpus), "-o", str(tmp_path / "map.tsv")],
+                     ["train-embed", "--corpus", str(corpus), "-o", str(tmp_path / "e.bin")]):
+            result = runner.invoke(cli, step)
+            assert result.exit_code == 0, f"{step}: {result.output}"
+        assert "\u0085" in corpus.read_text(encoding="utf-8")
+        assert "Foo Bar\tCVE-2023-1000" in (tmp_path / "map.tsv").read_text(encoding="utf-8")
 
 
 class TestPrerequisites:
@@ -272,6 +294,8 @@ class TestTrainCorrSettings:
         ("--lr", "-1", "learning_rate"),
         ("--lr", "nan", "learning_rate"),
         ("--lr", "inf", "learning_rate"),
+        ("--lr", "1", "learning_rate"),
+        ("--lr", "1.5", "learning_rate"),
     ])
     def test_setting_that_trains_nothing_exits_two(self, runner, tmp_path, artifacts,
                                                    monkeypatch, flag, value, name):
@@ -285,6 +309,23 @@ class TestTrainCorrSettings:
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {name} must be")
         assert calls == [] and not out.exists()
+
+
+    def test_summary_line_keeps_the_form_the_benchmark_parses(self, runner, tmp_path,
+                                                               artifacts):
+        # bench/run.py reads the pair counts and the final loss from this line.
+        corpus, _, embedding, _ = artifacts
+        out = tmp_path / "corr.bin"
+        result = runner.invoke(cli, ["train-corr", "--corpus", str(corpus), "--embed",
+                                     str(embedding), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        line = re.fullmatch(r"trained correlation model on (\d+) positive / (\d+) negative"
+                            r" pairs, final loss (\S+) -> (.+)\n", result.output)
+        assert line is not None, result.output
+        positives, negatives, loss, path = line.groups()
+        assert int(negatives) == 2 * int(positives) > 0
+        assert math.isfinite(float(loss)) and float(loss) > 0
+        assert path == str(out) and out.exists()
 
 
 class TestCost:
@@ -465,6 +506,37 @@ class TestBadInputFiles:
         assert "line 2" in result.output and needle in result.output
         assert "column" not in result.output
         assert not prefix.with_suffix(".txt").exists()
+
+
+class TestBadFeedLines:
+    """A malformed line in any feed-format input exits 2 naming path:line."""
+
+    def bad_feed(self, tmp_path):
+        good = small_feed_records(2)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good[0].to_json_line() + "\n{broken\n" + good[1].to_json_line() + "\n",
+                        encoding="utf-8")
+        return path
+
+    def check(self, result, path):
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {path}:2: "), result.output
+
+    def test_ingest_feed(self, runner, tmp_path):
+        good = write_feed(tmp_path, small_feed_records(2), "good.jsonl")
+        bad = self.bad_feed(tmp_path)
+        self.check(runner.invoke(cli, ["ingest", str(good), str(bad), "-o",
+                                       str(tmp_path / "corpus.jsonl")]), bad)
+
+    def test_corpus(self, runner, tmp_path):
+        bad = self.bad_feed(tmp_path)
+        self.check(runner.invoke(cli, ["build-map", "--corpus", str(bad), "-o",
+                                       str(tmp_path / "map.tsv")]), bad)
+
+    def test_targets(self, runner, tmp_path, artifacts):
+        bad = self.bad_feed(tmp_path)
+        self.check(runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--targets", str(bad), "-o", str(tmp_path / "out.jsonl")]), bad)
 
 
 class TestMappingFile:
@@ -986,10 +1058,10 @@ class TestPipelineCommands:
 
 SRC = str(Path(vulnaug.__file__).resolve().parents[1])
 
-#: sha256 of the ``augment`` output of :func:`family_run`, recorded before
-#: sentence vectors were memoised and the k-means step vectorised. A change
-#: that keeps every output bit keeps it.
-FAMILY_AUGMENT_SHA256 = "fc565e8b8f927ecdafd7ea0d8b25643b71fea5b79ec872b9830e3f75fd4c5cdc"
+#: sha256 of the ``augment`` output of :func:`family_run`, recorded when
+#: train-corr moved to Newton steps. A change that keeps every output bit
+#: keeps it.
+FAMILY_AUGMENT_SHA256 = "53dcb70a104430ad3e19dd1fb92be3b4242d1e476079cfe781e63107f0d0bea0"
 
 
 def run_cli(args, threads=None):

@@ -168,6 +168,22 @@ class TestParseFeed:
         parsed = parse_feed(rec.to_json_line()).records[0]
         assert parsed == rec
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(alphabet="ab \u0085\u2028\u2029\r\x0b\x1c中", min_size=1,
+                            max_size=12), min_size=3, max_size=3),
+           st.booleans())
+    def test_line_separators_inside_strings_round_trip(self, texts, crlf):
+        # str.splitlines() breaks at U+0085, U+2028, U+2029 and more, which
+        # to_json_line writes raw; a feed line ends at "\n" alone.
+        name, aspect, first = texts
+        records = [make_record(f"CVE-2020-{i:04d}", f"issue{i} {name}.", software=[name],
+                               aspects={AspectKind.IMPACT: aspect}, first_sentence=first)
+                   for i in range(1, 3)]
+        text = feed_text(records)
+        result = parse_feed(text.replace("\n", "\r\n") if crlf else text)
+        assert not result.diagnostics
+        assert result.records == records
+
 
 class TestPairing:
     def test_one_pair(self):

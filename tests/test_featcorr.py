@@ -152,31 +152,54 @@ def reference_rank(model, features, candidates):
     return ranked
 
 
-def reference_train_correlation(pairs, store, embedding, cfg):
-    """Both full tower stacks beside x, and three passes over x and two logs
-    per epoch. Returns (weights, bias, loss history)."""
+def reference_newton_terms(z, y, theta):
+    """Summed cross-entropy, penalized loss, gradient and Hessian of the
+    dense design matrix ``z`` = [x, 1] at ``theta``, each in one piece."""
+    ridge = np.full(theta.size, featcorr._RIDGE)
+    ridge[-1] = 0.0
+    t = z @ theta
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-t))
+    loss = float(np.sum(y * np.logaddexp(0.0, -t) + (1.0 - y) * np.logaddexp(0.0, t)))
+    grad = z.T @ (p - y) + ridge * theta
+    hess = z.T @ ((p * (1.0 - p))[:, None] * z) + np.diag(ridge)
+    return loss, loss + 0.5 * float(np.sum(ridge * theta * theta)), grad, hess
+
+
+def dense_design(pairs, store, embedding):
+    """[x, 1] with x built in one piece from each text's own tower, and the labels."""
     model = CorrelationModel(embedding=embedding, weights=np.zeros(2 * embedding.dim + 1),
                              bias=0.0, store=store)
-    towers = {}
-    for text in [p.a for p in pairs] + [p.b for p in pairs]:
-        if text not in towers:
-            towers[text] = model.tower_vector(text)
-    x = interaction_features(np.stack([towers[p.a] for p in pairs]),
-                             np.stack([towers[p.b] for p in pairs]))
-    y = np.array([p.label for p in pairs], dtype=np.float64)
+    x = interaction_features(np.stack([model.tower_vector(p.a) for p in pairs]),
+                             np.stack([model.tower_vector(p.b) for p in pairs]))
+    z = np.column_stack([x, np.ones(len(pairs))])
+    return z, np.array([p.label for p in pairs], dtype=np.float64)
+
+
+def reference_newton_fit(pairs, store, embedding, cfg):
+    """Plain Newton steps on the dense design matrix, each solved with
+    ``np.linalg.solve`` and scaled by ``cfg.learning_rate`` until the
+    penalized loss does not rise. Returns (theta, loss history)."""
+    z, y = dense_design(pairs, store, embedding)
     n = len(pairs)
-    w, b, losses = model.weights, 0.0, []
-    for epoch in range(cfg.epochs):
-        p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
-        g = p - y
-        w = w - cfg.learning_rate * (x.T @ g) / n
-        b = b - cfg.learning_rate * float(g.mean())
-        p = np.clip(1.0 / (1.0 + np.exp(-(x @ w + b))), 1e-12, 1.0 - 1e-12)
-        loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-        if not math.isfinite(loss):
-            raise DivergedTraining(f"non-finite loss after epoch {epoch + 1}")
-        losses.append(loss)
-    return w, b, losses
+    theta = np.zeros(z.shape[1])
+    loss, penalized, grad, hess = reference_newton_terms(z, y, theta)
+    losses = []
+    for _ in range(cfg.epochs):
+        delta = np.linalg.solve(hess, grad)
+        decrement = float(grad @ delta)
+        scale = 1.0
+        while scale * decrement >= featcorr._NEWTON_TOL * n:
+            trial = theta - scale * delta
+            found = reference_newton_terms(z, y, trial)
+            if found[1] <= penalized:
+                break
+            scale *= cfg.learning_rate
+        else:
+            break
+        theta, (loss, penalized, grad, hess) = trial, found
+        losses.append(loss / n)
+    return theta, losses or [loss / n]
 
 
 # Few distinct tokens, so overlaps tie often; "omega" and "x9" stay out of
@@ -600,13 +623,75 @@ def shuffled_pairs(corpus, n):
     return (shuffled * (1 + n // len(shuffled)))[:n]
 
 
+def scaled_embedding(embedding, factor):
+    """``embedding`` with every vector times ``factor``: towers that large
+    make the first full Newton steps overshoot."""
+    return EmbeddingModel(dim=embedding.dim, vocab=embedding.vocab,
+                          vectors=embedding.vectors * factor)
+
+
+def acceptance_08(seed):
+    """Acceptance 08's body under ``TrainConfig(seed=seed)``: the held-out
+    accuracy and the planted aspect's wins in 100 trials."""
+    corpus = family_corpus(n_records=200, n_families=5)
+    db = family_mapping(corpus)
+    embedding = train_embeddings(corpus, TrainConfig(seed=seed, epochs=10))
+    pairs = build_training_pairs(corpus, seed=5)
+    order = np.random.default_rng(3).permutation(len(pairs))
+    split = int(0.8 * len(pairs))
+    model = train_correlation([pairs[i] for i in order[:split]], None, embedding,
+                              CorrTrainConfig(learning_rate=0.5, epochs=300))
+    held_out = [pairs[i] for i in order[split:]]
+    correct = sum(int((score(model, p.a, p.b) > 0.5) == bool(p.label)) for p in held_out)
+    wins = 0
+    trial_rng = np.random.default_rng(17)
+    records = {rec.cve_id: rec for rec in corpus}
+    for _ in range(100):
+        index = int(trial_rng.integers(200))
+        masked, truth = mask_aspect(records[f"CVE-2021-{1000 + index}"], AspectKind.ROOT_CAUSE)
+        distractors = [family_aspects(g, int(trial_rng.integers(200)))[AspectKind.ROOT_CAUSE]
+                       for g in range(5) if g != index % 5][:3]
+        ranked = rank_candidates(model, software_features(masked, db, corpus),
+                                 [candidate(text, round=r + 1)
+                                  for r, text in enumerate([truth] + distractors)])
+        wins += int(ranked[0].candidate.text == truth)
+    return correct / len(held_out), wins
+
+
 class TestTrainCorrelation:
-    def test_loss_non_increasing_on_separable_set(self, family_setup):
+    def test_converges_well_before_the_step_cap(self, family_setup):
         _, _, model, _ = family_setup
-        losses = model.loss_history
-        assert len(losses) == 300
-        for a, b in zip(losses[2:], losses[3:]):
-            assert b <= a + 1e-6
+        assert 1 < len(model.loss_history) < 30
+        assert model.loss_history[-1] < 0.1
+
+    @pytest.mark.parametrize("factor", [1.0, 1000.0], ids=["family", "overshooting"])
+    def test_penalized_loss_never_rises(self, family_setup, factor):
+        # A fit capped at k steps is the first k steps of a longer fit. At
+        # 1000 times the family vectors, step 14's full step overshoots.
+        corpus, embedding, _, _ = family_setup
+        embedding = scaled_embedding(embedding, factor)
+        pairs = shuffled_pairs(corpus, 100)
+        z, y = dense_design(pairs, None, embedding)
+        penalized = [reference_newton_terms(z, y, np.zeros(z.shape[1]))[1]]
+        for steps in range(1, 17):
+            model = train_correlation(pairs, None, embedding, CorrTrainConfig(epochs=steps))
+            assert len(model.loss_history) <= steps
+            penalized.append(reference_newton_terms(z, y, np.append(model.weights, model.bias))[1])
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(penalized, penalized[1:]))
+        assert penalized[-1] < penalized[0]
+
+    def test_learning_rate_scales_the_steps_that_overshoot(self, family_setup):
+        corpus, embedding, _, _ = family_setup
+        embedding = scaled_embedding(embedding, 1000.0)
+        pairs = shuffled_pairs(corpus, 100)
+        fits = {}
+        for lr in (0.5, 0.1):
+            cfg = CorrTrainConfig(learning_rate=lr, epochs=16)
+            fits[lr] = train_correlation(pairs, None, embedding, cfg)
+            theta, losses = reference_newton_fit(pairs, None, embedding, cfg)
+            np.testing.assert_allclose(np.append(fits[lr].weights, fits[lr].bias), theta,
+                                       rtol=1e-7)
+        assert not np.array_equal(fits[0.5].weights, fits[0.1].weights)
 
     def test_fixed_seed_identical_weights(self, family_setup):
         corpus, embedding, model, _ = family_setup
@@ -627,51 +712,63 @@ class TestTrainCorrelation:
             correct += int(predicted == bool(pair.label))
         assert correct / len(held_out) >= 0.9
 
+    @pytest.mark.parametrize("seed", range(11, 31))
+    def test_acceptance_08_holds_across_embedding_seeds(self, seed):
+        accuracy, wins = acceptance_08(seed)
+        assert accuracy >= 0.9
+        assert wins >= 90
+
     def test_empty_pairs_rejected(self, family_setup):
         _, embedding, _, _ = family_setup
         with pytest.raises(ValueError):
             train_correlation([], None, embedding)
 
+    @pytest.mark.parametrize("learning_rate", [0.0, 1.0, -1.0, 1.5, math.nan, math.inf])
+    def test_learning_rate_outside_the_open_unit_interval_rejected(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be in"):
+            CorrTrainConfig(learning_rate=learning_rate)
+
     @pytest.mark.parametrize("n", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1,
                                    2 * _PAIR_BLOCK + 3])
     @pytest.mark.parametrize("background", ["none", "store"])
-    def test_matches_full_stack_loop(self, family_setup, background, n):
+    def test_matches_dense_newton_reference(self, family_setup, background, n):
         corpus, embedding, _, _ = family_setup
         pairs = shuffled_pairs(corpus, n)
         store = None if background == "none" else BackgroundStore(articles={
             f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)})
         cfg = CorrTrainConfig(learning_rate=0.5, epochs=40)
         model = train_correlation(pairs, store, embedding, cfg)
-        w, b, losses = reference_train_correlation(pairs, store, embedding, cfg)
-        assert model.weights.tobytes() == w.tobytes()
-        assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
-        assert np.array(model.loss_history).tobytes() == np.array(losses).tobytes()
+        theta, losses = reference_newton_fit(pairs, store, embedding, cfg)
+        np.testing.assert_allclose(model.weights, theta[:-1], rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(model.bias, theta[-1], rtol=1e-7, atol=1e-9)
+        assert len(model.loss_history) == len(losses)
+        np.testing.assert_allclose(model.loss_history, losses, rtol=1e-10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_raises_at_the_reference_epoch(self, family_setup):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tower_raises(self, family_setup, bad):
         corpus, embedding, _, _ = family_setup
-        pairs = shuffled_pairs(corpus, 300)
-        cfg = CorrTrainConfig(learning_rate=1e307, epochs=10)
-        with pytest.raises(DivergedTraining) as want:
-            reference_train_correlation(pairs, None, embedding, cfg)
-        assert str(want.value) != "non-finite loss after epoch 1"  # a finite epoch came first
-        with pytest.raises(DivergedTraining) as got:
-            train_correlation(pairs, None, embedding, cfg)
-        assert str(got.value) == str(want.value)
+        vectors = embedding.vectors.copy()
+        vectors[embedding.vocab["flaw0"]] = bad
+        broken = EmbeddingModel(dim=embedding.dim, vocab=embedding.vocab, vectors=vectors)
+        with pytest.raises(DivergedTraining, match="step 1$"):
+            train_correlation(shuffled_pairs(corpus, 300), None, broken)
 
-    def test_memory_is_one_design_matrix_plus_one_block(self, family_setup):
-        # Eight blocks of pairs. Holding both full tower stacks beside x, as
-        # building x in one piece does, costs another x-sized 16 MiB.
+    def test_memory_holds_no_design_matrix(self, family_setup):
+        # Doubling the pairs, over the same texts, adds their labels and
+        # index arrays: far less than a (2d+1)-float design-matrix row each.
         corpus, embedding, _, _ = family_setup
-        pairs = shuffled_pairs(corpus, 8 * _PAIR_BLOCK)
-        x_bytes = len(pairs) * (2 * embedding.dim + 1) * 8
-        tracemalloc.start()
-        try:
-            train_correlation(pairs, None, embedding, CorrTrainConfig(epochs=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < x_bytes + 8 * 2**20
+        peaks = []
+        for n in (4 * _PAIR_BLOCK, 8 * _PAIR_BLOCK):
+            pairs = shuffled_pairs(corpus, n)
+            tracemalloc.start()
+            try:
+                train_correlation(pairs, None, embedding, CorrTrainConfig(epochs=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        row_bytes = (2 * embedding.dim + 1) * 8
+        assert peaks[1] - peaks[0] < 0.1 * 4 * _PAIR_BLOCK * row_bytes
 
 
 class TestScore:

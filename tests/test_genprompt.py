@@ -378,6 +378,28 @@ class TestHttpBackend:
                                 AspectKind.ATTACKER_TYPE, rounds=2)
 
 
+    @pytest.mark.parametrize("body,message", [
+        (b'{"error": {"message": "model overloaded", "type": "server"}}', "model overloaded"),
+        (b'{"choices": []}', '{"choices": []}'),
+        (b"<html>bad gateway</html>", "<html>bad gateway</html>"),
+        (b"x" * 300, "x" * 200 + "'"),
+    ], ids=["error-object", "no-choices", "not-json", "long-body"])
+    def test_reply_without_content_fails_at_once(self, monkeypatch, body, message):
+        monkeypatch.setenv("VULNAUG_TEST_KEY", "secret")
+        events = []
+
+        def fake_urlopen(request, timeout):
+            events.append("attempt")
+            return io.BytesIO(body)
+
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+        monkeypatch.setattr(genprompt.time, "sleep", lambda s: events.append(s))
+        with pytest.raises(BackendError, match="holds no content") as failed:
+            self.backend().complete("prompt")
+        assert message in str(failed.value)
+        assert events == ["attempt"]
+
+
 class TestCandidateAnswer:
     def test_rejects_newlines(self):
         with pytest.raises(ValueError):
