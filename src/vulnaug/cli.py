@@ -25,7 +25,7 @@ from . import evalkit, featcorr, genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
 from .errors import FeedFormatError, GenerationFailed, MissingPrerequisite, VulnaugError
 from .exampler import EXAMPLE_LIMIT
-from .ioutil import atomic_write_lines, atomic_write_text
+from .ioutil import atomic_write_lines, atomic_write_text, read_lines
 from .pipeline import EXAMPLE_STRATEGIES, AugmentPipeline, check_settings, map_ordered
 
 EXIT_INTERNAL = 1
@@ -72,27 +72,30 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _load_settings(cls, path: str | Path):
-    """Build dataclass ``cls`` from a JSON object file; a ValueError names the
-    file and any keys ``cls`` does not declare, requires but did not get, or
-    got with a value of the wrong type or one that ``cls`` rejects."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    declared = dataclasses.fields(cls)
-    unknown = sorted(set(obj) - {f.name for f in declared})
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {unknown}")
-    missing = [f.name for f in declared if f.name not in obj
-               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ValueError(f"{path}: missing keys {missing}")
-    hints = typing.get_type_hints(cls)
-    wrong = [f"{name!r} must be {getattr(hints[name], '__name__', hints[name])}, got {value!r}"
-             for name, value in obj.items() if not _fits(value, hints[name])]
-    if wrong:
-        raise ValueError(f"{path}: {'; '.join(wrong)}")
+def _read_json_file(path: str | Path, cls=None):
+    """The JSON object in file ``path``, or the dataclass ``cls`` built from
+    it. A ValueError names the file when it is not UTF-8, not JSON or not an
+    object, and any keys ``cls`` does not declare, requires but did not get,
+    or got with a value of the wrong type or one that ``cls`` rejects."""
     try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
+        if cls is None:
+            return obj
+        declared = dataclasses.fields(cls)
+        unknown = sorted(set(obj) - {f.name for f in declared})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        missing = [f.name for f in declared if f.name not in obj and
+                   f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        hints = typing.get_type_hints(cls)
+        wrong = [f"{name!r} must be {getattr(hints[name], '__name__', hints[name])}, got {value!r}"
+                 for name, value in obj.items() if not _fits(value, hints[name])]
+        if wrong:
+            raise ValueError("; ".join(wrong))
         return cls(**obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -204,13 +207,13 @@ def _make_backend(cfg: RunConfig, answers: dict[str, str] | None = None) -> genp
         backend = genprompt.EchoBackend()
     elif cfg.backend == "oracle":
         if cfg.oracle_answers:
-            answers = json.loads(Path(cfg.oracle_answers).read_text(encoding="utf-8"))
-            if not isinstance(answers, dict) or not all(isinstance(a, str) for a in answers.values()):
+            answers = _read_json_file(cfg.oracle_answers)
+            if not all(isinstance(a, str) for a in answers.values()):
                 raise ValueError(f"{cfg.oracle_answers}: expected a JSON object of answer strings")
         backend = genprompt.OracleBackend(answers=answers or {})
     elif cfg.backend == "http":
         conf_path = _prereq(cfg.backend_config, "backend config")
-        backend = genprompt.HttpBackend(_load_settings(genprompt.BackendConfig, conf_path))
+        backend = genprompt.HttpBackend(_read_json_file(conf_path, genprompt.BackendConfig))
     else:
         raise ValueError(f"unknown backend: {cfg.backend!r}")
     if cfg.audit:
@@ -230,7 +233,7 @@ def _make_backend(cfg: RunConfig, answers: dict[str, str] | None = None) -> genp
 def cli(ctx, config_path, seed, decode_seed, jobs, output_dir, backend):
     """Augment missing key aspects in textual vulnerability descriptions."""
     try:
-        cfg = _load_settings(RunConfig, config_path) if config_path else RunConfig()
+        cfg = _read_json_file(config_path, RunConfig) if config_path else RunConfig()
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, f"bad config file: {exc}")
     cfg.override(seed=seed, decode_seed=decode_seed, jobs=jobs,
@@ -470,12 +473,8 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
         sys.exit(EXIT_INTERNAL)
 
 
-def _load_testset(path: Path) -> list[tuple[TvdRecord, AspectKind, str]]:
-    testset = []
-    # One line per "\n", as in corpus.parse_feed.
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+def _load_testset(path: Path) -> typing.Iterator[tuple[TvdRecord, AspectKind, str]]:
+    for line_no, line in read_lines(path):
         try:
             obj = json.loads(line)
             if not isinstance(obj, dict):
@@ -488,13 +487,12 @@ def _load_testset(path: Path) -> list[tuple[TvdRecord, AspectKind, str]]:
             if record.aspects.get(kind):
                 raise ValueError(f"masked_aspect {kind.json_key!r} is still set in aspects")
         except KeyError as exc:
-            raise FeedFormatError(f"missing field {exc} in {path}", line=line_no) from None
+            raise FeedFormatError(f"missing field {exc}", line_no, path) from None
         except json.JSONDecodeError as exc:
-            raise FeedFormatError(f"{exc.msg} in {path}", line=line_no) from None
+            raise FeedFormatError(exc.msg, line_no, path) from None
         except (TypeError, ValueError) as exc:
-            raise FeedFormatError(f"{exc} in {path}", line=line_no) from None
-        testset.append((record, kind, label))
-    return testset
+            raise FeedFormatError(str(exc), line_no, path) from None
+        yield record, kind, label
 
 
 @cli.command()
@@ -630,11 +628,10 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
     import urllib.parse
     import urllib.request
 
-    terms = [
-        line.strip()
-        for line in Path(terms_path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    terms = {line_no: line.strip() for line_no, line in read_lines(terms_path)}
+    for line_no, term in terms.items():
+        if "\t" in term or "\r" in term:
+            raise FeedFormatError(f"term {term!r} holds a tab or a CR", line_no, terms_path)
     limiter = genprompt.RateLimiter(rate_per_s=rate)
     try:
         endpoint.format(term="term")
@@ -642,7 +639,7 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
         raise ValueError(f"--endpoint {endpoint!r} must format with {{term}} alone: {exc!r}") from None
     articles: dict[str, str] = {}
     fetched = 0
-    for term in terms:
+    for term in terms.values():
         limiter.acquire()
         url = endpoint.format(term=urllib.parse.quote(term))
         try:

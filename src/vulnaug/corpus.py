@@ -24,6 +24,7 @@ from .errors import (
     NotMaskable,
     SpanNotFound,
 )
+from .ioutil import read_lines
 
 CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,7}$")
 
@@ -251,23 +252,18 @@ def parse_feed(raw: bytes | str, source: Source = Source.CVE) -> ParseResult:
     """Parse one normalized feed (one JSON object per line) into records.
 
     ``source`` is the declared source of the feed and is used for lines that do
-    not carry their own ``source`` field. Structural damage (a line that is not
-    a JSON object) raises :class:`FeedFormatError` with the line number;
-    per-record problems (bad cve_id, empty description, duplicates within the
-    feed) become diagnostics and the entry is skipped, never silently dropped.
+    not carry their own ``source`` field. Lines are those of
+    :func:`ioutil.read_lines`. Structural damage (a line that is not a JSON
+    object, or bytes that are not UTF-8) raises :class:`FeedFormatError` with
+    the line number; per-record problems (bad cve_id, empty description,
+    duplicates within the feed) become diagnostics and the entry is skipped,
+    never silently dropped.
     Duplicates are keyed on (cve_id, revision_tag) so that ANALYSE and MODIFIED
     revisions of the same CVE coexist.
     """
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
     result = ParseResult()
     seen: set[tuple[str, str, str | None]] = set()
-    # Lines end at "\n" alone: str.splitlines() also breaks at U+0085, U+2028
-    # and U+2029, which JSON strings may hold raw. A "\r" left by a CRLF
-    # line end is JSON whitespace.
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in read_lines(None, raw):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -10,9 +10,10 @@ class VulnaugError(Exception):
 
 
 class FeedFormatError(VulnaugError):
-    """A feed stream is structurally malformed (not parseable line-by-line).
+    """A line of a line file (a feed, a testset, ``mapping.tsv``, a
+    background store or a terms file) is malformed, or the file is not UTF-8.
 
-    The text names the line as ``path:line`` when the feed's path is known.
+    The text reads ``path:line: message`` when the file's path is known.
     """
 
     def __init__(self, message: str, line: int, path: str | os.PathLike | None = None):

@@ -24,7 +24,7 @@ from .corpus import AspectKind, Corpus, TvdRecord
 from .embed import EmbeddingModel, _sigmoid, _TextCache, tokenize
 from .errors import DivergedTraining, EmptyTrainingSet
 from .genprompt import CandidateAnswer
-from .ioutil import atomic_write_lines, read_model_file, write_model_file
+from .ioutil import atomic_write_lines, read_lines, read_model_file, write_model_file
 from .mapping import MappingDb, siblings
 
 #: Negatives are downsampled to twice the positive count; fixed by contract.
@@ -179,18 +179,19 @@ class BackgroundStore:
         return embedding.token_sums(bodies), np.array([len(body) for body in bodies], dtype=np.intp)
 
     def save(self, path: str | Path) -> None:
-        atomic_write_lines(path, (f"{term}\t{body}".replace("\n", " ")
+        r"""Write one ``term TAB body`` line per article, terms sorted, with
+        each "\r" and "\n" of a body written as a space. A ValueError names
+        the terms that no line can hold: blank ones and ones holding a tab,
+        "\r" or "\n"."""
+        bad = sorted(t for t in self.articles if not t.strip() or any(c in t for c in "\t\r\n"))
+        if bad:
+            raise ValueError(f"{path}: terms that are blank or hold a tab, CR or LF: {bad!r}")
+        atomic_write_lines(path, (f"{term}\t{body}".replace("\r", " ").replace("\n", " ")
                                   for term, body in sorted(self.articles.items())))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BackgroundStore":
-        articles: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            term, _, body = line.partition("\t")
-            articles[term] = body
-        return cls(articles=articles)
+        return cls(articles=dict(line.partition("\t")[::2] for _, line in read_lines(path)))
 
 
 def fetch_background(

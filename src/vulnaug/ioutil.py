@@ -1,6 +1,6 @@
 """Small I/O helpers: atomic file writes used by every artifact producer, the
-one writer of line-oriented text artifacts, and the one binary container that
-both model files use."""
+one writer and the one reader of line-oriented text files, and the one binary
+container that both model files use."""
 
 from __future__ import annotations
 
@@ -10,9 +10,11 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .errors import FeedFormatError
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -39,6 +41,27 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line followed by a newline; no lines make an empty file."""
     atomic_write_text(path, "".join(line + "\n" for line in lines))
+
+
+def read_lines(path: str | os.PathLike | None,
+               data: bytes | str | None = None) -> Iterator[tuple[int, str]]:
+    r"""The (line number, text) of each non-blank line of the file at
+    ``path``, or of ``data`` when it is given, numbering lines from 1.
+
+    A line ends at "\n" alone: U+2028, U+2029, U+0085, "\x0b" and a lone "\r"
+    stay in its text. One "\r" just before the "\n" is dropped, so a CRLF
+    file reads as its LF twin. A line of whitespace alone is blank. Bytes that
+    are not UTF-8 raise a FeedFormatError, naming the line that holds them,
+    before any line is returned.
+    """
+    data = Path(path).read_bytes() if data is None else data
+    try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FeedFormatError(f"not UTF-8 text: {exc.reason}",
+                              data.count(b"\n", 0, exc.start) + 1, path) from None
+    return ((line_no, line.removesuffix("\r"))
+            for line_no, line in enumerate(text.split("\n"), start=1) if line.strip())
 
 
 def write_model_file(path: str | Path, magic: bytes, header: dict, *blocks: bytes) -> None:

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import CVE_ID_RE, Source, TvdRecord
-from .errors import NotFound
-from .ioutil import atomic_write_lines
+from .errors import FeedFormatError, NotFound
+from .ioutil import atomic_write_lines, read_lines
 
 # Extraction templates, group 1 being the seed. T1 expects a CJK character
 # directly before the name (CNNVD style), T2 a Latin name optionally trailed by
@@ -193,29 +193,26 @@ def save_mapping(db: MappingDb, path: str | Path) -> None:
 
 
 def load_mapping(path: str | Path) -> MappingDb:
-    """Read a file written by :func:`save_mapping`. A ValueError names
+    """Read a file written by :func:`save_mapping`. A FeedFormatError names
     ``path:line`` for a line without a name, a cve list entry that is not a
-    CVE id, and a CVE id that an earlier line maps to another name."""
+    CVE id, a CVE id that an earlier line maps to another name, and bytes
+    that are not UTF-8."""
     db = MappingDb()
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{line_no}"
+    for line_no, line in read_lines(path):
         name, _, cves = line.partition("\t")
         if not cves:
-            raise ValueError(f"{where}: expected name TAB cve list")
-        name = canonicalize_name(name)
-        if not name:
-            raise ValueError(f"{where}: empty software name")
+            raise FeedFormatError("expected name TAB cve list", line_no, path)
+        if not name.strip():  # insert canonicalizes the name
+            raise FeedFormatError("empty software name", line_no, path)
         cve_ids = cves.split(",")
         if not _CVE_LIST_RE.fullmatch(cves):
             bad = next(cve_id for cve_id in cve_ids if not CVE_ID_RE.match(cve_id))
-            raise ValueError(f"{where}: {bad!r} is not a CVE id" if bad
-                             else f"{where}: empty CVE id in the cve list")
+            raise FeedFormatError(f"{bad!r} is not a CVE id" if bad
+                                  else "empty CVE id in the cve list", line_no, path)
         for cve_id in cve_ids:
             db.insert(name, cve_id)
         if db.conflicts:  # insert keeps the first name of a CVE and logs the other
             conflict = db.conflicts[0]
-            raise ValueError(f"{where}: {conflict.cve_id} is already mapped to {conflict.kept!r}")
+            raise FeedFormatError(f"{conflict.cve_id} is already mapped to {conflict.kept!r}",
+                                  line_no, path)
     return db

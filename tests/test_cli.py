@@ -249,6 +249,24 @@ class TestFetchBackground:
         assert "must format with {term} alone" in result.stderr
         assert not (tmp_path / "background.tsv").exists()
 
+    def test_term_with_a_tab_exits_two_before_any_request(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        args = self.args(tmp_path)
+        (tmp_path / "terms.txt").write_text("alpha\n\nbe\tta\n")
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: {tmp_path / 'terms.txt'}:3: term 'be\\tta'")
+        assert not (tmp_path / "background.tsv").exists()
+
+    def test_crlf_terms_fetch_as_their_lf_twin(self, runner, tmp_path):
+        args = self.args(tmp_path)
+        (tmp_path / "terms.txt").write_bytes(b"alpha\r\n\r\nbeta\r\n")
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "background.tsv").read_text() == "alpha\tAlpha is a letter.\n"
+        assert "fetched 1/2 articles" in result.stdout
+        assert result.stderr.startswith("warning: beta:")
+
 
 class TestTrainEmbedSettings:
     @pytest.mark.parametrize("flag,value,name", [
@@ -468,7 +486,7 @@ class TestBadInputFiles:
         assert not out.exists()
 
     @pytest.mark.parametrize("make_line,needle", [
-        (lambda good: "{not json", "line 2"),
+        (lambda good: "{not json", "Expecting property name"),
         (lambda good: "[1, 2]", "JSON object"),
         (without("masked_aspect"), "masked_aspect"),
         (without("label"), "label"),
@@ -503,7 +521,7 @@ class TestBadInputFiles:
         result = runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
                                + ["--testset", str(testset), "-o", str(prefix)])
         assert result.exit_code == 2, result.output
-        assert "line 2" in result.output and needle in result.output
+        assert result.output.startswith(f"error: {testset}:2: ") and needle in result.output
         assert "column" not in result.output
         assert not prefix.with_suffix(".txt").exists()
 
@@ -537,6 +555,40 @@ class TestBadFeedLines:
         bad = self.bad_feed(tmp_path)
         self.check(runner.invoke(cli, pipeline_args("augment", artifacts) + [
             "--targets", str(bad), "-o", str(tmp_path / "out.jsonl")]), bad)
+
+
+class TestNotUtf8Lines:
+    """A line file whose second line is not UTF-8 exits 2 naming path:2."""
+
+    @staticmethod
+    def bad_copy(tmp_path, first_line):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(first_line.encode("utf-8") + b"\n\xff\n")
+        return bad
+
+    def check(self, result, path):
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {path}:2: not UTF-8 text: "), result.output
+
+    def test_feed(self, runner, tmp_path):
+        bad = self.bad_copy(tmp_path, small_feed_records(1)[0].to_json_line())
+        self.check(runner.invoke(cli, ["build-map", "--corpus", str(bad), "-o",
+                                       str(tmp_path / "map.tsv")]), bad)
+
+    def test_testset(self, runner, tmp_path, artifacts):
+        bad = self.bad_copy(tmp_path, "{}")
+        self.check(runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
+                                 + ["--testset", str(bad), "-o", str(tmp_path / "report")]), bad)
+
+    def test_map(self, runner, tmp_path, artifacts):
+        bad = self.bad_copy(tmp_path, "Foo\tCVE-2099-1000")
+        self.check(runner.invoke(cli, ["stats", "--corpus", str(artifacts[0]), "--map", str(bad)]),
+                   bad)
+
+    def test_background(self, runner, tmp_path, artifacts):
+        bad = self.bad_copy(tmp_path, "widget0\twidget zero is a tool")
+        self.check(runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--background", str(bad), "-o", str(tmp_path / "out.jsonl")]), bad)
 
 
 class TestMappingFile:
@@ -736,8 +788,9 @@ class TestPipelineCommands:
         assert not out.exists()
 
     # ``{inputs}`` stands for a directory holding answers.json, a JSON list
-    # where an answer table belongs, and testset.jsonl, whose first line is
-    # not JSON.
+    # where an answer table belongs, bad.json, which is not JSON, and
+    # testset.jsonl, whose first line is not JSON. Settings given as a string
+    # are the config file's text.
     @pytest.mark.parametrize("command,settings,message", [
         ("augment", {"example_strategy": "foo"}, "example_strategy must be"),
         ("evaluate", {"example_strategy": "foo"}, "example_strategy must be"),
@@ -751,16 +804,22 @@ class TestPipelineCommands:
          "{inputs}/answers.json: expected a JSON object"),
         ("evaluate", {"backend": "oracle", "oracle_answers": "{inputs}/answers.json"},
          "{inputs}/answers.json: expected a JSON object"),
-        ("evaluate --testset {inputs}/testset.jsonl", {}, "line 1: "),
+        ("evaluate --testset {inputs}/testset.jsonl", {}, "{inputs}/testset.jsonl:1: "),
         ("augment", {"temperature": -3.0}, "temperature must be"),
         ("augment", {"temperature": float("nan")}, "temperature must be"),
         ("evaluate", {"temperature": float("inf")}, "temperature must be"),
+        ("augment", {"backend": "oracle", "oracle_answers": "{inputs}/bad.json"},
+         "{inputs}/bad.json: Expecting property name"),
+        ("augment", {"backend": "http", "backend_config": "{inputs}/bad.json"},
+         "{inputs}/bad.json: Expecting property name"),
+        ("augment", "{bad", "bad config file: {inputs}/config.json: Expecting property name"),
     ], ids=[
         "augment-settings0-example_strategy", "evaluate-settings1-example_strategy",
         "augment-settings2-aggregation", "augment-settings3-rounds", "evaluate-settings4-rounds",
         "augment-backend", "evaluate-backend", "augment-oracle-answers",
         "evaluate-oracle-answers", "evaluate-testset-line", "augment-temperature-negative",
-        "augment-temperature-nan", "evaluate-temperature-inf",
+        "augment-temperature-nan", "evaluate-temperature-inf", "augment-oracle-answers-not-json",
+        "augment-backend-config-not-json", "augment-config-not-json",
     ])
     def test_bad_pipeline_setting_exits_two_before_loading(self, runner, tmp_path, artifacts,
                                                            monkeypatch, command, settings,
@@ -770,11 +829,14 @@ class TestPipelineCommands:
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         (inputs / "answers.json").write_text("[1]")
+        (inputs / "bad.json").write_text("{bad")
         (inputs / "testset.jsonl").write_text("{not json\n")
         config = inputs / "config.json"
-        settings = {key: value.format(inputs=inputs) if isinstance(value, str) else value
-                    for key, value in settings.items()}
-        config.write_text(json.dumps({**settings, "audit": str(tmp_path / "audit.jsonl")}))
+        if isinstance(settings, dict):
+            settings = json.dumps({**{key: value.format(inputs=inputs) if isinstance(value, str)
+                                      else value for key, value in settings.items()},
+                                   "audit": str(tmp_path / "audit.jsonl")})
+        config.write_text(settings)
         name, *extra = command.format(inputs=inputs).split()
         out = tmp_path / "out"
         result = runner.invoke(cli, ["--config", str(config)] + pipeline_args(name, artifacts)

@@ -1,13 +1,24 @@
-"""The model-file container and the line-file writer, pinned byte for byte."""
+"""The model-file container and the line-file writer, pinned byte for byte;
+the line-file reader; and a round trip through every artifact's writer and
+loader."""
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vulnaug.embed import EmbeddingModel, TrainConfig
-from vulnaug.featcorr import CorrelationModel, CorrTrainConfig
-from vulnaug.ioutil import atomic_write_lines
+from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize
+from vulnaug.errors import FeedFormatError
+from vulnaug.featcorr import BackgroundStore, CorrelationModel, CorrTrainConfig
+from vulnaug.ioutil import atomic_write_lines, read_lines
+from vulnaug.mapping import MappingDb, canonicalize_name, load_mapping, save_mapping
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vulnaug"
 
 EMBED_HEADER = (b'{"dim": 2, "train_config": {"epochs": 3, "negative_samples": 4, "seed": 5,'
                 b' "window": 2}, "vocab_size": 2}')
@@ -132,3 +143,165 @@ class TestAtomicWriteLines:
         atomic_write_lines(path, lines)
         assert path.read_bytes() == data
         assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+class TestReadLines:
+    def test_lines_end_at_newline_alone(self):
+        data = "a\u2028b\n\nc\u0085d\x0be\rf\n  \t\n\u2029g".encode("utf-8")
+        assert list(read_lines(None, data)) == [
+            (1, "a\u2028b"), (3, "c\u0085d\x0be\rf"), (5, "\u2029g")]
+
+    def test_one_cr_before_the_newline_is_dropped(self):
+        assert list(read_lines(None, "a\r\n\r\nb \r\r\nc\r")) == [
+            (1, "a"), (3, "b \r"), (4, "c")]
+
+    def test_reads_the_file_at_path(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        atomic_write_lines(path, ["x", "", "y z"])
+        assert list(read_lines(path)) == [(1, "x"), (3, "y z")]
+
+    @pytest.mark.parametrize("data,line", [
+        (b"\xff", 1), (b"ok\n\n\xffbad\n", 3), (b"ok\nfine \xe2\x80", 2),
+    ], ids=["first", "third", "truncated"])
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(FeedFormatError) as info:
+            list(read_lines(path))
+        assert info.value.line == line
+        assert str(info.value).startswith(f"{path}:{line}: not UTF-8 text: ")
+
+
+def line_splits(source: str):
+    """(enclosing function or None, line) of each ``.splitlines()`` or
+    ``.split("\\n")`` call in ``source``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        seps = node.args[:1] + [k.value for k in node.keywords if k.arg == "sep"]
+        if node.func.attr == "splitlines" or node.func.attr == "split" and any(
+                isinstance(sep, ast.Constant) and sep.value == "\n" for sep in seps):
+            scope = node
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
+                scope = parents[scope]
+            yield getattr(scope, "name", None), node.lineno
+
+
+class TestOneLineReader:
+    # The first line of a completion is not a file, and the embed.bin vocab
+    # block holds only tokenize's [a-z0-9-] tokens under a count check.
+    ALLOWED = {("genprompt", "postprocess_answer"), ("embed", "load")}
+
+    def test_finder_sees_each_form(self):
+        source = ("def f(t):\n    return t.splitlines(), t.split('\\n'), t.split(sep='\\n')\n"
+                  "x = s.split('\\t') + s.split()\n")
+        assert list(line_splits(source)) == [("f", 2)] * 3
+
+    def test_only_ioutil_splits_text_into_lines(self):
+        found = [(path.stem, scope, line) for path in sorted(SRC.glob("*.py"))
+                 if path.stem != "ioutil"
+                 for scope, line in line_splits(path.read_text(encoding="utf-8"))]
+        assert [hit for hit in found if hit[:2] not in self.ALLOWED] == []
+        assert {hit[:2] for hit in found} == self.ALLOWED
+
+
+def numbered_mapping(names: dict[str, int]) -> MappingDb:
+    db = MappingDb()
+    next_id = iter(range(1000, 10**6))
+    for name, count in names.items():
+        for _ in range(count):
+            db.insert(name, f"CVE-2020-{next(next_id)}")
+    return db
+
+
+STORE_TERMS = st.text(min_size=1).filter(
+    lambda term: term.strip() and not any(c in term for c in "\t\r\n"))
+TOKENS = st.from_regex(r"[a-z]+(?:-\d+)+|[a-z0-9]+", fullmatch=True).filter(
+    lambda token: tokenize(token) == [token])
+
+
+class TestRoundTrips:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(min_size=1).map(canonicalize_name).filter(bool),
+                           st.integers(1, 3), max_size=8))
+    def test_mapping(self, tmp_path_factory, names):
+        path = tmp_path_factory.mktemp("map") / "mapping.tsv"
+        db = numbered_mapping(names)
+        save_mapping(db, path)
+        loaded = load_mapping(path)
+        assert loaded.name_to_cves == db.name_to_cves and loaded.cve_to_name == db.cve_to_name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(STORE_TERMS, st.text(), max_size=8))
+    def test_store(self, tmp_path_factory, articles):
+        path = tmp_path_factory.mktemp("store") / "background.tsv"
+        BackgroundStore(articles=articles).save(path)
+        assert BackgroundStore.from_file(path).articles == {
+            term: body.replace("\r", " ").replace("\n", " ") for term, body in articles.items()}
+
+    def test_store_body_with_a_line_separator(self, tmp_path):
+        path = tmp_path / "background.tsv"
+        BackgroundStore(articles={"term": "alpha\u2028beta gamma"}).save(path)
+        assert BackgroundStore.from_file(path).articles == {"term": "alpha\u2028beta gamma"}
+
+    @pytest.mark.parametrize("term", ["foo\tbar", "a\rb", "a\nb", "", "  "])
+    def test_store_term_no_line_can_hold_is_refused(self, tmp_path, term):
+        path = tmp_path / "background.tsv"
+        with pytest.raises(ValueError) as info:
+            BackgroundStore(articles={"ok": "body", term: "body"}).save(path)
+        assert str(info.value).startswith(f"{path}: ") and repr([term]) in str(info.value)
+        assert not path.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(TOKENS, unique=True, max_size=8).flatmap(
+        lambda vocab: st.tuples(st.just(vocab), st.integers(1, 4).flatmap(
+            lambda dim: hnp.arrays(np.float32, (len(vocab), dim))))))
+    def test_embedding(self, tmp_path_factory, drawn):
+        vocab, vectors = drawn
+        path = tmp_path_factory.mktemp("embed") / "embed.bin"
+        model = EmbeddingModel(dim=vectors.shape[1], vocab={t: i for i, t in enumerate(vocab)},
+                               vectors=vectors, train_config=TrainConfig(seed=7))
+        model.save(path)
+        loaded = EmbeddingModel.load(path)
+        assert loaded.vocab == model.vocab and loaded.train_config == model.train_config
+        assert loaded.vectors.dtype == np.float32
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda dim: hnp.arrays(np.float64, 2 * dim + 1)),
+           st.floats(allow_nan=False), st.floats(0, 1, exclude_min=True, exclude_max=True),
+           st.integers(1, 10**6), st.integers(-2**63, 2**63 - 1))
+    def test_correlation(self, tmp_path_factory, weights, bias, lr, epochs, seed):
+        dim = (weights.size - 1) // 2
+        embedding = EmbeddingModel(dim=dim, vocab={}, vectors=np.zeros((0, dim), np.float32))
+        model = CorrelationModel(embedding=embedding, weights=weights, bias=bias,
+                                 train_config=CorrTrainConfig(lr, epochs, seed))
+        path = tmp_path_factory.mktemp("corr") / "corr.bin"
+        model.save(path)
+        loaded = CorrelationModel.load(path, embedding)
+        assert loaded.weights.tobytes() == weights.tobytes()
+        assert loaded.bias == bias and loaded.train_config == model.train_config
+
+
+class TestCrlfParity:
+    """A CRLF file loads the same as its LF twin."""
+
+    @staticmethod
+    def twins(tmp_path, write):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        write(lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        return lf, crlf
+
+    def test_mapping(self, tmp_path):
+        lf, crlf = self.twins(tmp_path, lambda path: save_mapping(
+            numbered_mapping({"Apache Struts": 2, "Foo Bar": 1}), path))
+        assert load_mapping(crlf).name_to_cves == load_mapping(lf).name_to_cves
+
+    def test_store(self, tmp_path):
+        lf, crlf = self.twins(tmp_path, BackgroundStore(
+            articles={"alpha": "first body ", "beta": "", "gamma": "x\u2028y"}).save)
+        assert BackgroundStore.from_file(crlf).articles == BackgroundStore.from_file(lf).articles
+
