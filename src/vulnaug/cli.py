@@ -8,6 +8,7 @@ artifact.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -23,7 +24,8 @@ from . import corpus as corpus_mod
 from . import embed as embed_mod
 from . import evalkit, featcorr, genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
-from .errors import FeedFormatError, GenerationFailed, MissingPrerequisite, VulnaugError
+from .errors import (EmptyTrainingSet, FeedFormatError, GenerationFailed, InsufficientVocabulary,
+                     MissingPrerequisite, VulnaugError)
 from .exampler import EXAMPLE_LIMIT
 from .ioutil import atomic_write_lines, atomic_write_text, read_lines
 from .pipeline import EXAMPLE_STRATEGIES, AugmentPipeline, check_settings, map_ordered
@@ -126,6 +128,16 @@ def _guard(fn):
             _fail(EXIT_INTERNAL, str(exc))
 
     return wrapper
+
+
+@contextlib.contextmanager
+def _trains_on(corpus_path: str):
+    """Turn a corpus that holds too little to train on into bad input that
+    names the corpus file."""
+    try:
+        yield
+    except (EmptyTrainingSet, InsufficientVocabulary) as exc:
+        raise ValueError(f"{corpus_path}: {exc}") from None
 
 
 def _prereq(path: str | None, artifact: str) -> Path:
@@ -316,7 +328,8 @@ def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, expo
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     corpus = Corpus.from_records(_CORPUS(corpus_path))
-    model = embed_mod.train_embeddings(corpus, config, dim=dim)
+    with _trains_on(corpus_path):
+        model = embed_mod.train_embeddings(corpus, config, dim=dim)
     out = _output(cfg, output, "embed.bin")
     model.save(out)
     if export_text:
@@ -340,13 +353,15 @@ def train_corr(cfg: RunConfig, corpus_path, embed_path, background_path, lr, epo
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     embedding = _EMBED(embed_path)
     store = _BACKGROUND.optional(background_path)
-    pairs = featcorr.build_training_pairs(corpus, seed=cfg.seed)
+    with _trains_on(corpus_path):
+        pairs = featcorr.build_training_pairs(corpus, seed=cfg.seed)
+    del corpus  # only the pairs are needed from here on; free the records
     model = featcorr.train_correlation(pairs, store, embedding, config)
     out = _output(cfg, output, "corr.bin")
     model.save(out)
     if export_text:
         model.export_text(export_text)
-    positives = sum(1 for p in pairs if p.label == 1)
+    positives = int(pairs.positive.sum())
     click.echo(
         f"trained correlation model on {positives} positive / {len(pairs) - positives}"
         f" negative pairs, final loss {model.loss_history[-1]:.6f} -> {out}"
@@ -649,10 +664,17 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
             click.echo(f"warning: {term}: {exc}", err=True)
             continue
         try:
-            obj = json.loads(body)
-            text = obj.get("extract") or obj.get("description") or ""
+            reply = json.loads(body)
         except json.JSONDecodeError:
             text = body
+        else:
+            fields = ([reply.get(key, "") for key in ("extract", "description")]
+                      if isinstance(reply, dict) else [None])
+            if not all(isinstance(f, str) for f in fields):
+                click.echo(f"warning: {term}: the reply is not a JSON object whose"
+                           f" extract and description are strings", err=True)
+                continue
+            text = fields[0] or fields[1]
         if text:
             articles[term] = " ".join(text.split())
             fetched += 1

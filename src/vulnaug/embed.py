@@ -34,7 +34,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import InsufficientVocabulary
-from .ioutil import atomic_write_lines, read_model_file, write_model_file
+from .ioutil import atomic_write_lines, read_lines, read_model_file, write_model_file
 
 # Identifier-style tokens (cve-2002-0679, cwe-119) survive as single tokens;
 # everything else splits on non-alphanumeric boundaries.
@@ -178,7 +178,7 @@ class EmbeddingModel:
     def load(cls, path: str | Path) -> "EmbeddingModel":
         header, (vocab,), vectors = read_model_file(
             path, _MAGIC, leading=1, dtype="<f4", shape=("vocab_size", "dim"), config=TrainConfig)
-        tokens = vocab.splitlines()
+        tokens = [token for _, token in read_lines(path, vocab)]
         if len(tokens) != header["vocab_size"]:
             raise ValueError(f"{path}: vocab block holds {len(tokens)} tokens,"
                              f" the header says {header['vocab_size']}")

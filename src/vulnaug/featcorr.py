@@ -12,11 +12,13 @@ hallucinated values.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,30 +76,94 @@ class FeaturePair:
             raise ValueError("negative pairs must span two records")
 
 
-def build_training_pairs(corpus: Corpus, seed: int = 0) -> list[FeaturePair]:
+@dataclass(frozen=True, eq=False)
+class TrainingPairs(Sequence[FeaturePair]):
+    """Training pairs held as arrays rather than one object per pair.
+
+    Pair i joins ``texts[ia[i]]`` and ``texts[ib[i]]``, is positive where
+    ``positive[i]`` holds, and comes from records ``cve_ids[ra[i]]`` and
+    ``cve_ids[rb[i]]``. ``texts`` are the pairs' distinct aspect texts.
+    Indexing and iterating yield :class:`FeaturePair` views, a slice is a
+    TrainingPairs over the same texts, and it equals any sequence of equal
+    pairs.
+    """
+
+    texts: list[str]
+    ia: np.ndarray
+    ib: np.ndarray
+    positive: np.ndarray
+    cve_ids: list[str]
+    ra: np.ndarray
+    rb: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: Sequence[FeaturePair]) -> "TrainingPairs":
+        """``pairs`` as a TrainingPairs; texts and cve_ids are numbered in
+        order of first use."""
+        if isinstance(pairs, cls):
+            return pairs
+        texts: dict[str, int] = {}
+        cve_ids: dict[str, int] = {}
+
+        def ids(values: Iterable[str], index: dict[str, int]) -> np.ndarray:
+            return np.fromiter((index.setdefault(v, len(index)) for v in values),
+                               dtype=np.intp, count=len(pairs))
+
+        # Keyword arguments are evaluated in order, so every dict is full
+        # before it is listed.
+        return cls(ia=ids((p.a for p in pairs), texts), ib=ids((p.b for p in pairs), texts),
+                   positive=np.fromiter((p.label == 1 for p in pairs), dtype=bool, count=len(pairs)),
+                   ra=ids((p.origin[0] for p in pairs), cve_ids),
+                   rb=ids((p.origin[1] for p in pairs), cve_ids),
+                   texts=list(texts), cve_ids=list(cve_ids))
+
+    def __len__(self) -> int:
+        return len(self.ia)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return dataclasses.replace(self, ia=self.ia[i], ib=self.ib[i], positive=self.positive[i],
+                                       ra=self.ra[i], rb=self.rb[i])
+        i = range(len(self))[i]
+        return FeaturePair(a=self.texts[self.ia[i]], b=self.texts[self.ib[i]],
+                           label=int(self.positive[i]),
+                           origin=(self.cve_ids[self.ra[i]], self.cve_ids[self.rb[i]]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def build_training_pairs(corpus: Corpus, seed: int = 0) -> TrainingPairs:
     """All intra-record aspect pairs as positives, sampled cross-record pairs
     as negatives (exactly 2x the positives, or every available negative when
     the pool is smaller). Sampling is uniform without replacement under the
-    seed."""
-    instances: list[tuple[str, str]] = []  # (cve_id, aspect text)
-    record_end: list[int] = []  # per instance: index one past its record's last instance
-    positives: list[FeaturePair] = []
+    seed. Positives come first, each record's in :func:`itertools.combinations`
+    order, then the negatives in (first, second) instance order."""
+    text_ids: dict[str, int] = {}
+    instance_text: list[int] = []  # per aspect instance: its text's index
+    spans: list[range] = []  # per record: its instances
+    cve_ids: list[str] = []
     for rec in corpus:
         texts = [v for v in (rec.aspects.get(k) for k in AspectKind) if v]
-        for text in texts:
-            instances.append((rec.cve_id, text))
-        record_end.extend([len(instances)] * len(texts))
-        for a, b in itertools.combinations(texts, 2):
-            positives.append(FeaturePair(a=a, b=b, label=1, origin=(rec.cve_id, rec.cve_id)))
-    if not positives:
+        spans.append(range(len(instance_text), len(instance_text) + len(texts)))
+        instance_text.extend(text_ids.setdefault(text, len(text_ids)) for text in texts)
+        cve_ids.append(rec.cve_id)
+    positives = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(span, 2) for span in spans),
+        dtype=np.dtype((np.intp, 2))).reshape(-1, 2)
+    if not len(positives):
         raise EmptyTrainingSet("no record has two or more populated aspects")
 
     # Instances of one record are contiguous, so the cross-record partners of
-    # instance i are exactly j in [record_end[i], len(instances)). A flat
-    # index over those rows, in (i, j) order, numbers every cross pair without
-    # listing them, and maps back to (i, j) by a search over the row starts.
-    end = np.array(record_end, dtype=np.int64)
-    per_row = len(instances) - end
+    # instance i are exactly j in [end[i], len(instance_text)), end[i] being
+    # one past its record's last instance. A flat index over those rows, in
+    # (i, j) order, numbers every cross pair without listing them, and maps
+    # back to (i, j) by a search over the row starts.
+    sizes = [len(span) for span in spans]
+    end = np.repeat(np.array([span.stop for span in spans], dtype=np.int64), sizes)
+    per_row = len(instance_text) - end
     row_start = np.concatenate(([0], np.cumsum(per_row)[:-1]))
     total = int(per_row.sum())
     wanted = NEG_RATIO * len(positives)
@@ -108,16 +174,21 @@ def build_training_pairs(corpus: Corpus, seed: int = 0) -> list[FeaturePair]:
         flat = np.arange(total)
     rows = np.searchsorted(row_start, flat, side="right") - 1
     cols = end[rows] + (flat - row_start[rows])
-    negatives = [
-        FeaturePair(
-            a=instances[i][1],
-            b=instances[j][1],
-            label=0,
-            origin=(instances[i][0], instances[j][0]),
-        )
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ]
-    return positives + negatives
+
+    first = np.concatenate((positives[:, 0], rows))
+    second = np.concatenate((positives[:, 1], cols))
+    text_of = np.array(instance_text, dtype=np.intp)
+    record_of = np.repeat(np.arange(len(spans), dtype=np.intp), sizes)
+    ta, tb = text_of[first], text_of[second]
+    # Only the texts that some pair holds are kept, in order of first instance.
+    used = np.zeros(len(text_ids), dtype=bool)
+    used[ta] = used[tb] = True
+    renumber = np.cumsum(used) - 1
+    return TrainingPairs(
+        texts=list(itertools.compress(text_ids, used.tolist())), ia=renumber[ta], ib=renumber[tb],
+        positive=np.arange(len(first)) < len(positives),
+        cve_ids=cve_ids, ra=record_of[first], rb=record_of[second],
+    )
 
 
 @dataclass
@@ -427,11 +498,14 @@ def train_correlation(
     in ``loss_history``; a non-finite loss or step raises
     :class:`DivergedTraining` naming the step.
 
-    Besides the labels, only two index arrays are kept per pair: each side's
-    row in one stack of the distinct texts' towers.
+    ``pairs`` other than a :class:`TrainingPairs` are converted to one.
+    The towers of its distinct texts are computed into one array, apart from
+    the model's own towers, and each pair is read as its two rows there and
+    its label.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
+    pairs = TrainingPairs.of(pairs)
     cfg = config or CorrTrainConfig()
     model = CorrelationModel(
         embedding=embedding,
@@ -441,14 +515,10 @@ def train_correlation(
         store=store,
     )
     n = len(pairs)
-    index: dict[str, int] = {}
-    ia = np.array([index.setdefault(p.a, len(index)) for p in pairs], dtype=np.intp)
-    ib = np.array([index.setdefault(p.b, len(index)) for p in pairs], dtype=np.intp)
-    towers = model.tower_vectors(list(index))
-    positive = np.array([p.label == 1 for p in pairs])
+    towers = _compute_towers(embedding, pairs.texts, store, model._body_sums)
 
     def terms(theta: np.ndarray, step: int):
-        found = _newton_terms(towers, ia, ib, positive, theta)
+        found = _newton_terms(towers, pairs.ia, pairs.ib, pairs.positive, theta)
         if not math.isfinite(found[1]):
             raise DivergedTraining(f"non-finite loss at step {step}")
         return found

@@ -19,7 +19,7 @@ from helpers import family_corpus, feed_text, make_record, masked_eval_fixture, 
 import vulnaug
 from vulnaug import featcorr, genprompt
 from vulnaug.cli import cli
-from vulnaug.corpus import AspectKind, mask_aspect
+from vulnaug.corpus import AspectKind, Corpus, mask_aspect, parse_feed
 from vulnaug.embed import EmbeddingModel
 from vulnaug.errors import BackendError
 from vulnaug.featcorr import BackgroundStore, CorrelationModel
@@ -258,6 +258,22 @@ class TestFetchBackground:
         assert result.stderr.startswith(f"error: {tmp_path / 'terms.txt'}:3: term 'be\\tta'")
         assert not (tmp_path / "background.tsv").exists()
 
+    @pytest.mark.parametrize("reply", [[1, 2], "alpha", 3, None, {"extract": 5},
+                                       {"extract": None}, {"description": ["b"]},
+                                       {"extract": "Beta.", "description": {"b": 1}}])
+    def test_reply_that_is_not_an_article_is_skipped(self, runner, tmp_path, reply):
+        # The terms before and after the bad reply are still saved.
+        args = self.args(tmp_path)
+        (tmp_path / "terms.txt").write_text("alpha\nbeta\ngamma\n")
+        (tmp_path / "beta.json").write_text(json.dumps(reply))
+        (tmp_path / "gamma.json").write_text(json.dumps({"extract": "", "description": "G."}))
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "background.tsv").read_text() == "alpha\tAlpha is a letter.\ngamma\tG.\n"
+        assert "fetched 2/3 articles" in result.stdout
+        assert result.stderr == ("warning: beta: the reply is not a JSON object whose extract"
+                                 " and description are strings\n")
+
     def test_crlf_terms_fetch_as_their_lf_twin(self, runner, tmp_path):
         args = self.args(tmp_path)
         (tmp_path / "terms.txt").write_bytes(b"alpha\r\n\r\nbeta\r\n")
@@ -344,6 +360,58 @@ class TestTrainCorrSettings:
         assert int(negatives) == 2 * int(positives) > 0
         assert math.isfinite(float(loss)) and float(loss) > 0
         assert path == str(out) and out.exists()
+
+
+class TestTrainCorrOutput:
+    @pytest.mark.parametrize("background", [False, True], ids=["no-store", "store"])
+    def test_model_file_matches_the_in_process_model(self, runner, tmp_path, artifacts,
+                                                     background):
+        corpus, _, embedding, _ = artifacts
+        store_path = tmp_path / "background.tsv"
+        store_path.write_text("flaw kind1\tcause bug1 impact result2\n"
+                              "widget0\tvia port3 attacker group4 flaw\n")
+        out = tmp_path / "corr.bin"
+        args = ["--seed", "7", "train-corr", "--corpus", str(corpus), "--embed", str(embedding),
+                "--epochs", "30", "-o", str(out)]
+        result = runner.invoke(cli, args + (["--background", str(store_path)] if background else []))
+        assert result.exit_code == 0, result.output
+        records = parse_feed(corpus.read_bytes()).records
+        pairs = featcorr.build_training_pairs(Corpus.from_records(records), seed=7)
+        model = featcorr.train_correlation(
+            pairs, BackgroundStore.from_file(store_path) if background else None,
+            EmbeddingModel.load(embedding), featcorr.CorrTrainConfig(epochs=30, seed=7))
+        model.save(tmp_path / "want.bin")
+        assert out.read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+
+class TestUntrainableCorpus:
+    @staticmethod
+    def corpus(runner, tmp_path, records):
+        corpus = tmp_path / "corpus.jsonl"
+        result = runner.invoke(cli, ["ingest", str(write_feed(tmp_path, records)), "-o", str(corpus)])
+        assert result.exit_code == 0, result.output
+        return corpus
+
+    def test_train_corr_without_a_two_aspect_record_exits_two(self, runner, tmp_path,
+                                                               artifacts):
+        _, _, embedding, _ = artifacts
+        corpus = self.corpus(runner, tmp_path, [
+            make_record(f"CVE-2023-{2000 + i}", f"widget{i} crashes.",
+                        aspects={AspectKind.IMPACT: f"crash {i}"}) for i in range(3)])
+        out = tmp_path / "corr.bin"
+        result = runner.invoke(cli, ["train-corr", "--corpus", str(corpus), "--embed",
+                                     str(embedding), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {corpus}: no record has two or more populated aspects\n"
+        assert not out.exists()
+
+    def test_train_embed_on_one_distinct_token_exits_two(self, runner, tmp_path):
+        corpus = self.corpus(runner, tmp_path, [make_record("CVE-2023-2000", "crash crash")])
+        out = tmp_path / "embed.bin"
+        result = runner.invoke(cli, ["train-embed", "--corpus", str(corpus), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {corpus}: need at least 2 distinct tokens, got 1\n"
+        assert not out.exists()
 
 
 class TestCost:

@@ -24,6 +24,7 @@ from vulnaug.featcorr import (
     CorrelationModel,
     CorrTrainConfig,
     FeaturePair,
+    TrainingPairs,
     build_training_pairs,
     fetch_background,
     interaction_features,
@@ -338,20 +339,57 @@ class TestTrainingPairs:
             with pytest.raises(EmptyTrainingSet):
                 build_training_pairs(corpus, seed)
             return
-        assert build_training_pairs(corpus, seed) == want
+        pairs = build_training_pairs(corpus, seed)
+        assert pairs == want
+        assert sorted(pairs.texts) == sorted({text for p in want for text in (p.a, p.b)})
 
     def test_large_corpus_memory_bounded(self):
-        # 5k records of 5 aspects: 25k instances and about 3.1e8 cross pairs,
-        # which the old enumerate-then-sample code held as tuples (tens of GB).
+        # 5k records of 5 aspects: 25k instances, 150k pairs and about 3.1e8
+        # cross pairs, which an enumerate-then-sample build holds as tuples
+        # (tens of GB). The pairs are kept as five arrays, 33 bytes a pair;
+        # one FeaturePair and origin tuple per pair held over 150 bytes a
+        # pair, 24 MiB kept and a 37 MiB peak.
         corpus = family_corpus(n_records=5000)
         tracemalloc.start()
         try:
             pairs = build_training_pairs(corpus, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(p.label == 0 for p in pairs) == 2 * sum(p.label == 1 for p in pairs)
-        assert peak < 100 * 2**20
+        assert int(pairs.positive.sum()) == 50_000 and len(pairs) == 150_000
+        assert kept < 48 * len(pairs)
+        assert peak < 24 * 2**20
+
+    def test_views_round_trip_through_a_list(self):
+        pairs = build_training_pairs(family_corpus(n_records=30), seed=2)
+        listed = list(pairs)
+        assert all(type(p) is FeaturePair for p in listed)
+        again = TrainingPairs.of(listed)
+        assert again == pairs == listed and listed == pairs
+        assert TrainingPairs.of(pairs) is pairs
+        assert pairs[len(pairs) - 1] == pairs[-1] == listed[-1]
+        assert pairs[np.int64(3)] == listed[3]
+        assert pairs[5:40:3] == listed[5:40:3] and isinstance(pairs[5:40:3], TrainingPairs)
+        assert pairs[:0] == [] and len(pairs[:0]) == 0
+        assert pairs != listed[:-1] and pairs != listed[::-1] and pairs != 3
+        with pytest.raises(IndexError):
+            pairs[len(pairs)]
+
+    def test_arrays_hold_the_pairs_distinct_texts(self):
+        # "crash" is in both records; "leak" is in negatives only.
+        recs = [make_record("CVE-2020-1000", "d.", aspects={AspectKind.IMPACT: "crash",
+                                                            AspectKind.ROOT_CAUSE: "bug"}),
+                make_record("CVE-2020-1001", "d.", aspects={AspectKind.IMPACT: "leak",
+                                                            AspectKind.ROOT_CAUSE: "crash"})]
+        pairs = build_training_pairs(Corpus.from_records(recs), seed=0)
+        assert pairs.texts == ["crash", "bug", "leak"]
+        assert pairs.cve_ids == ["CVE-2020-1000", "CVE-2020-1001"]
+        assert pairs.ia.dtype == pairs.ib.dtype == np.intp and pairs.positive.dtype == bool
+        assert pairs.positive.tolist() == [True, True, False, False, False, False]
+        assert [(p.a, p.b) for p in pairs] == [("crash", "bug"), ("leak", "crash"),
+                                               ("crash", "leak"), ("crash", "crash"),
+                                               ("bug", "leak"), ("bug", "crash")]
+        assert pairs.ra.tolist() == [0, 1, 0, 0, 0, 0] and pairs.rb.tolist() == [0, 1, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("label", [-1, 2, 0.5])
     def test_label_other_than_zero_or_one_rejected(self, label):
@@ -769,6 +807,37 @@ class TestTrainCorrelation:
                 tracemalloc.stop()
         row_bytes = (2 * embedding.dim + 1) * 8
         assert peaks[1] - peaks[0] < 0.1 * 4 * _PAIR_BLOCK * row_bytes
+
+    def test_memory_holds_one_copy_of_the_towers(self, family_setup):
+        # 150k pairs over 25k distinct texts, whose towers take 12.2 MiB. The
+        # fit adds one block's rows and the texts' tokens, 19 MiB at its peak.
+        # A second copy of the towers (the model's per-text cache beside a
+        # stack of it) peaks at 33 MiB, and listing a FeaturePair per pair at
+        # 31 MiB.
+        _, embedding, _, _ = family_setup
+        pairs = build_training_pairs(family_corpus(n_records=5000), seed=0)
+        towers = len(pairs.texts) * embedding.dim * 8
+        tracemalloc.start()
+        try:
+            train_correlation(pairs, None, embedding, CorrTrainConfig(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * towers + 6 * 2**20
+
+    @pytest.mark.parametrize("background", ["none", "store"])
+    def test_pair_arrays_and_listed_pairs_save_the_same_bytes(self, family_setup, tmp_path,
+                                                              background):
+        corpus, embedding, _, _ = family_setup
+        store = None if background == "none" else BackgroundStore(articles={
+            f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)})
+        pairs = build_training_pairs(corpus, seed=5)
+        saved = []
+        for given in (pairs, list(pairs)):
+            path = tmp_path / f"corr{len(saved)}.bin"
+            train_correlation(given, store, embedding, CorrTrainConfig(epochs=20)).save(path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
 
 class TestScore:

@@ -190,9 +190,8 @@ def line_splits(source: str):
 
 
 class TestOneLineReader:
-    # The first line of a completion is not a file, and the embed.bin vocab
-    # block holds only tokenize's [a-z0-9-] tokens under a count check.
-    ALLOWED = {("genprompt", "postprocess_answer"), ("embed", "load")}
+    # The first line of a completion is not a file.
+    ALLOWED = {("genprompt", "postprocess_answer")}
 
     def test_finder_sees_each_form(self):
         source = ("def f(t):\n    return t.splitlines(), t.split('\\n'), t.split(sep='\\n')\n"
