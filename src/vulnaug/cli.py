@@ -334,7 +334,9 @@ def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, expo
     model.save(out)
     if export_text:
         model.export_text(export_text)
-    click.echo(f"trained {len(model.vocab)}x{model.dim} embeddings over {len(corpus)} records -> {out}")
+    tokens, per_epoch = model.trained
+    click.echo(f"trained {len(model.vocab)}x{model.dim} embeddings over {len(corpus)} records"
+               f" ({tokens} tokens, {per_epoch:.1f} trained per epoch) -> {out}")
 
 
 @cli.command("train-corr")

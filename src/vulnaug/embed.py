@@ -2,12 +2,16 @@
 
 Embeddings are trained from scratch with skip-gram plus negative sampling,
 single-threaded, with one seeded generator, so a fixed seed reproduces the
-vectors bit for bit. Center positions are updated in blocks of up to
-``_CENTER_BLOCK`` distinct consecutive tokens: every pair of a block is scored
-against the vectors as they stood at the block's start, so updates within a
-block do not see each other. The blocks are cut once for all epochs and
-walked in groups of about ``_PLAN_CELLS`` (pair, output id) cells, which bound
-the working memory however long a sentence is. A group draws its negatives in
+vectors bit for bit. Each epoch first subsamples frequent tokens: a position
+of a token seen well above ``_SUBSAMPLE`` of the corpus, and more than about 52
+times (``_SUBSAMPLE_FLOOR``), is kept with a probability that falls as the
+token's count grows, and the kept tokens of each sentence are trained as that
+sentence. Center positions are updated in blocks of up to ``_CENTER_BLOCK``
+distinct consecutive tokens: every pair of a block is scored against the
+vectors as they stood at the block's start, so updates within a block do not
+see each other. The blocks are cut every epoch from its kept tokens and walked
+in groups of about ``_PLAN_CELLS`` (pair, output id) cells, which bound the
+working memory however long a sentence is. A group draws its negatives in
 one block and maps the draws to tokens by an exact inverse-CDF lookup: a table
 over ``_CDF_BUCKETS`` equal buckets of [0, 1) answers a draw whose bucket holds
 no step of the CDF and ``np.searchsorted`` the rest, so every negative is the
@@ -56,6 +60,14 @@ _CDF_BUCKETS = 2**16
 #: plan (:func:`_block_plans`) are made at once; a group holds fewer than this
 #: plus one block's cells, which bounds training's working memory.
 _PLAN_CELLS = 8192
+
+#: Frequent-token subsampling (Mikolov et al. 2013): with N corpus tokens and
+#: T = max(``_SUBSAMPLE`` * N, ``_SUBSAMPLE_FLOOR``), each position of a token
+#: seen n times is trained in an epoch with probability sqrt(T / n) + T / n, or
+#: always where that is 1 or more. The floor keeps every position of a token
+#: seen at most about 2.618 * 20 = 52 times, so a small corpus trains in full.
+_SUBSAMPLE = 1e-3
+_SUBSAMPLE_FLOOR = 20
 
 #: Token cells summed by one ``np.bincount`` in :meth:`EmbeddingModel.token_sums`;
 #: bounds its (cells, d) weights.
@@ -121,6 +133,9 @@ class EmbeddingModel:
     vocab: dict[str, int]
     vectors: np.ndarray  # (|vocab|, dim) float32
     train_config: TrainConfig = field(default_factory=TrainConfig)
+    #: Corpus token positions and the mean positions trained per epoch, as
+    #: :func:`train_embeddings` counted them; None for a loaded model.
+    trained: tuple[int, float] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self._sentences = _TextCache(self.dim)
@@ -337,6 +352,17 @@ def train_embeddings(
     linearly over all (epoch, position) steps, and every (center, context)
     pair takes its center's step.
 
+    Frequent tokens are subsampled (``_SUBSAMPLE``, ``_SUBSAMPLE_FLOOR``):
+    each epoch opens with one ``rng.random(h)`` call, one draw for each of
+    the h corpus positions whose keep probability is below 1, in position
+    order, and a position is kept where its draw is below that probability.
+    The kept tokens of each sentence are trained as that sentence: their
+    windows skip the dropped positions, and each kept position keeps the
+    learning rate of its own (epoch, position) step. The vocabulary, the
+    negatives' distribution and the initial vectors come from the full
+    counts. A corpus with no token above the floor draws nothing and trains
+    every position.
+
     Updates are applied one block of centers at a time (see
     :func:`_center_blocks`): up to ``_CENTER_BLOCK`` consecutive positions
     with distinct center tokens. Every pair of a block is scored against the
@@ -353,25 +379,26 @@ def train_embeddings(
     then matrix products, written back with plain assignments, as the block's
     centers and its rows are each distinct.
 
-    The blocks are cut once, then walked in groups (:func:`_block_groups`),
-    each of which draws its pairs' negatives with one ``rng.random`` call,
-    the same numbers one call per sentence would give, and plans its blocks
-    with one argsort (:func:`_block_plans`). Working memory is one group's
-    ids, draws and plan plus one block's rows, whatever the sentence length.
+    Each epoch cuts its kept run into blocks (:func:`_kept_run`) and walks
+    them in groups (:func:`_block_groups`), each of which draws its pairs'
+    negatives with one ``rng.random`` call, the same numbers one call per
+    sentence would give, and plans its blocks with one argsort
+    (:func:`_block_plans`). Working memory is one group's ids, draws and
+    plan plus one block's rows, whatever the sentence length.
     """
     cfg = config or TrainConfig()
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    vocab, w_in = _train_vectors(corpus, cfg, dim)
-    return EmbeddingModel(
-        dim=dim, vocab=vocab, vectors=w_in.astype(np.float32), train_config=cfg
-    )
+    vocab, w_in, trained = _train_vectors(corpus, cfg, dim)
+    return EmbeddingModel(dim=dim, vocab=vocab, vectors=w_in.astype(np.float32),
+                          train_config=cfg, trained=trained)
 
 
 def _train_vectors(
     corpus: Corpus, cfg: TrainConfig, dim: int
-) -> tuple[dict[str, int], np.ndarray]:
-    """Vocabulary and float64 input vectors of :func:`train_embeddings`."""
+) -> tuple[dict[str, int], np.ndarray, tuple[int, float]]:
+    """Vocabulary and float64 input vectors of :func:`train_embeddings`, and
+    its corpus token count and mean positions trained per epoch."""
     sentences = [tokenize(rec.description) for rec in corpus]
     counts = Counter(tok for sent in sentences for tok in sent)
     if len(counts) < 2:
@@ -390,43 +417,68 @@ def _train_vectors(
     w_in = (rng.random((size, dim)) - 0.5) / dim
     w_out = np.zeros((size, dim))
 
-    # The corpus as one run of positions, sentence i at starts[i]..starts[i + 1]-1,
-    # cut into center blocks and groups of them, the same in every epoch.
+    # The corpus as one run of positions, sentence i at starts[i]..starts[i + 1]-1.
     encoded = [[vocab[t] for t in sent] for sent in sentences]
     del sentences  # training needs the token ids only, not the strings
     tokens = np.array([i for sent in encoded for i in sent], dtype=np.intp)
     starts = np.cumsum([0, *map(len, encoded)])
-    bounds = np.array([start + pos for sent, start in zip(encoded, starts.tolist())
-                       for pos in _center_blocks(sent)[:-1]] + [tokens.size])
+    del encoded
+    ratio = max(_SUBSAMPLE * tokens.size, _SUBSAMPLE_FLOOR) / freq
+    keep_p = (np.sqrt(ratio) + ratio)[tokens]
+    thinned = np.flatnonzero(keep_p < 1.0)  # the positions each epoch draws for
+    keep_p = keep_p[thinned]
+    kept = np.ones(tokens.size, dtype=bool)
     k = cfg.negative_samples
-    groups = _block_groups(starts, bounds, cfg.window, 1 + k)
     total_steps = max(1, cfg.epochs * tokens.size)
+    trained = 0
     for epoch in range(cfg.epochs):
+        if thinned.size:
+            kept[thinned] = rng.random(thinned.size) < keep_p
+        pos, ids, run_starts, bounds, groups = _kept_run(tokens, starts, kept, cfg.window, 1 + k)
+        trained += ids.size
         step = epoch * tokens.size  # every position is one step, lone tokens too
         for b0, b1 in groups:
             lo, hi = int(bounds[b0]), int(bounds[b1])
-            pair_pos, contexts = _windows(starts, lo, hi, cfg.window)
+            pair_pos, contexts = _windows(run_starts, lo, hi, cfg.window)
             if pair_pos.size == 0:
                 continue  # lone tokens: no context, no draws
-            lr = np.maximum(_LR_MIN,
-                            _LR_INITIAL * (1.0 - np.arange(step + lo, step + hi) / total_steps))
+            lr = np.maximum(_LR_MIN, _LR_INITIAL * (1.0 - (step + pos[lo:hi]) / total_steps))
             # Column 0 of each pair's output ids is its context, the rest its negatives.
             out_ids = np.empty((pair_pos.size, 1 + k), dtype=np.intp)
-            out_ids[:, 0] = tokens[contexts]
+            out_ids[:, 0] = ids[contexts]
             out_ids[:, 1:] = negatives(rng.random((pair_pos.size, k)))
             plans = _block_plans(out_ids, pair_pos, bounds[b0 : b1 + 1], size)
             for rows_ids, cells, c0, c1 in plans:
                 rows = w_out[rows_ids]
-                centers = w_in[tokens[c0:c1]]
+                centers = w_in[ids[c0:c1]]
                 g = _sigmoid((rows @ centers.T).ravel()[cells])
                 g[:, 0] -= 1.0
                 # coef[r, c] sums g over the pairs of center c that touch output row r.
                 coef = np.bincount(cells.ravel(), weights=g.ravel(),
                                    minlength=rows_ids.size * (c1 - c0))
                 coef = coef.reshape(rows_ids.size, c1 - c0)
-                w_in[tokens[c0:c1]] = centers - lr[c0 - lo : c1 - lo, None] * (coef.T @ rows)
+                w_in[ids[c0:c1]] = centers - lr[c0 - lo : c1 - lo, None] * (coef.T @ rows)
                 w_out[rows_ids] = rows - (coef * lr[c0 - lo : c1 - lo]) @ centers
-    return vocab, w_in
+    return vocab, w_in, (tokens.size, trained / cfg.epochs)
+
+
+def _kept_run(tokens: np.ndarray, starts: np.ndarray, kept: np.ndarray, window: int,
+              cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                  list[tuple[int, int]]]:
+    """One epoch's kept positions of the corpus as one run, ``(pos, ids,
+    run_starts, bounds, groups)``: the corpus position and token id of each
+    run position, the run's sentence starts, its center-block bounds
+    (:func:`_center_blocks`, sentence by sentence) and their groups
+    (:func:`_block_groups`). Sentence i of the corpus, at
+    starts[i]..starts[i + 1]-1, keeps the positions where ``kept`` holds."""
+    pos = np.flatnonzero(kept)
+    ids = tokens[pos]
+    run_starts = np.concatenate(([0], np.cumsum(kept)))[starts]
+    run = ids.tolist()
+    edges = run_starts.tolist()
+    bounds = np.array([s + b for s, e in zip(edges, edges[1:])
+                       for b in _center_blocks(run[s:e])[:-1]] + [ids.size])
+    return pos, ids, run_starts, bounds, _block_groups(run_starts, bounds, window, cols)
 
 
 def sentence_vector(model: EmbeddingModel, text: str) -> np.ndarray:

@@ -155,40 +155,60 @@ def build_training_pairs(corpus: Corpus, seed: int = 0) -> TrainingPairs:
         dtype=np.dtype((np.intp, 2))).reshape(-1, 2)
     if not len(positives):
         raise EmptyTrainingSet("no record has two or more populated aspects")
+    # Each array below is dropped once the next step no longer needs it, so
+    # few pair-length arrays are alive at once.
+    text_of = np.array(instance_text, dtype=np.intp)
+    del instance_text
+    sizes = [len(span) for span in spans]
+    del spans
 
     # Instances of one record are contiguous, so the cross-record partners of
-    # instance i are exactly j in [end[i], len(instance_text)), end[i] being
-    # one past its record's last instance. A flat index over those rows, in
+    # instance i are exactly j in [end[i], len(text_of)), end[i] being one
+    # past its record's last instance. A flat index over those rows, in
     # (i, j) order, numbers every cross pair without listing them, and maps
-    # back to (i, j) by a search over the row starts.
-    sizes = [len(span) for span in spans]
-    end = np.repeat(np.array([span.stop for span in spans], dtype=np.int64), sizes)
-    per_row = len(instance_text) - end
+    # back to (i, j) by a search over the row starts; the columns are then
+    # built in place in the flat index.
+    end = np.repeat(np.cumsum(sizes), sizes)
+    per_row = len(text_of) - end
     row_start = np.concatenate(([0], np.cumsum(per_row)[:-1]))
     total = int(per_row.sum())
+    del per_row
     wanted = NEG_RATIO * len(positives)
     rng = np.random.default_rng(seed)
     if total > wanted:
-        flat = np.sort(rng.choice(total, size=wanted, replace=False))
+        cols = rng.choice(total, size=wanted, replace=False)
+        cols.sort()
     else:
-        flat = np.arange(total)
-    rows = np.searchsorted(row_start, flat, side="right") - 1
-    cols = end[rows] + (flat - row_start[rows])
+        cols = np.arange(total)
+    rows = np.searchsorted(row_start, cols, side="right")
+    rows -= 1
+    cols -= row_start[rows]
+    cols += end[rows]
+    del end, row_start
 
     first = np.concatenate((positives[:, 0], rows))
+    del rows
     second = np.concatenate((positives[:, 1], cols))
-    text_of = np.array(instance_text, dtype=np.intp)
-    record_of = np.repeat(np.arange(len(spans), dtype=np.intp), sizes)
-    ta, tb = text_of[first], text_of[second]
-    # Only the texts that some pair holds are kept, in order of first instance.
+    del cols
+    n_positive = len(positives)
+    del positives
+    # Only the texts that some pair holds are kept, in order of first
+    # instance, so each instance's text index is renumbered over them.
+    held = np.zeros(len(text_of), dtype=bool)
+    held[first] = held[second] = True
     used = np.zeros(len(text_ids), dtype=bool)
-    used[ta] = used[tb] = True
-    renumber = np.cumsum(used) - 1
-    return TrainingPairs(
-        texts=list(itertools.compress(text_ids, used.tolist())), ia=renumber[ta], ib=renumber[tb],
-        positive=np.arange(len(first)) < len(positives),
-        cve_ids=cve_ids, ra=record_of[first], rb=record_of[second],
-    )
+    used[text_of[held]] = True
+    del held
+    text_of = (np.cumsum(used) - 1)[text_of]
+    record_of = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    ia, ra = text_of[first], record_of[first]
+    del first
+    ib, rb = text_of[second], record_of[second]
+    del second
+    positive = np.zeros(len(ia), dtype=bool)
+    positive[:n_positive] = True
+    return TrainingPairs(texts=list(itertools.compress(text_ids, used.tolist())), ia=ia, ib=ib,
+                         positive=positive, cve_ids=cve_ids, ra=ra, rb=rb)
 
 
 @dataclass

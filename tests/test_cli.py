@@ -320,6 +320,36 @@ class TestTrainEmbedSettings:
         assert list(tmp_path.iterdir()) == []
 
 
+def template_records(n):
+    """``n`` records of 12 tokens, 10 of them template words seen in every
+    record: from 53 records on, those words are above the subsampling floor."""
+    return [make_record(f"CVE-2022-{1000 + i}",
+                        f"buffer overflow in widget{i % 7} allows remote attackers"
+                        f" to run code via packet{i % 13}")
+            for i in range(n)]
+
+
+class TestTrainEmbedOutput:
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_summary_line_counts_the_positions_trained(self, runner, tmp_path, n):
+        # bench/run.py reads the record count from "over N records".
+        corpus = write_feed(tmp_path, template_records(n), "corpus.jsonl")
+        out = tmp_path / "embed.bin"
+        result = runner.invoke(cli, ["train-embed", "--corpus", str(corpus), "--epochs", "2",
+                                     "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        line = re.fullmatch(r"trained (\d+)x64 embeddings over (\d+) records \((\d+) tokens,"
+                            r" (\d+\.\d) trained per epoch\) -> (.+)\n", result.output)
+        assert line is not None, result.output
+        vocab, records, tokens, per_epoch, path = line.groups()
+        assert int(vocab) == 10 + 7 + 13 and int(records) == n and int(tokens) == 12 * n
+        assert path == str(out) and out.exists()
+        if n == 40:  # every word is seen at most 40 times: all trained
+            assert per_epoch == f"{12 * n}.0"
+        else:  # the 10 template words are kept with p = sqrt(1/6) + 1/6 = 0.575
+            assert 2 * n + 0.4 * 10 * n < float(per_epoch) < 2 * n + 0.75 * 10 * n
+
+
 class TestTrainCorrSettings:
     @pytest.mark.parametrize("flag,value,name", [
         ("--epochs", "0", "epochs"),
@@ -1196,7 +1226,8 @@ FAMILY_AUGMENT_SHA256 = "53dcb70a104430ad3e19dd1fb92be3b4242d1e476079cfe781e6310
 
 def run_cli(args, threads=None):
     """Run the CLI in a new interpreter, with OPENBLAS_NUM_THREADS set to
-    ``threads``, or unset for the library's default thread count."""
+    ``threads``, or unset for the library's default thread count; returns
+    its stdout."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
@@ -1204,6 +1235,7 @@ def run_cli(args, threads=None):
     done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True)
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture(scope="module")
@@ -1255,6 +1287,14 @@ class TestTrainEmbedThreads:
         out = root / "embed-default-threads.bin"
         run_cli(["train-embed", "--corpus", str(root / "corpus.jsonl"), "-o", str(out)])
         assert out.read_bytes() == (root / "embed.bin").read_bytes()
+
+    def test_subsampled_model_file_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        corpus = write_feed(tmp_path, template_records(120), "corpus.jsonl")
+        said = {threads: run_cli(["train-embed", "--corpus", str(corpus), "-o",
+                                  str(tmp_path / f"embed-{threads}.bin")], threads=threads)
+                for threads in ("1", "2")}
+        assert "(1440 tokens, " in said["1"] and "(1440 tokens, 1440.0 " not in said["1"]
+        assert (tmp_path / "embed-1.bin").read_bytes() == (tmp_path / "embed-2.bin").read_bytes()
 
 
 class TestRunConfig:
