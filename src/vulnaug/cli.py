@@ -22,7 +22,7 @@ import click
 
 from . import corpus as corpus_mod
 from . import embed as embed_mod
-from . import evalkit, featcorr, genprompt, mapping
+from . import featcorr, genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
 from .errors import (EmptyTrainingSet, FeedFormatError, GenerationFailed, InsufficientVocabulary,
                      MissingPrerequisite, VulnaugError)
@@ -153,7 +153,8 @@ def _read_feed(path: Path, source: Source = Source.CVE) -> corpus_mod.ParseResul
     """Parse a feed file, warning on stderr about each line it skipped. A
     malformed line raises a FeedFormatError that names ``path``."""
     try:
-        result = corpus_mod.parse_feed(path.read_bytes(), source=source)
+        with path.open("rb") as feed:
+            result = corpus_mod.parse_feed(feed, source=source)
     except FeedFormatError as exc:
         raise FeedFormatError(exc.message, exc.line, path) from None
     for diag in result.diagnostics:
@@ -552,6 +553,8 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
     if cfg.backend == "oracle" and not cfg.oracle_answers:
         pipeline.backend = _make_backend(cfg, {rec.cve_id: label for rec, _, label in testset})
 
+    from . import evalkit  # as in fetch-background: no other command needs it
+
     report = evalkit.evaluate(
         pipeline,
         testset,
@@ -576,6 +579,8 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
 @_guard
 def cost(n, x):
     """Expected-lookup cost of augmenting versus manual search."""
+    from . import evalkit
+
     params = evalkit.CostParams(n=n, x=x)
     result = evalkit.expected_lookups(params)
     e_not, e_aug = result["e_not_augment"], result["e_augment"]

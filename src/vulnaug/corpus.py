@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -248,9 +248,10 @@ class ParseResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def parse_feed(raw: bytes | str, source: Source = Source.CVE) -> ParseResult:
+def parse_feed(raw: bytes | str | BinaryIO, source: Source = Source.CVE) -> ParseResult:
     """Parse one normalized feed (one JSON object per line) into records.
 
+    ``raw`` is the feed's bytes, its text or a seekable binary file of it.
     ``source`` is the declared source of the feed and is used for lines that do
     not carry their own ``source`` field. Lines are those of
     :func:`ioutil.read_lines`. Structural damage (a line that is not a JSON

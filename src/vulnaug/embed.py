@@ -27,6 +27,7 @@ one by one, in order, at every dim.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 import warnings
 from collections import Counter
@@ -41,8 +42,13 @@ from .errors import InsufficientVocabulary
 from .ioutil import atomic_write_lines, read_lines, read_model_file, write_model_file
 
 # Identifier-style tokens (cve-2002-0679, cwe-119) survive as single tokens;
-# everything else splits on non-alphanumeric boundaries.
-_TOKEN_RE = re.compile(r"[a-z]+(?:-\d+)+|[a-z0-9]+")
+# everything else splits on non-alphanumeric boundaries. The letter run is
+# possessive: a shorter run is always followed by a letter, never by "-", so
+# giving letters back could not make a match, and a word without an
+# identifier is not rescanned letter by letter. Python 3.10 has no possessive
+# repeats; its backtracking pattern finds the same tokens.
+_TOKEN_RE = re.compile(r"[a-z]++(?:-\d+)+|[a-z0-9]+" if sys.version_info >= (3, 11)
+                       else r"[a-z]+(?:-\d+)+|[a-z0-9]+")
 
 _MAGIC = b"VAEMB001"
 

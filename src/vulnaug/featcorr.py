@@ -306,19 +306,23 @@ def _compute_towers(embedding: EmbeddingModel, texts: Sequence[str],
     """The (n, d) towers of ``texts`` as :meth:`CorrelationModel.tower_vectors`
     defines them, with ``body_sums`` those of ``store`` under ``embedding``.
 
-    Articles are ranked up to ``_TOWER_BLOCK`` texts at a time, and fewer when
-    the store is so large that the overlap matrix would exceed
-    ``_OVERLAP_CELLS``.
+    Texts are tokenized, summed and their articles ranked up to
+    ``_TOWER_BLOCK`` texts at a time, and fewer when the store is so large
+    that the overlap matrix would exceed ``_OVERLAP_CELLS``, so only one
+    block's tokens exist at a time.
     """
-    tokens = [tokenize(text) for text in texts]
-    towers = embedding.token_sums(tokens)
-    total = np.array([len(t) for t in tokens], dtype=np.intp)
-    if store is not None:
-        sums, counts = body_sums
-        step = max(1, min(_TOWER_BLOCK, _OVERLAP_CELLS // max(1, len(store))))
-        for lo in range(0, len(texts), step):
-            block = slice(lo, lo + step)
-            for picks in store._best_rows(tokens[block]).T:
+    towers = np.empty((len(texts), embedding.dim))
+    total = np.empty(len(texts), dtype=np.intp)
+    articles = 0 if store is None else len(store)
+    step = max(1, min(_TOWER_BLOCK, _OVERLAP_CELLS // max(1, articles)))
+    for lo in range(0, len(texts), step):
+        block = slice(lo, lo + step)
+        tokens = [tokenize(text) for text in texts[block]]
+        towers[block] = embedding.token_sums(tokens)
+        total[block] = [len(t) for t in tokens]
+        if store is not None:
+            sums, counts = body_sums
+            for picks in store._best_rows(tokens).T:
                 towers[block] += sums[picks]
                 total[block] += counts[picks]
     towers /= np.maximum(total, 1)[:, None]
@@ -422,11 +426,14 @@ class CorrelationModel:
         atomic_write_lines(path, lines)
 
 
-def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def interaction_features(u: np.ndarray, v: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Interaction rows [u*v, |u-v|, cos(u, v)] of paired towers.
 
     ``u`` and ``v`` are towers of shape (d,) or stacks of towers of shape
     (n, d) that broadcast against each other; the result has 2d+1 columns.
+    It is written into ``out`` when given, which must have the result's shape
+    and must not overlap ``u`` or ``v``, and is otherwise a new array.
     Norms and dot products take one ``np.vecdot`` row each, which runs the
     same BLAS dot as ``np.dot`` and ``np.linalg.norm`` on that row alone, so
     every row is bit-equal to building it by itself. A zero tower has cosine 0.
@@ -436,7 +443,8 @@ def interaction_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     nv = np.sqrt(np.vecdot(v, v))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.where((nu == 0.0) | (nv == 0.0), 0.0, np.vecdot(u, v) / (nu * nv))
-    x = np.empty(np.broadcast_shapes(u.shape, v.shape)[:-1] + (2 * d + 1,))
+    x = out if out is not None else np.empty(
+        np.broadcast_shapes(u.shape, v.shape)[:-1] + (2 * d + 1,))
     np.multiply(u, v, out=x[..., :d])
     np.subtract(u, v, out=x[..., d : 2 * d])
     np.abs(x[..., d : 2 * d], out=x[..., d : 2 * d])
@@ -449,10 +457,12 @@ def _probability(model: "CorrelationModel", u: np.ndarray, v: np.ndarray) -> np.
     return _sigmoid(np.vecdot(interaction_features(u, v), model.weights) + model.bias)
 
 
-def _block_terms(x: np.ndarray, positive: np.ndarray,
-                 theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The summed cross-entropy, gradient and Hessian, in the 2d+2 unknowns
-    ``theta`` = (w, b), of the pairs whose interaction rows are ``x``.
+def _block_terms(x: np.ndarray, positive: np.ndarray, theta: np.ndarray, work: np.ndarray,
+                 hess: np.ndarray) -> tuple[float, np.ndarray]:
+    """The summed cross-entropy and gradient, in the 2d+2 unknowns ``theta``
+    = (w, b), of the pairs whose interaction rows are ``x``; their Hessian is
+    written into ``hess``, and ``work``, of the shape of ``x``, holds x·r and
+    then x·s.
 
     The loss takes one ``logaddexp`` per pair: log(1 + e^-t) for a positive
     and log(1 + e^t) for a negative, at logit t. The gradient's sums are
@@ -464,31 +474,50 @@ def _block_terms(x: np.ndarray, positive: np.ndarray,
         p = _sigmoid(t)
     r = p - positive
     s = p * (1.0 - p)
-    grad = np.append(np.add.reduce(x * r[:, None], axis=0), np.add.reduce(r))
-    sx = x * s[:, None]
-    hess = np.empty((theta.size, theta.size))
-    hess[:-1, :-1] = x.T @ sx
+    xr = np.multiply(x, r[:, None], out=work)
+    grad = np.append(np.add.reduce(xr, axis=0), np.add.reduce(r))
+    sx = np.multiply(x, s[:, None], out=work)
+    np.matmul(x.T, sx, out=hess[:-1, :-1])
     hess[:-1, -1] = hess[-1, :-1] = np.add.reduce(sx, axis=0)
     hess[-1, -1] = np.add.reduce(s)
-    return float(np.add.reduce(np.logaddexp(0.0, np.where(positive, -t, t)))), grad, hess
+    return float(np.add.reduce(np.logaddexp(0.0, np.where(positive, -t, t)))), grad
+
+
+def _newton_work(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The work arrays of :func:`_newton_terms` for ``n`` pairs of d-dim
+    towers: one block's interaction rows, its row products, and its Hessian."""
+    size = min(_PAIR_BLOCK, n)
+    return np.empty((size, 2 * d + 1)), np.empty((size, 2 * d + 1)), np.empty((2 * d + 2,) * 2)
 
 
 def _newton_terms(towers: np.ndarray, ia: np.ndarray, ib: np.ndarray, positive: np.ndarray,
-                  theta: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+                  theta: np.ndarray, work_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
+                  ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The fit's terms at ``theta`` = (w, b): the summed cross-entropy, the
     penalized loss, and the penalized loss's gradient and Hessian.
 
     Pair i's interaction row is built from ``towers[ia[i]]`` and
     ``towers[ib[i]]``, ``_PAIR_BLOCK`` rows at a time, and each block's
-    :func:`_block_terms` are added to the totals in block order, so only one
-    block's rows exist at a time.
+    :func:`_block_terms` are added to the totals in block order. Every block
+    is written into ``work_arrays``, :func:`_newton_work` of the pairs, which
+    a fit makes once for all its passes. The two tower gathers sit in the
+    front of the row-product array, which is not needed until the rows are
+    built.
     """
     k = theta.size
+    d = towers.shape[1]
+    rows, products, block_hess = work_arrays
     loss, grad, hess = 0.0, np.zeros(k), np.zeros((k, k))
     for lo in range(0, len(ia), _PAIR_BLOCK):
-        block = slice(lo, lo + _PAIR_BLOCK)
-        block_loss, block_grad, block_hess = _block_terms(
-            interaction_features(towers[ia[block]], towers[ib[block]]), positive[block], theta)
+        m = min(_PAIR_BLOCK, len(ia) - lo)
+        u, v = products.reshape(-1)[: 2 * m * d].reshape(2, m, d)
+        # "wrap" reads an index as plain indexing does, without the copy of
+        # ``out`` that the default "raise" makes.
+        np.take(towers, ia[lo : lo + m], axis=0, out=u, mode="wrap")
+        np.take(towers, ib[lo : lo + m], axis=0, out=v, mode="wrap")
+        x = interaction_features(u, v, out=rows[:m])
+        block_loss, block_grad = _block_terms(x, positive[lo : lo + m], theta, products[:m],
+                                              block_hess)
         loss += block_loss
         grad += block_grad
         hess += block_hess
@@ -536,9 +565,10 @@ def train_correlation(
     )
     n = len(pairs)
     towers = _compute_towers(embedding, pairs.texts, store, model._body_sums)
+    work = _newton_work(n, embedding.dim)
 
     def terms(theta: np.ndarray, step: int):
-        found = _newton_terms(towers, pairs.ia, pairs.ib, pairs.positive, theta)
+        found = _newton_terms(towers, pairs.ia, pairs.ib, pairs.positive, theta, work)
         if not math.isfinite(found[1]):
             raise DivergedTraining(f"non-finite loss at step {step}")
         return found

@@ -4,17 +4,23 @@ container that both model files use."""
 
 from __future__ import annotations
 
+import codecs
+import contextlib
+import io
 import json
 import math
 import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FeedFormatError
+
+#: Bytes of one read while :func:`read_lines` checks a file for UTF-8.
+_READ_CHUNK = 1 << 16
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -44,24 +50,49 @@ def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def read_lines(path: str | os.PathLike | None,
-               data: bytes | str | None = None) -> Iterator[tuple[int, str]]:
+               data: bytes | str | BinaryIO | None = None) -> Iterator[tuple[int, str]]:
     r"""The (line number, text) of each non-blank line of the file at
     ``path``, or of ``data`` when it is given, numbering lines from 1.
+    ``data`` is bytes, a str (read as its UTF-8 bytes) or a seekable binary
+    file, read from its current position; ``path`` then only names it in
+    errors.
 
     A line ends at "\n" alone: U+2028, U+2029, U+0085, "\x0b" and a lone "\r"
     stay in its text. One "\r" just before the "\n" is dropped, so a CRLF
     file reads as its LF twin. A line of whitespace alone is blank. Bytes that
     are not UTF-8 raise a FeedFormatError, naming the line that holds them,
     before any line is returned.
+
+    The file is never held whole: a first pass checks that it is UTF-8,
+    ``_READ_CHUNK`` bytes at a time, and a second pass decodes it one line at
+    a time.
     """
-    data = Path(path).read_bytes() if data is None else data
-    try:
-        text = data if isinstance(data, str) else data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FeedFormatError(f"not UTF-8 text: {exc.reason}",
-                              data.count(b"\n", 0, exc.start) + 1, path) from None
-    return ((line_no, line.removesuffix("\r"))
-            for line_no, line in enumerate(text.split("\n"), start=1) if line.strip())
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    if isinstance(data, bytes):
+        data = io.BytesIO(data)
+    with open(path, "rb") if data is None else contextlib.nullcontext(data) as stream:
+        start = stream.tell()
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        line_no = 1  # of the chunk's first byte
+        while True:
+            chunk = stream.read(_READ_CHUNK)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # The error's input is the bytes the decoder held back, part
+                # of one character and so no newline, then the chunk.
+                raise FeedFormatError(f"not UTF-8 text: {exc.reason}",
+                                      line_no + exc.object.count(b"\n", 0, exc.start),
+                                      path) from None
+            if not chunk:
+                break
+            line_no += chunk.count(b"\n")
+        stream.seek(start)
+        for line_no, line in enumerate(stream, start=1):
+            text = line.decode("utf-8")
+            if text.strip():
+                yield line_no, text.removesuffix("\n").removesuffix("\r")
 
 
 def write_model_file(path: str | Path, magic: bytes, header: dict, *blocks: bytes) -> None:

@@ -462,6 +462,18 @@ class TestCost:
         assert result.exit_code == 2
 
 
+class TestImports:
+    def test_cli_leaves_out_what_only_some_commands_run(self):
+        # evaluate and cost import evalkit (with csv); map_ordered imports its
+        # thread pool (with logging) only for more than one job.
+        code = (f"import sys; sys.path.insert(0, {SRC!r}); import vulnaug.cli;"
+                " print(sorted(m for m in ('vulnaug.evalkit', 'concurrent.futures')"
+                " if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 class TestStats:
     @pytest.mark.parametrize("group,command", [
         ([], ["--threshold", "0"]),

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -51,6 +52,12 @@ class TestTokenize:
 
     def test_punctuation_split(self):
         assert tokenize("heap-based; overflow (v2)") == ["heap", "based", "overflow", "v2"]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet="ab0-- 1x.Z\u00e9\u4e00_\u0661", max_size=40))
+    def test_matches_the_backtracking_pattern(self, text):
+        # The tokenizer's pattern before its letter run was made possessive.
+        assert tokenize(text) == re.findall(r"[a-z]+(?:-\d+)+|[a-z0-9]+", text.lower())
 
 
 def cooccurrence_corpus():

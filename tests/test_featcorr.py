@@ -1,19 +1,24 @@
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EPOCH, family_aspects, family_corpus, family_mapping, make_record
+from helpers import EPOCH, family_aspects, family_corpus, family_mapping, feed_text, make_record
 from vulnaug import embed, featcorr
+from vulnaug.cli import cli
 from vulnaug.corpus import AspectKind, Corpus, Source, TvdRecord, mask_aspect
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.errors import DivergedTraining, EmptyTrainingSet
@@ -36,6 +41,8 @@ from vulnaug.featcorr import (
 from vulnaug.genprompt import CandidateAnswer, MockBackend, PromptKind
 from vulnaug.mapping import MappingDb
 from vulnaug.pipeline import AugmentPipeline
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def candidate(text, round=1):
@@ -201,6 +208,48 @@ def reference_newton_fit(pairs, store, embedding, cfg):
         theta, (loss, penalized, grad, hess) = trial, found
         losses.append(loss / n)
     return theta, losses or [loss / n]
+
+
+def allocating_block_terms(x, positive, theta):
+    """The summed cross-entropy, gradient and Hessian of one block of
+    interaction rows ``x``, each term in new arrays."""
+    t = np.vecdot(x, theta[:-1]) + theta[-1]
+    with np.errstate(over="ignore"):
+        p = embed._sigmoid(t)
+    r = p - positive
+    s = p * (1.0 - p)
+    grad = np.append(np.add.reduce(x * r[:, None], axis=0), np.add.reduce(r))
+    sx = x * s[:, None]
+    hess = np.empty((theta.size, theta.size))
+    hess[:-1, :-1] = x.T @ sx
+    hess[:-1, -1] = hess[-1, :-1] = np.add.reduce(sx, axis=0)
+    hess[-1, -1] = np.add.reduce(s)
+    return float(np.add.reduce(np.logaddexp(0.0, np.where(positive, -t, t)))), grad, hess
+
+
+def allocating_newton_terms(towers, ia, ib, positive, theta, _work_arrays=None):
+    """:func:`featcorr._newton_terms` with every block's gathers, rows,
+    products and Hessian in new arrays, summed block by block in the same
+    order."""
+    k = theta.size
+    loss, grad, hess = 0.0, np.zeros(k), np.zeros((k, k))
+    for lo in range(0, len(ia), _PAIR_BLOCK):
+        block = slice(lo, lo + _PAIR_BLOCK)
+        block_loss, block_grad, block_hess = allocating_block_terms(
+            interaction_features(towers[ia[block]], towers[ib[block]]), positive[block], theta)
+        loss += block_loss
+        grad += block_grad
+        hess += block_hess
+    w = theta[:-1]
+    grad[:-1] += featcorr._RIDGE * w
+    hess[np.arange(k - 1), np.arange(k - 1)] += featcorr._RIDGE
+    return loss, loss + 0.5 * featcorr._RIDGE * float(np.vecdot(w, w)), grad, hess
+
+
+def assert_same_terms(got, want):
+    assert got[:2] == want[:2]
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3].tobytes() == want[3].tobytes()
 
 
 # Few distinct tokens, so overlaps tie often; "omega" and "x9" stay out of
@@ -618,6 +667,24 @@ class TestTowerVector:
         assert got.shape == (2048, 64)
         assert peak < 8 * 2**20
 
+    def test_tokens_are_held_one_block_at_a_time(self):
+        # 8,192 distinct texts of 13 tokens and no store: their token lists
+        # take about 7 MiB at once, and the towers 1 MiB.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(2000)]
+        embedding = EmbeddingModel(dim=16, vocab={w: i for i, w in enumerate(words)},
+                                   vectors=rng.standard_normal((2000, 16)).astype(np.float32))
+        texts = [" ".join(words[j] for j in rng.integers(0, 2000, 12)) + f" t{i}"
+                 for i in range(8192)]
+        tracemalloc.start()
+        try:
+            got = featcorr._compute_towers(embedding, texts, None, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (8192, 16)
+        assert peak < got.nbytes + 2**20
+
     def test_overlap_matrix_is_bounded_for_a_large_store(self):
         # 20,000 articles sharing one word: a (64, 20000) overlap matrix of
         # 64-bit counts alone takes 9.8 MiB.
@@ -783,6 +850,94 @@ class TestTrainCorrelation:
         np.testing.assert_allclose(model.bias, theta[-1], rtol=1e-7, atol=1e-9)
         assert len(model.loss_history) == len(losses)
         np.testing.assert_allclose(model.loss_history, losses, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK, 2 * _PAIR_BLOCK + 7])
+    @pytest.mark.parametrize("background", ["none", "store"])
+    def test_newton_terms_match_the_allocating_blocks(self, family_setup, background, n):
+        corpus, embedding, _, _ = family_setup
+        pairs = TrainingPairs.of(shuffled_pairs(corpus, n))
+        store = None if background == "none" else BackgroundStore(articles={
+            f"flaw{f}": f"flaw{f} cause{f} impact{f} rec{f} detail" for f in range(5)})
+        towers = featcorr._compute_towers(embedding, pairs.texts, store,
+                                          None if store is None else store.body_sums(embedding))
+        k = 2 * embedding.dim + 2
+        work = featcorr._newton_work(n, embedding.dim)
+        for theta in (np.zeros(k), np.random.default_rng(n).standard_normal(k)):
+            assert_same_terms(
+                featcorr._newton_terms(towers, pairs.ia, pairs.ib, pairs.positive, theta, work),
+                allocating_newton_terms(towers, pairs.ia, pairs.ib, pairs.positive, theta))
+
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_newton_terms_match_the_allocating_blocks_on_random_towers(self, dim):
+        # Entries over many binades, zero towers and repeated rows; the last
+        # block is short.
+        rng = np.random.default_rng(dim)
+        towers = rng.standard_normal((50, dim)) * 10.0 ** rng.uniform(-6, 6, (50, dim))
+        towers[:3] = 0.0
+        n = 3 * _PAIR_BLOCK + 5
+        ia, ib = rng.integers(0, 50, n), rng.integers(0, 50, n)
+        positive = rng.random(n) < 0.3
+        theta = rng.standard_normal(2 * dim + 2)
+        assert_same_terms(featcorr._newton_terms(towers, ia, ib, positive, theta,
+                                                 featcorr._newton_work(n, dim)),
+                          allocating_newton_terms(towers, ia, ib, positive, theta))
+
+    def test_model_file_matches_the_allocating_blocks(self, tmp_path):
+        # train-corr on 1,000 family records: 30,000 pairs, 15 blocks.
+        records = list(family_corpus(n_records=1000))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(feed_text(records), encoding="utf-8")
+        vocab = sorted({t for rec in records for v in rec.aspects.values() if v
+                        for t in tokenize(v)})
+        EmbeddingModel(dim=64, vocab={t: i for i, t in enumerate(vocab)},
+                       vectors=np.random.default_rng(0).standard_normal(
+                           (len(vocab), 64)).astype(np.float32)).save(tmp_path / "embed.bin")
+        args = ["train-corr", "--corpus", str(corpus), "--embed", str(tmp_path / "embed.bin"),
+                "--epochs", "4"]
+        runner = CliRunner()
+        result = runner.invoke(cli, args + ["-o", str(tmp_path / "got.bin")])
+        assert result.exit_code == 0, result.output
+        with mock.patch.object(featcorr, "_newton_terms", allocating_newton_terms):
+            result = runner.invoke(cli, args + ["-o", str(tmp_path / "want.bin")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor faults as Linux counts them")
+    def test_repeated_fit_takes_few_page_faults(self):
+        # A new interpreter, whose heap no earlier test has grown, fits 8
+        # blocks in 4 passes twice and counts the second fit's faults. Work
+        # arrays made for every block fault in about 1,500 fresh pages each,
+        # 47,900 in all; made once per fit, 1,158 in all on x86-64 Linux.
+        code = """if True:
+            import resource
+            import numpy as np
+            from helpers import family_corpus
+            from vulnaug import featcorr
+            from vulnaug.embed import EmbeddingModel, tokenize
+
+            pairs = featcorr.build_training_pairs(family_corpus(), seed=5)
+            order = np.random.default_rng(3).permutation(len(pairs))
+            pairs = featcorr.TrainingPairs.of(
+                [pairs[i] for i in np.resize(order, 8 * featcorr._PAIR_BLOCK)])
+            vocab = sorted({t for text in pairs.texts for t in tokenize(text)})
+            embedding = EmbeddingModel(dim=64, vocab={t: i for i, t in enumerate(vocab)},
+                                       vectors=np.random.default_rng(0).standard_normal(
+                                           (len(vocab), 64)).astype(np.float32))
+            cfg = featcorr.CorrTrainConfig(epochs=3)
+            featcorr.train_correlation(pairs, None, embedding, cfg)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            model = featcorr.train_correlation(pairs, None, embedding, cfg)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            print(len(model.loss_history), faults)
+        """
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        steps, faults = map(int, done.stdout.split())
+        assert steps == 3
+        assert faults < 6_000
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -5,6 +5,7 @@ loader."""
 import ast
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vulnaug import ioutil
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize
 from vulnaug.errors import FeedFormatError
 from vulnaug.featcorr import BackgroundStore, CorrelationModel, CorrTrainConfig
@@ -170,6 +172,81 @@ class TestReadLines:
             list(read_lines(path))
         assert info.value.line == line
         assert str(info.value).startswith(f"{path}:{line}: not UTF-8 text: ")
+
+
+def whole_file_lines(data: bytes, path=None):
+    """The lines of ``data`` as one decode of the whole input and one split
+    at "\n" make them."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FeedFormatError(f"not UTF-8 text: {exc.reason}",
+                              data.count(b"\n", 0, exc.start) + 1, path) from None
+    return [(line_no, line.removesuffix("\r"))
+            for line_no, line in enumerate(text.split("\n"), start=1) if line.strip()]
+
+
+def outcome(read):
+    """The lines ``read()`` gives, or the line and text of its FeedFormatError."""
+    try:
+        return list(read())
+    except FeedFormatError as exc:
+        return exc.line, str(exc)
+
+
+def streamed_outcomes(tmp_path, data, chunk):
+    """The outcome of read_lines on a file of ``data``, on its bytes and on
+    the open file, reading ``chunk`` bytes at a time."""
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    with mock.patch.object(ioutil, "_READ_CHUNK", chunk), path.open("rb") as stream:
+        return [outcome(lambda: read_lines(path)), outcome(lambda: read_lines(path, data)),
+                outcome(lambda: read_lines(path, stream))]
+
+
+class TestStreamedLines:
+    CHUNKS = [1, 2, 3, 5, ioutil._READ_CHUNK]
+
+    @pytest.mark.parametrize("data", [
+        b"ok\nmid \xff byte\nend\n",
+        b"ok\nfine \xe2\x80\nmore\n",
+        b"ok\nfine \xe2\x80",
+        "\u00e9\u20ac\U0001f600\n\u4e00x\n".encode("utf-8"),
+        b"\n\xe2\x82\xac\xe2\x82\n",
+        b"a\r\nb\rc\r\n\r\nd\r",
+        "x\u0085y\u2028z\n\u2029\n".encode("utf-8"),
+        b"\n\n  \t\nlast",
+        b"",
+    ], ids=["bad-byte", "truncated-at-line-end", "truncated-at-eof", "split-sequences",
+            "split-then-truncated", "crlf-and-lone-cr", "separators", "blank-no-final-newline",
+            "empty"])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_file_reads_as_its_bytes(self, tmp_path, data, chunk):
+        want = outcome(lambda: whole_file_lines(data, tmp_path / "lines.txt"))
+        assert streamed_outcomes(tmp_path, data, chunk) == [want] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([b"a", b" ", b"\n", b"\r", b"\xc3", b"\xa9", b"\xe2\x82",
+                                     b"\xac", b"\xf0\x9f\x98", b"\x80", b"\xff", "\u2028".encode()]),
+                    max_size=30).map(b"".join),
+           st.sampled_from(CHUNKS))
+    def test_any_bytes_read_as_the_whole_file_decode(self, tmp_path_factory, data, chunk):
+        tmp_path = tmp_path_factory.mktemp("lines")
+        want = outcome(lambda: whole_file_lines(data, tmp_path / "lines.txt"))
+        assert streamed_outcomes(tmp_path, data, chunk) == [want] * 3
+
+    def test_text_reads_as_its_utf8_bytes(self):
+        text = "a\u2028b\r\n\nc\u00e9\n"
+        assert list(read_lines(None, text)) == whole_file_lines(text.encode("utf-8"))
+
+    def test_bad_bytes_raise_before_any_line(self, tmp_path):
+        # The error is on line 3; line 1 comes back only if the file is good.
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"first\n" + b"x" * (3 * ioutil._READ_CHUNK) + b"\n\xff\n")
+        lines = read_lines(path)
+        with pytest.raises(FeedFormatError) as info:
+            next(lines)
+        assert info.value.line == 3
 
 
 def line_splits(source: str):
