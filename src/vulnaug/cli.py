@@ -20,13 +20,14 @@ from pathlib import Path
 
 import click
 
+# embed, featcorr and evalkit load numpy; each command that calls them
+# imports them itself, so ingest, build-map and --help never load it.
 from . import corpus as corpus_mod
-from . import embed as embed_mod
-from . import featcorr, genprompt, mapping
+from . import genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
 from .errors import (EmptyTrainingSet, FeedFormatError, GenerationFailed, InsufficientVocabulary,
                      MissingPrerequisite, VulnaugError)
-from .exampler import EXAMPLE_LIMIT
+from .genprompt import EXAMPLE_LIMIT
 from .ioutil import atomic_write_lines, atomic_write_text, read_lines
 from .pipeline import EXAMPLE_STRATEGIES, AugmentPipeline, check_settings, map_ordered
 
@@ -122,7 +123,11 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except MissingPrerequisite as exc:
             _fail(EXIT_MISSING_PREREQ, str(exc))
-        except (FeedFormatError, FileNotFoundError, ValueError) as exc:
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+            # os.replace names the temp file first and the target second.
+            path = exc.filename if exc.filename2 is None else exc.filename2
+            _fail(EXIT_BAD_INPUT, str(exc) if path is None else f"{path}: {exc.strerror}")
+        except (FeedFormatError, ValueError) as exc:
             _fail(EXIT_BAD_INPUT, str(exc))
         except VulnaugError as exc:
             _fail(EXIT_INTERNAL, str(exc))
@@ -204,11 +209,29 @@ class _Artifact:
 # source's record of a CVE, where a Corpus keeps only the first.
 _CORPUS = _Artifact("--corpus", "corpus file", lambda path: _read_feed(path).records)
 _MAP = _Artifact("--map", "mapping file", lambda path: mapping.load_mapping(path))
-_EMBED = _Artifact("--embed", "embedding model", lambda path: embed_mod.EmbeddingModel.load(path))
-_CORR = _Artifact("--corr", "correlation model", lambda path, embedding, store:
-                  featcorr.CorrelationModel.load(path, embedding, store))
-_BACKGROUND = _Artifact("--background", "background store",
-                        lambda path: featcorr.BackgroundStore.from_file(path))
+
+
+def _load_embedding(path: Path):
+    from . import embed
+
+    return embed.EmbeddingModel.load(path)
+
+
+def _load_correlation(path: Path, embedding, store):
+    from . import featcorr
+
+    return featcorr.CorrelationModel.load(path, embedding, store)
+
+
+def _load_background(path: Path):
+    from . import featcorr
+
+    return featcorr.BackgroundStore.from_file(path)
+
+
+_EMBED = _Artifact("--embed", "embedding model", _load_embedding)
+_CORR = _Artifact("--corr", "correlation model", _load_correlation)
+_BACKGROUND = _Artifact("--background", "background store", _load_background)
 
 
 def _make_backend(cfg: RunConfig, answers: dict[str, str] | None = None) -> genprompt.LlmBackend:
@@ -323,14 +346,16 @@ def build_map(cfg: RunConfig, corpus_path, no_fallback, output):
 @_guard
 def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, export_text, output):
     """Train corpus word embeddings."""
-    config = embed_mod.TrainConfig(
+    from . import embed
+
+    config = embed.TrainConfig(
         window=window, epochs=epochs, negative_samples=negative, seed=cfg.seed
     )
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     with _trains_on(corpus_path):
-        model = embed_mod.train_embeddings(corpus, config, dim=dim)
+        model = embed.train_embeddings(corpus, config, dim=dim)
     out = _output(cfg, output, "embed.bin")
     model.save(out)
     if export_text:
@@ -352,6 +377,8 @@ def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, expo
 @_guard
 def train_corr(cfg: RunConfig, corpus_path, embed_path, background_path, lr, epochs, export_text, output):
     """Train the feature-correlation model from aspect co-occurrence."""
+    from . import featcorr
+
     config = featcorr.CorrTrainConfig(learning_rate=lr, epochs=epochs, seed=cfg.seed)
     corpus = Corpus.from_records(_CORPUS(corpus_path))
     embedding = _EMBED(embed_path)
@@ -492,6 +519,8 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
 
 
 def _load_testset(path: Path) -> typing.Iterator[tuple[TvdRecord, AspectKind, str]]:
+    from .embed import tokenize
+
     for line_no, line in read_lines(path):
         try:
             obj = json.loads(line)
@@ -500,7 +529,7 @@ def _load_testset(path: Path) -> typing.Iterator[tuple[TvdRecord, AspectKind, st
             record = TvdRecord.from_json_obj(obj)
             kind = AspectKind.from_key(obj["masked_aspect"])
             label = obj["label"]
-            if not isinstance(label, str) or not embed_mod.tokenize(label):
+            if not isinstance(label, str) or not tokenize(label):
                 raise ValueError(f"label must be a string of at least one token, got {label!r}")
             if record.aspects.get(kind):
                 raise ValueError(f"masked_aspect {kind.json_key!r} is still set in aspects")
@@ -650,6 +679,8 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
     import urllib.parse
     import urllib.request
 
+    from .featcorr import BackgroundStore
+
     terms = {line_no: line.strip() for line_no, line in read_lines(terms_path)}
     for line_no, term in terms.items():
         if "\t" in term or "\r" in term:
@@ -686,7 +717,7 @@ def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
             articles[term] = " ".join(text.split())
             fetched += 1
     out = _output(cfg, output, "background.tsv")
-    featcorr.BackgroundStore(articles=articles).save(out)
+    BackgroundStore(articles=articles).save(out)
     click.echo(f"fetched {fetched}/{len(terms)} articles -> {out}")
 
 

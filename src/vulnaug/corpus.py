@@ -16,8 +16,6 @@ from datetime import date
 from enum import Enum
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .errors import (
     DegenerateDistribution,
     FeedFormatError,
@@ -352,6 +350,8 @@ def gini(counts: Iterable[float]) -> float:
     which equals the mean-absolute-difference form
     sum_ij |c_i - c_j| / (2 n^2 mean) without the quadratic loop.
     """
+    import numpy as np  # here, so that ingest and build-map never load it
+
     c = np.asarray(list(counts), dtype=float)
     if c.size == 0:
         raise DegenerateDistribution("gini of an empty vector")

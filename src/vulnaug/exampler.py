@@ -14,9 +14,8 @@ import numpy as np
 
 from .corpus import Corpus, TvdRecord
 from .embed import EmbeddingModel, kmeans, sentence_vector
+from .genprompt import EXAMPLE_LIMIT
 from .mapping import MappingDb, siblings
-
-EXAMPLE_LIMIT = 30
 
 
 class SelectionMode(Enum):

@@ -20,13 +20,18 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
 from .corpus import AspectKind, TvdRecord
 from .errors import BackendError, GenerationFailed, MissingPrerequisite
-from .exampler import ExampleSet
+
+if TYPE_CHECKING:
+    from .exampler import ExampleSet
 
 DEFAULT_ROUNDS = 5
+
+#: In-context examples a slot's prompts carry at most; larger pools are clustered.
+EXAMPLE_LIMIT = 30
 
 MASK_TOKEN = "(mask)"
 

@@ -13,24 +13,28 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import FeedFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Bytes of one read while :func:`read_lines` checks a file for UTF-8.
 _READ_CHUNK = 1 << 16
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write bytes to a temp file in the target directory, then rename into place."""
+@contextlib.contextmanager
+def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file to write in place of ``path``: a temp file in the target
+    directory, renamed into place when the block ends, and removed when it
+    raises instead."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -40,13 +44,21 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write bytes to a temp file in the target directory, then rename into place."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line followed by a newline; no lines make an empty file."""
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    """Write each line followed by a newline, as UTF-8, one line at a time;
+    no lines make an empty file."""
+    with _atomic_file(path) as fh:
+        fh.writelines(f"{line}\n".encode("utf-8") for line in lines)
 
 
 def read_lines(path: str | os.PathLike | None,
@@ -120,6 +132,8 @@ def read_model_file(
     a ``shape`` key or ``train_config``, or holds a ``train_config`` that
     ``config`` rejects, or a last block whose size disagrees with the header.
     """
+    import numpy as np  # only the commands that load a model use arrays
+
     data = memoryview(Path(path).read_bytes())
     if data[: len(magic)] != magic:
         raise ValueError(f"{path}: not a model file (expected magic {magic!r})")

@@ -2,24 +2,49 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import AspectKind, Corpus, TvdRecord
-from .embed import EmbeddingModel
-from .exampler import (
-    EXAMPLE_LIMIT,
-    retrieve_pool,
-    select_examples,
-    select_examples_by_similarity,
-)
-from .featcorr import CorrelationModel, RankedCandidate, rank_candidates, software_features
-from .genprompt import DEFAULT_ROUNDS, LlmBackend, generate_candidates
+from .genprompt import DEFAULT_ROUNDS, EXAMPLE_LIMIT, LlmBackend, generate_candidates
 from .mapping import MappingDb
+
+if TYPE_CHECKING:
+    from .embed import EmbeddingModel
+    from .featcorr import CorrelationModel, RankedCandidate
 
 #: Ways to choose a slot's in-context examples; "similarity" is the evaluation baseline.
 EXAMPLE_STRATEGIES = ("cluster", "similarity")
+
+#: The stages :meth:`AugmentPipeline.augment` calls from modules that load
+#: numpy, by the module that defines each. They are imported on first use, so
+#: the commands that build no pipeline never load numpy.
+_STAGES = {
+    "retrieve_pool": "exampler",
+    "select_examples": "exampler",
+    "select_examples_by_similarity": "exampler",
+    "software_features": "featcorr",
+    "rank_candidates": "featcorr",
+}
+
+
+def _bind_stages() -> None:
+    """Make each stage a global of this module, unless one is set already:
+    a stage replaced with ``setattr`` on this module is the one ``augment``
+    calls."""
+    bound = globals()
+    for name, module in _STAGES.items():
+        if name not in bound:
+            bound[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_stages()
+    return globals()[name]
 
 
 def check_settings(rounds: int, example_limit: int, example_strategy: str,
@@ -84,6 +109,7 @@ class AugmentPipeline:
 
     def __post_init__(self) -> None:
         check_settings(self.rounds, self.example_limit, self.example_strategy, self.temperature)
+        _bind_stages()
 
     @property
     def identity(self) -> str:

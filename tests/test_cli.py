@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
@@ -133,6 +134,45 @@ class TestIngest:
             assert result.exit_code == 0, f"{step}: {result.output}"
         assert "\u0085" in corpus.read_text(encoding="utf-8")
         assert "Foo Bar\tCVE-2023-1000" in (tmp_path / "map.tsv").read_text(encoding="utf-8")
+
+
+class TestPathErrors:
+    """A path that names a directory where a file belongs, or a file where a
+    directory belongs, exits 2 with one error line naming it, and leaves no
+    temp file behind."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        write_feed(tmp_path, small_feed_records(3))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("x")
+        return tmp_path
+
+    def assert_fails_naming(self, result, tmp_path, path, before):
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {path}: ")
+        assert result.output.count("\n") == 1 and "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", [["ingest"], ["build-map", "--corpus"]],
+                             ids=["ingest", "build-map"])
+    def test_directory_as_input(self, runner, paths, command):
+        before = sorted(p.name for p in paths.rglob("*"))
+        result = runner.invoke(cli, command + [str(paths / "dir"),
+                                               "-o", str(paths / "out")])
+        self.assert_fails_naming(result, paths, paths / "dir", before)
+
+    def test_directory_as_output(self, runner, paths):
+        before = sorted(p.name for p in paths.rglob("*"))
+        result = runner.invoke(cli, ["ingest", str(paths / "feed.jsonl"),
+                                     "-o", str(paths / "dir")])
+        self.assert_fails_naming(result, paths, paths / "dir", before)
+
+    def test_file_as_output_directory(self, runner, paths):
+        before = sorted(p.name for p in paths.rglob("*"))
+        result = runner.invoke(cli, ["ingest", str(paths / "feed.jsonl"),
+                                     "-o", str(paths / "file" / "x")])
+        self.assert_fails_naming(result, paths, paths / "file", before)
 
 
 class TestPrerequisites:
@@ -472,6 +512,25 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_commands_without_arrays_leave_numpy_unloaded(self, tmp_path):
+        # The name-mapping stage and --help touch no array, so importing
+        # numpy would be their largest fixed cost.
+        feed = write_feed(tmp_path, small_feed_records(4))
+        corpus, mapping = tmp_path / "corpus.jsonl", tmp_path / "mapping.tsv"
+        commands = [["--help"], ["ingest", str(feed), "-o", str(corpus)],
+                    ["build-map", "--corpus", str(corpus), "-o", str(mapping)]]
+        code = (f"import sys; sys.path.insert(0, {SRC!r})\n"
+                "import vulnaug, vulnaug.cli, vulnaug.pipeline, vulnaug.genprompt\n"
+                "from click.testing import CliRunner\n"
+                f"for args in {commands!r}:\n"
+                "    result = CliRunner().invoke(vulnaug.cli.cli, args)\n"
+                "    assert result.exit_code == 0, result.output\n"
+                "print('numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+        assert corpus.exists() and mapping.exists()
 
 
 class TestStats:
@@ -834,6 +893,37 @@ class TestArtifactLoaders:
         assert calls["parse_feed"] >= 1
         assert {name: n for name, n in calls.items() if name != "parse_feed"} == {
             "load_mapping": 1, "embed.load": 1, "corr.load": 1, "store.from_file": 1}
+
+
+def load_probe():
+    """bench/probe.py, the benchmark's tracer, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("bench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+class TestProbeContract:
+    def test_every_traced_name_resolves(self):
+        probe = load_probe()
+        missing = [name for name, (module, path) in probe.TRACED.items()
+                   if probe._lookup(module, path) is None]
+        assert missing == []
+
+    @pytest.mark.parametrize("stage", ["retrieve_pool", "select_examples", "software_features",
+                                       "rank_candidates"])
+    def test_augment_calls_the_stage_set_on_the_pipeline_module(self, runner, tmp_path,
+                                                                artifacts, monkeypatch, stage):
+        calls = Counter()
+        monkeypatch.setattr(vulnaug.pipeline, stage,
+                            counting(calls, stage, getattr(vulnaug.pipeline, stage)))
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--rounds", "1", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        slots = len(out.read_text(encoding="utf-8").splitlines())
+        assert slots > 0 and calls == {stage: slots}
 
 
 class TestPipelineCommands:

@@ -136,15 +136,38 @@ class TestModelContainer:
 class TestAtomicWriteLines:
     @pytest.mark.parametrize("lines,data", [
         ([], b""),
+        (iter(()), b""),
         ([""], b"\n"),
         (["a", "b c", "é"], "a\nb c\né\n".encode("utf-8")),
         ((f"{i}" for i in range(3)), b"0\n1\n2\n"),
-    ], ids=["none", "one-empty", "list", "generator"])
+    ], ids=["none", "empty-iterator", "one-empty", "list", "generator"])
     def test_each_line_ends_with_a_newline(self, tmp_path, lines, data):
         path = tmp_path / "sub" / "out.txt"
         atomic_write_lines(path, lines)
         assert path.read_bytes() == data
         assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+    @given(st.lists(st.text(st.characters(blacklist_categories=["Cs"]).filter(lambda c: c != "\n")
+                            | st.sampled_from(["\u2028", "\u2029", "\u0085", "\r", "é", "漏"]))))
+    @settings(max_examples=50)
+    def test_bytes_are_the_joined_lines_encoded(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("lines") / "out.txt"
+        atomic_write_lines(path, iter(lines))
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+
+    def raising_lines(self):
+        yield "first"
+        raise RuntimeError("the producer failed")
+
+    @pytest.mark.parametrize("lines,error", [
+        (["ok", "lone \ud800 surrogate", "after"], UnicodeEncodeError),
+        ("generator", RuntimeError),
+    ], ids=["lone-surrogate", "raising-generator"])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, lines, error):
+        path = tmp_path / "out.txt"
+        with pytest.raises(error):
+            atomic_write_lines(path, self.raising_lines() if lines == "generator" else lines)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReadLines:
