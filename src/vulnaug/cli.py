@@ -290,10 +290,7 @@ def ingest(cfg: RunConfig, feeds, source, output):
     diagnostics = 0
     dedup = 0
     for feed in feeds:
-        path = Path(feed)
-        if not path.exists():
-            _fail(EXIT_BAD_INPUT, f"feed file not found: {path}")
-        result = _read_feed(path, default_source)
+        result = _read_feed(Path(feed), default_source)
         diagnostics += len(result.diagnostics)
         for rec in result.records:
             key = (rec.cve_id, rec.source.value, rec.revision_tag)

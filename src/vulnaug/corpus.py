@@ -2,9 +2,8 @@
 
 A corpus is a set of textual vulnerability descriptions (TVDs), each carrying up
 to five structured key aspects. This module parses the normalized line-oriented
-feed format, pairs ANALYSE/MODIFIED revisions into (base, ground truth) tuples,
-masks aspects to build test sets, and measures how long-tailed the per-software
-TVD distribution is.
+feed format, masks aspects to build test sets, and measures how long-tailed
+the per-software TVD distribution is.
 """
 
 from __future__ import annotations
@@ -286,37 +285,6 @@ def parse_feed(raw: bytes | str | BinaryIO, source: Source = Source.CVE) -> Pars
             continue
         seen.add(key)
         result.records.append(record)
-    return result
-
-
-@dataclass
-class PairingResult:
-    """ANALYSE/MODIFIED pairs plus the count of records left unpaired."""
-
-    pairs: list[tuple[TvdRecord, TvdRecord]] = field(default_factory=list)
-    unpaired: int = 0
-
-
-def pair_modified_analyse(nvd_records: Iterable[TvdRecord]) -> PairingResult:
-    """Join ANALYSE (base TVD) with MODIFIED (ground-truth aspects) on cve_id.
-
-    Records missing either counterpart are excluded and counted. For repeated
-    (cve_id, tag) combinations, the first occurrence wins.
-    """
-    by_cve: dict[str, dict[str, TvdRecord]] = {}
-    total = 0
-    for rec in nvd_records:
-        total += 1
-        if rec.revision_tag in REVISION_TAGS:
-            by_cve.setdefault(rec.cve_id, {}).setdefault(rec.revision_tag, rec)
-    result = PairingResult()
-    paired = 0
-    for cve_id in sorted(by_cve):
-        tags = by_cve[cve_id]
-        if "ANALYSE" in tags and "MODIFIED" in tags:
-            result.pairs.append((tags["ANALYSE"], tags["MODIFIED"]))
-            paired += 2
-    result.unpaired = total - paired
     return result
 
 

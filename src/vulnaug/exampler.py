@@ -45,9 +45,6 @@ class ExampleSet:
     members: list[TvdRecord]
     selection_mode: SelectionMode
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def retrieve_pool(target: TvdRecord, db: MappingDb, corpus: Corpus) -> ExamplePool:
     """Gather same-software and same-CWE records for a target.

@@ -452,9 +452,16 @@ def interaction_features(u: np.ndarray, v: np.ndarray,
     return x
 
 
+def _logistic(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-t) of each logit; where e^-t overflows to inf, p is 0, its
+    limit, and no warning is raised."""
+    with np.errstate(over="ignore"):
+        return _sigmoid(t)
+
+
 def _probability(model: "CorrelationModel", u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Association probability of each pair of rows of ``u`` and ``v``."""
-    return _sigmoid(np.vecdot(interaction_features(u, v), model.weights) + model.bias)
+    return _logistic(np.vecdot(interaction_features(u, v), model.weights) + model.bias)
 
 
 def _block_terms(x: np.ndarray, positive: np.ndarray, theta: np.ndarray, work: np.ndarray,
@@ -470,8 +477,7 @@ def _block_terms(x: np.ndarray, positive: np.ndarray, theta: np.ndarray, work: n
     xᵀ·diag(s)·x is one matrix product.
     """
     t = np.vecdot(x, theta[:-1]) + theta[-1]
-    with np.errstate(over="ignore"):  # e^-t = inf gives p = 0, its limit
-        p = _sigmoid(t)
+    p = _logistic(t)
     r = p - positive
     s = p * (1.0 - p)
     xr = np.multiply(x, r[:, None], out=work)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 from collections import Counter
 from contextlib import contextmanager
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +72,27 @@ def make_record(
 
 def feed_text(records: list[TvdRecord]) -> str:
     return "\n".join(rec.to_json_line() for rec in records) + "\n"
+
+
+def write_testset(path, testset):
+    """Write (masked record, kind, label) rows as masked-testset JSONL."""
+    lines = []
+    for masked, kind, label in testset:
+        obj = masked.to_json_obj()
+        obj["masked_aspect"] = kind.json_key
+        obj["label"] = label
+        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def load_probe():
+    """bench/probe.py, the benchmark's tracer, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("bench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
 
 
 # --- prompt golden fixture ---------------------------------------------------

@@ -146,7 +146,7 @@ def test_criterion_04_example_pool_arithmetic():
         small_corpus = Corpus.from_records(small)
         small_pool = retrieve_pool(small_target, MappingDb(), small_corpus)
         small_selected = select_examples(small_pool, small_corpus, model, limit=30, seed=2)
-        assert len(small_selected) == 14
+        assert len(small_selected.members) == 14
         assert small_selected.selection_mode == SelectionMode.ALL
 
 

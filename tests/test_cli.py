@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import hashlib
-import importlib.util
 import inspect
 import json
 import math
@@ -16,7 +15,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from helpers import family_corpus, feed_text, make_record, masked_eval_fixture, struts_gov_records
+from helpers import (family_corpus, feed_text, load_probe, make_record, masked_eval_fixture,
+                     struts_gov_records, write_testset)
 import vulnaug
 from vulnaug import featcorr, genprompt
 from vulnaug.cli import cli
@@ -603,18 +603,6 @@ def pipeline_args(command, artifacts):
             "--embed", str(embedding), "--corr", str(correlation)]
 
 
-def write_testset(path, testset):
-    """Write (masked record, kind, label) rows as masked-testset JSONL."""
-    lines = []
-    for masked, kind, label in testset:
-        obj = masked.to_json_obj()
-        obj["masked_aspect"] = kind.json_key
-        obj["label"] = label
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 def without(key):
     return lambda good: json.dumps({k: v for k, v in good.items() if k != key})
 
@@ -893,15 +881,6 @@ class TestArtifactLoaders:
         assert calls["parse_feed"] >= 1
         assert {name: n for name, n in calls.items() if name != "parse_feed"} == {
             "load_mapping": 1, "embed.load": 1, "corr.load": 1, "store.from_file": 1}
-
-
-def load_probe():
-    """bench/probe.py, the benchmark's tracer, as a module."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "probe.py"
-    spec = importlib.util.spec_from_file_location("bench_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
-    return probe
 
 
 class TestProbeContract:

@@ -14,7 +14,6 @@ from vulnaug.corpus import (
     classify_long_tail,
     gini,
     mask_aspect,
-    pair_modified_analyse,
     parse_feed,
 )
 from vulnaug.errors import (
@@ -183,36 +182,6 @@ class TestParseFeed:
         result = parse_feed(text.replace("\n", "\r\n") if crlf else text)
         assert not result.diagnostics
         assert result.records == records
-
-
-class TestPairing:
-    def test_one_pair(self):
-        a = make_record("CVE-2020-1000", "d.", source=Source.NVD, revision_tag="ANALYSE")
-        m = make_record("CVE-2020-1000", "d full.", source=Source.NVD, revision_tag="MODIFIED")
-        result = pair_modified_analyse([a, m])
-        assert result.pairs == [(a, m)]
-        assert result.unpaired == 0
-
-    def test_unpaired_analyse_counted(self):
-        a = make_record("CVE-2020-1001", "d.", source=Source.NVD, revision_tag="ANALYSE")
-        result = pair_modified_analyse([a])
-        assert result.pairs == []
-        assert result.unpaired == 1
-
-    def test_fixture_of_ten_with_seven_complete(self):
-        records = []
-        for i in range(10):
-            cve = f"CVE-2020-{2000 + i}"
-            records.append(make_record(cve, "base.", source=Source.NVD, revision_tag="ANALYSE"))
-            if i < 7:
-                records.append(
-                    make_record(cve, "annotated.", source=Source.NVD, revision_tag="MODIFIED")
-                )
-        result = pair_modified_analyse(records)
-        assert len(result.pairs) == 7
-        assert result.unpaired == 3
-        assert all(a.revision_tag == "ANALYSE" and m.revision_tag == "MODIFIED"
-                   for a, m in result.pairs)
 
 
 class TestMaskAspect:

@@ -88,7 +88,7 @@ class TestSelectExamples:
         model = train_embeddings(corpus, TrainConfig(seed=1))
         pool = retrieve_pool(target, MappingDb(), corpus)
         selected = select_examples(pool, corpus, model, limit=30, seed=0)
-        assert len(selected) == 12
+        assert len(selected.members) == 12
         assert selected.selection_mode == SelectionMode.ALL
 
     def test_pool_of_exactly_limit_returned_whole(self):
@@ -101,7 +101,7 @@ class TestSelectExamples:
         model = train_embeddings(corpus, TrainConfig(seed=1))
         pool = retrieve_pool(target, MappingDb(), corpus)
         selected = select_examples(pool, corpus, model, limit=30, seed=0)
-        assert len(selected) == 30
+        assert len(selected.members) == 30
         assert selected.selection_mode == SelectionMode.ALL
 
     def test_large_pool_reduced_to_limit_medoids(self, big_pool):
@@ -185,7 +185,7 @@ class TestSimilarityBaseline:
             pool, corpus, model, target.description, limit=30
         )
         assert selected.selection_mode == SelectionMode.SIMILARITY
-        assert len(selected) == 30
+        assert len(selected.members) == 30
         assert {rec.cve_id for rec in selected.members} <= set(pool.union)
 
     def test_most_similar_record_comes_first(self, big_pool):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -13,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import EPOCH, family_aspects, family_corpus, family_mapping, feed_text, make_record
@@ -139,7 +140,8 @@ def reference_interaction(u, v):
 def reference_probability(model, u, v):
     """Score one (feature, candidate) pair of towers with its own NumPy calls."""
     logit = float(np.dot(model.weights, reference_interaction(u, v))) + model.bias
-    return float(1.0 / (1.0 + np.exp(-logit)))
+    with np.errstate(over="ignore"):  # e^-logit = inf gives 0, its limit
+        return float(1.0 / (1.0 + np.exp(-logit)))
 
 
 def reference_rank(model, features, candidates):
@@ -321,9 +323,9 @@ def counted_calls(name):
 
 
 def random_model(seed, dim, articles=None):
-    """A correlation model whose logits stay small enough that the sigmoid
-    does not saturate, so every bit of the logit shows in the score; with a
-    store of ``articles`` unless that is None."""
+    """A correlation model whose weights span three binades, with a store of
+    ``articles`` unless that is None. Most logits keep every bit in the score,
+    but one can still fall below about -709, where the score saturates to 0."""
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal(2 * dim + 1) * 10.0 ** rng.uniform(-3, 0, 2 * dim + 1)
     return CorrelationModel(
@@ -1163,11 +1165,23 @@ class TestRankCandidates:
 
     @settings(max_examples=100, deadline=None)
     @given(phrases, phrases, st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @example(feature="cve-2020-1", text="cve-2020-1", dim=4, seed=116208)  # logit -858.5
     def test_score_matches_per_pair_probability(self, feature, text, dim, seed):
         model = random_model(seed, dim)
         want = reference_probability(model, uncached(model).tower_vector(feature),
                                      uncached(model).tower_vector(text))
         assert score(model, feature, text) == want
+
+    def test_saturated_logits_score_zero_without_a_warning(self):
+        # Every logit is the bias: e^1000 overflows to inf, and p is 0.
+        model = CorrelationModel(embedding=random_embedding(np.random.default_rng(13), 4),
+                                 weights=np.zeros(9), bias=-1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert score(model, "alpha", "beta gamma") == 0.0
+            ranked = rank_candidates(model, ["alpha", "delta"],
+                                     [candidate("beta"), candidate("gamma", round=2)])
+        assert [rc.score for rc in ranked] == [0.0, 0.0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
