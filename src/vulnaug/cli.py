@@ -466,11 +466,8 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
     else:
         targets = [rec for rec in pipeline.corpus if rec.missing_aspects()]
 
-    tasks: list[tuple[TvdRecord, AspectKind]] = []
-    for rec in sorted(targets, key=lambda r: r.cve_id):
-        for kind in rec.missing_aspects():
-            if only is None or kind == only:
-                tasks.append((rec, kind))
+    tasks = [(rec, kind) for rec in sorted(targets, key=lambda r: r.cve_id)
+             for kind in rec.missing_aspects() if only is None or kind == only]
 
     def run(task: tuple[TvdRecord, AspectKind]):
         # A slot whose every round failed gets no row; the others are kept.
@@ -483,29 +480,8 @@ def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
     failed = [r for r in results if isinstance(r, GenerationFailed)]
     outcomes = [r for r in results if not isinstance(r, GenerationFailed)]
 
-    lines = []
-    for out in sorted(outcomes, key=lambda o: (o.cve_id, o.aspect.json_key)):
-        obj = {
-            "cve_id": out.cve_id,
-            "aspect": out.aspect.json_key,
-            "answer": out.answer,
-            "score": out.score,
-            "pool_size": out.pool_size,
-            "examples": len(out.example_cves),
-            "failed_rounds": out.failed_rounds,
-            "candidates": [
-                {
-                    "text": rc.candidate.text,
-                    "score": rc.score,
-                    "round": rc.candidate.round,
-                    "strategy": rc.candidate.strategy.value,
-                }
-                for rc in out.ranked
-            ],
-        }
-        if dump_examples:
-            obj["example_cves"] = out.example_cves
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+    lines = [out.to_row(dump_examples)
+             for out in sorted(outcomes, key=lambda o: (o.cve_id, o.aspect.json_key))]
     out_path = _output(cfg, output, "augmented.jsonl")
     atomic_write_lines(out_path, lines)
     click.echo(f"augmented {len(lines)} (record, aspect) slots -> {out_path}")

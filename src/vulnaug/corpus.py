@@ -24,6 +24,9 @@ from .errors import (
 from .ioutil import read_lines
 
 CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,7}$")
+#: The one form of ``published`` the feed takes, on every supported Python:
+#: ``date.fromisoformat`` reads more forms from 3.11 on.
+_PUBLISHED_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 #: Software with more than this many TVDs counts as non-long-tail.
 LONG_TAIL_THRESHOLD = 50
@@ -160,7 +163,8 @@ class TvdRecord:
         """The record of one feed object. A TypeError names the field when
         ``aspects`` is not an object of strings or nulls, ``software_names``
         not a list of strings, or ``description``, ``cwe_id`` or
-        ``first_sentence`` neither a string nor null."""
+        ``first_sentence`` neither a string nor null; a ValueError names
+        ``published`` when it is not a ``YYYY-MM-DD`` date."""
         given = obj.get("aspects") or {}
         if not isinstance(given, dict):
             raise TypeError(f"aspects must be an object, got {given!r}")
@@ -175,12 +179,15 @@ class TvdRecord:
         for key in ("description", "cwe_id", "first_sentence"):
             if not isinstance(obj.get(key), _TEXT_OR_NULL):
                 raise TypeError(f"{key} must be a string or null, got {obj[key]!r}")
+        published = obj["published"]
+        if not (isinstance(published, str) and _PUBLISHED_RE.fullmatch(published)):
+            raise ValueError(f"published must be a YYYY-MM-DD date, got {published!r}")
         src = Source(obj["source"]) if obj.get("source") else default_source
         return cls(
             cve_id=obj.get("cve_id", ""),
             description=obj.get("description", ""),
             source=src,
-            published=date.fromisoformat(obj["published"]),
+            published=date.fromisoformat(published),
             cwe_id=obj.get("cwe_id") or None,
             aspects=aspects,
             raw_software_names=list(names),

@@ -333,7 +333,9 @@ def _compute_towers(embedding: EmbeddingModel, texts: Sequence[str],
 class CorrTrainConfig:
     """Settings of :func:`train_correlation`: ``epochs`` caps the number of
     Newton steps, and ``learning_rate``, in (0, 1), is the factor that scales
-    a step down while it does not lower the penalized loss."""
+    a step down while it does not lower the penalized loss. ``neg_ratio`` is
+    recorded in ``corr.bin`` and must be :data:`NEG_RATIO`, the ratio
+    :func:`build_training_pairs` uses."""
 
     learning_rate: float = 0.5
     epochs: int = 300
@@ -345,6 +347,8 @@ class CorrTrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.learning_rate < 1.0:
             raise ValueError(f"learning_rate must be in (0, 1), got {self.learning_rate}")
+        if self.neg_ratio != NEG_RATIO:
+            raise ValueError(f"neg_ratio is fixed at {NEG_RATIO}, got {self.neg_ratio}")
 
 
 @dataclass

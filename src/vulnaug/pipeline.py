@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -76,14 +77,43 @@ def map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
 
 @dataclass
 class AugmentOutcome:
+    """One (record, aspect) slot's result: its candidates ranked best first,
+    the size of the pool its examples came from, the chosen examples'
+    cve_ids and the number of rounds that failed."""
+
     cve_id: str
     aspect: AspectKind
-    answer: str
-    score: float
     ranked: list[RankedCandidate]
     pool_size: int
     example_cves: list[str]
     failed_rounds: int
+
+    @property
+    def answer(self) -> str:
+        return self.ranked[0].candidate.text
+
+    @property
+    def score(self) -> float:
+        return self.ranked[0].score
+
+    def to_row(self, dump_examples: bool = False) -> str:
+        """The slot's line of ``augment`` output, with ``example_cves`` only
+        when ``dump_examples`` is set."""
+        row = {
+            "cve_id": self.cve_id,
+            "aspect": self.aspect.json_key,
+            "answer": self.answer,
+            "score": self.score,
+            "pool_size": self.pool_size,
+            "examples": len(self.example_cves),
+            "failed_rounds": self.failed_rounds,
+            "candidates": [{"text": rc.candidate.text, "score": rc.score,
+                            "round": rc.candidate.round, "strategy": rc.candidate.strategy.value}
+                           for rc in self.ranked],
+        }
+        if dump_examples:
+            row["example_cves"] = self.example_cves
+        return json.dumps(row, ensure_ascii=False, sort_keys=True)
 
 
 @dataclass
@@ -139,14 +169,10 @@ class AugmentPipeline:
             temperature=self.temperature,
         )
         features = software_features(record, self.db, self.corpus)
-        ranked = rank_candidates(self.correlation, features, outcome.candidates)
-        best = ranked[0]
         return AugmentOutcome(
             cve_id=record.cve_id,
             aspect=kind,
-            answer=best.candidate.text,
-            score=best.score,
-            ranked=ranked,
+            ranked=rank_candidates(self.correlation, features, outcome.candidates),
             pool_size=len(pool.union),
             example_cves=[rec.cve_id for rec in examples.members],
             failed_rounds=len(outcome.failures),

@@ -683,6 +683,32 @@ class TestBadInputFiles:
         assert not prefix.with_suffix(".txt").exists()
 
 
+@pytest.mark.parametrize("published", ["20020703", "2002-W27-3", "2002-07-03T00:00",
+                                       "2002-07-03"])
+def test_published_is_read_in_one_form_only(runner, tmp_path, artifacts, published):
+    # date.fromisoformat reads the first three as 2002-07-03 on Python 3.11
+    # and rejects them on 3.10; the feed takes YYYY-MM-DD alone on both.
+    lines = []
+    for i, date_text in ((0, "2002-07-03"), (3, published)):
+        obj = small_feed_records(4)[i].to_json_obj()
+        lines.append(json.dumps({**obj, "published": date_text, "masked_aspect": "attacker_type",
+                                 "label": f"attacker group{i}"}))
+    feed = tmp_path / "dated.jsonl"
+    feed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ingest = runner.invoke(cli, ["ingest", str(feed), "-o", str(tmp_path / "corpus.jsonl")])
+    evaluate = runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
+                             + ["--testset", str(feed), "-o", str(tmp_path / "report")])
+    assert ingest.exit_code == 0, ingest.output
+    if published == "2002-07-03":
+        assert "ingested 2 records" in ingest.output and not ingest.stderr
+        assert evaluate.exit_code == 0, evaluate.output
+    else:
+        message = f"{feed}:2: published must be a YYYY-MM-DD date, got {published!r}"
+        assert "ingested 1 records" in ingest.output
+        assert ingest.stderr == f"warning: {message}\n"
+        assert evaluate.exit_code == 2 and evaluate.output == f"error: {message}\n"
+
+
 class TestBadFeedLines:
     """A malformed line in any feed-format input exits 2 naming path:line."""
 

@@ -123,7 +123,9 @@ class TestModelContainer:
         (CORR_HEADER.replace(b"0.25", b'"0.25"'), "bias '0.25' is not a number"),
         (CORR_HEADER.replace(b'"bias": 0.25, ', b""), "bias None is not a number"),
         (CORR_HEADER.replace(b'"epochs"', b'"epoch"'), "unexpected keyword argument 'epoch'"),
-    ], ids=["bias", "no-bias", "config-key"])
+        (CORR_HEADER.replace(b'"neg_ratio": 2', b'"neg_ratio": 5'),
+         "bad train_config: neg_ratio is fixed at 2, got 5"),
+    ], ids=["bias", "no-bias", "config-key", "neg-ratio"])
     def test_damaged_correlation_header_raises_value_error_naming_it(self, tmp_path, header,
                                                                      needle):
         path = tmp_path / "damaged.bin"
@@ -131,6 +133,14 @@ class TestModelContainer:
         with pytest.raises(ValueError) as info:
             CorrelationModel.load(path, unit_embedding())
         assert str(info.value).startswith(f"{path}: ") and needle in str(info.value)
+
+
+@pytest.mark.parametrize("neg_ratio", [0, 1, 3, 5])
+def test_corr_train_config_rejects_a_negative_ratio_it_does_not_train_with(neg_ratio):
+    # build_training_pairs always draws NEG_RATIO negatives per positive, so
+    # no other value may be written into a corr.bin header.
+    with pytest.raises(ValueError, match=f"^neg_ratio is fixed at 2, got {neg_ratio}$"):
+        CorrTrainConfig(neg_ratio=neg_ratio)
 
 
 class TestAtomicWriteLines:

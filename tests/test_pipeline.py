@@ -7,9 +7,9 @@ from helpers import counted_sums, family_corpus, family_mapping
 from vulnaug.corpus import AspectKind, mask_aspect
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize, train_embeddings
 from vulnaug.exampler import retrieve_pool
-from vulnaug.featcorr import CorrelationModel
-from vulnaug.genprompt import MockBackend
-from vulnaug.pipeline import AugmentPipeline
+from vulnaug.featcorr import CorrelationModel, RankedCandidate
+from vulnaug.genprompt import CandidateAnswer, MockBackend, PromptKind
+from vulnaug.pipeline import AugmentOutcome, AugmentPipeline
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,37 @@ class TestSettings:
         built = pipeline(family, rounds=1, example_limit=1, example_strategy="similarity",
                          temperature=0.0)
         assert built.identity.endswith("limit=1,examples=similarity)")
+
+
+class TestAugmentOutcome:
+    def outcome(self):
+        best = CandidateAnswer(AspectKind.IMPACT, "exécution de code à distance",
+                               PromptKind.SELECTION, 2, "mock")
+        other = CandidateAnswer(AspectKind.IMPACT, "denial of service",
+                                PromptKind.DIRECT_GENERATION, 1, "mock")
+        return AugmentOutcome(
+            cve_id="CVE-2021-1000", aspect=AspectKind.IMPACT,
+            ranked=[RankedCandidate(best, 0.75), RankedCandidate(other, 0.25)],
+            pool_size=12, example_cves=["CVE-2021-1001", "CVE-2021-1002"], failed_rounds=1)
+
+    def test_row_is_the_augment_output_line(self):
+        # Sorted keys, raw UTF-8, and example_cves only when asked for.
+        candidates = ('"candidates": [{"round": 2, "score": 0.75, "strategy": "selection",'
+                      ' "text": "exécution de code à distance"}, {"round": 1, "score": 0.25,'
+                      ' "strategy": "direct_generation", "text": "denial of service"}]')
+        head = ('{"answer": "exécution de code à distance", "aspect": "impact", '
+                + candidates + ', "cve_id": "CVE-2021-1000", ')
+        tail = '"examples": 2, "failed_rounds": 1, "pool_size": 12, "score": 0.75}'
+        outcome = self.outcome()
+        assert outcome.to_row() == head + tail
+        assert outcome.to_row(dump_examples=True) == (
+            head + '"example_cves": ["CVE-2021-1001", "CVE-2021-1002"], ' + tail)
+
+    def test_answer_and_score_are_the_top_candidates(self):
+        outcome = self.outcome()
+        assert (outcome.answer, outcome.score) == ("exécution de code à distance", 0.75)
+        outcome.ranked.reverse()
+        assert (outcome.answer, outcome.score) == ("denial of service", 0.25)
 
 
 class TestSharedEmbedding:
