@@ -9,7 +9,6 @@ artifact.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import sys
 import types
@@ -114,25 +113,6 @@ def _fmt_num(value: float) -> str:
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except MissingPrerequisite as exc:
-            _fail(EXIT_MISSING_PREREQ, str(exc))
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
-            # os.replace names the temp file first and the target second.
-            path = exc.filename if exc.filename2 is None else exc.filename2
-            _fail(EXIT_BAD_INPUT, str(exc) if path is None else f"{path}: {exc.strerror}")
-        except (FeedFormatError, ValueError) as exc:
-            _fail(EXIT_BAD_INPUT, str(exc))
-        except VulnaugError as exc:
-            _fail(EXIT_INTERNAL, str(exc))
-
-    return wrapper
 
 
 @contextlib.contextmanager
@@ -257,7 +237,26 @@ def _make_backend(cfg: RunConfig, answers: dict[str, str] | None = None) -> genp
     return backend
 
 
-@click.group()
+class _Cli(click.Group):
+    """The command group. The group's callback and every command run inside
+    :meth:`invoke`, the one place that turns an error into an exit code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MissingPrerequisite as exc:
+            _fail(EXIT_MISSING_PREREQ, str(exc))
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+            # os.replace names the temp file first and the target second.
+            path = exc.filename if exc.filename2 is None else exc.filename2
+            _fail(EXIT_BAD_INPUT, str(exc) if path is None else f"{path}: {exc.strerror}")
+        except (FeedFormatError, ValueError) as exc:
+            _fail(EXIT_BAD_INPUT, str(exc))
+        except VulnaugError as exc:
+            _fail(EXIT_INTERNAL, str(exc))
+
+
+@click.group(cls=_Cli)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON config file; flags override it.")
 @click.option("--seed", type=int, default=None, help="Global training/sampling seed.")
@@ -271,7 +270,7 @@ def cli(ctx, config_path, seed, decode_seed, jobs, output_dir, backend):
     try:
         cfg = _read_json_file(config_path, RunConfig) if config_path else RunConfig()
     except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, f"bad config file: {exc}")
+        raise ValueError(f"bad config file: {exc}") from None
     cfg.override(seed=seed, decode_seed=decode_seed, jobs=jobs,
                  output_dir=output_dir, backend=backend)
     ctx.obj = cfg
@@ -282,7 +281,6 @@ def cli(ctx, config_path, seed, decode_seed, jobs, output_dir, backend):
 @click.option("--source", default="CVE", help="Source for feed lines lacking one.")
 @click.option("-o", "--output", default=None)
 @click.pass_obj
-@_guard
 def ingest(cfg: RunConfig, feeds, source, output):
     """Normalize raw feed files into one corpus file."""
     default_source = Source(source)
@@ -312,7 +310,6 @@ def ingest(cfg: RunConfig, feeds, source, output):
 @click.option("--no-fallback", is_flag=True, help="Skip raw-name fallback indexing.")
 @click.option("-o", "--output", default=None)
 @click.pass_obj
-@_guard
 def build_map(cfg: RunConfig, corpus_path, no_fallback, output):
     """Build the software-CVE mapping from government-source records."""
     records = _CORPUS(corpus_path)
@@ -340,7 +337,6 @@ def build_map(cfg: RunConfig, corpus_path, no_fallback, output):
 @click.option("--export-text", default=None)
 @click.option("-o", "--output", default=None)
 @click.pass_obj
-@_guard
 def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, export_text, output):
     """Train corpus word embeddings."""
     from . import embed
@@ -371,7 +367,6 @@ def train_embed(cfg: RunConfig, corpus_path, dim, window, epochs, negative, expo
 @click.option("--export-text", default=None)
 @click.option("-o", "--output", default=None)
 @click.pass_obj
-@_guard
 def train_corr(cfg: RunConfig, corpus_path, embed_path, background_path, lr, epochs, export_text, output):
     """Train the feature-correlation model from aspect co-occurrence."""
     from . import featcorr
@@ -454,19 +449,16 @@ def _build_pipeline(cfg: RunConfig, corpus_path, map_path, embed_path, corr_path
               help="Include the chosen in-context example cve_ids in the output.")
 @click.option("-o", "--output", default=None)
 @click.pass_obj
-@_guard
 def augment(cfg: RunConfig, targets_path, aspect, rounds, example_limit, audit,
             dump_examples, output, **shared):
     """Fill missing aspects for every target record."""
     cfg.override(rounds=rounds, example_limit=example_limit, audit=audit)
     only = AspectKind.from_key(aspect) if aspect else None
     pipeline = _build_pipeline(cfg, **shared)
-    if targets_path:
-        targets = _read_feed(_prereq(targets_path, "targets file")).records
-    else:
-        targets = [rec for rec in pipeline.corpus if rec.missing_aspects()]
-
-    tasks = [(rec, kind) for rec in sorted(targets, key=lambda r: r.cve_id)
+    # Targets are a corpus, so each cve_id is one record and one row per aspect.
+    targets = (Corpus.from_records(_read_feed(_prereq(targets_path, "targets file")).records)
+               if targets_path else pipeline.corpus)
+    tasks = [(rec, kind) for rec in targets
              for kind in rec.missing_aspects() if only is None or kind == only]
 
     def run(task: tuple[TvdRecord, AspectKind]):
@@ -524,12 +516,13 @@ def _load_testset(path: Path) -> typing.Iterator[tuple[TvdRecord, AspectKind, st
 @click.option("-o", "--output", "out_prefix", default=None,
               help="Prefix for report files (.txt, .jsonl, .csv).")
 @click.pass_obj
-@_guard
 def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shared):
     """Score the pipeline on a masked test set."""
-    cfg.override(long_tail_threshold=threshold)
+    cfg.override(long_tail_threshold=threshold, backend=shared["backend"],
+                 oracle_answers=shared["oracle_answers"])
     _check_threshold(cfg)
     kind = AspectKind.from_key(aspect) if aspect else None
+    self_check = cfg.backend == "oracle" and not cfg.oracle_answers
     if testset_path:
         testset = [row for row in _load_testset(_prereq(testset_path, "testset file"))
                    if kind is None or row[1] == kind]
@@ -537,6 +530,11 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
             masking = f" that masks {kind.json_key!r}" if kind else ""
             raise ValueError(f"nothing to evaluate: {testset_path} holds no line{masking}")
         dataset_id = str(testset_path)
+        labels: dict[str, str] = {}
+        for rec, _, label in testset:
+            if self_check and labels.setdefault(rec.cve_id, label) != label:
+                raise ValueError(f"{testset_path}: {rec.cve_id} has two labels, and the oracle"
+                                 f" answers a cve_id with one; pick one aspect with --aspect")
     elif kind is None:
         raise ValueError("evaluate needs --testset or --aspect")
     pipeline = _build_pipeline(cfg, **shared)
@@ -552,7 +550,7 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
             raise ValueError(f"nothing to evaluate: no corpus record can mask {kind.json_key!r}")
         dataset_id = f"masked:{kind.json_key}"
 
-    if cfg.backend == "oracle" and not cfg.oracle_answers:
+    if self_check:
         pipeline.backend = _make_backend(cfg, {rec.cve_id: label for rec, _, label in testset})
 
     from . import evalkit  # as in fetch-background: no other command needs it
@@ -578,7 +576,6 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
 @cli.command()
 @click.option("--n", "n", type=int, required=True, help="Reference TVDs a maintainer would consult.")
 @click.option("--x", "x", type=float, required=True, help="Augmentation accuracy in [0,1].")
-@_guard
 def cost(n, x):
     """Expected-lookup cost of augmenting versus manual search."""
     from . import evalkit
@@ -605,7 +602,6 @@ def cost(n, x):
 @click.option("--threshold", type=int, default=None)
 @click.option("-o", "--output", default=None, help="Also write the report as JSON.")
 @click.pass_obj
-@_guard
 def stats(cfg: RunConfig, corpus_path, map_path, threshold, output):
     """Gini coefficient and long-tail partition of the corpus."""
     cfg.override(long_tail_threshold=threshold)
@@ -645,7 +641,6 @@ def stats(cfg: RunConfig, corpus_path, map_path, threshold, output):
 @click.option("--rate", type=float, default=1.0, help="Requests per second.")
 @click.option("-o", "--output", default=None)
 @click.pass_obj
-@_guard
 def fetch_background(cfg: RunConfig, terms_path, endpoint, rate, output):
     """Populate a background store from a live encyclopedia API (network opt-in)."""
     # Imported here, as in HttpBackend.complete: no other command needs it.

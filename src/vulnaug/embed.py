@@ -10,14 +10,18 @@ sentence. Center positions are updated in blocks of up to ``_CENTER_BLOCK``
 distinct consecutive tokens: every pair of a block is scored against the
 vectors as they stood at the block's start, so updates within a block do not
 see each other. The blocks are cut every epoch from its kept tokens and walked
-in groups of about ``_PLAN_CELLS`` (pair, output id) cells, which bound the
-working memory however long a sentence is. A group draws its negatives in
-one block and maps the draws to tokens by an exact inverse-CDF lookup: a table
-over ``_CDF_BUCKETS`` equal buckets of [0, 1) answers a draw whose bucket holds
-no step of the CDF and ``np.searchsorted`` the rest, so every negative is the
-one ``np.searchsorted`` alone gives. One argsort over the group's (block, id)
-keys then gives each block's distinct output rows and score cells. Sentence
-vectors are plain sums of word vectors, kept by text on the model;
+in groups: the blocks that start in one span of
+``_PLAN_CELLS // (2 * window * (1 + negatives))`` kept positions (at least
+one) form a group. A position has at most 2 * window pairs of 1 + negatives
+(pair, output id) cells, so a group holds fewer than ``_PLAN_CELLS`` cells plus
+one block's, which bounds the working memory however long a sentence is. A
+group draws its negatives in one block and maps the draws to tokens by an
+exact inverse-CDF lookup: a table over ``_CDF_BUCKETS`` equal buckets of [0, 1)
+answers a draw whose bucket holds no step of the CDF and ``np.searchsorted``
+the rest, so every negative is the one ``np.searchsorted`` alone gives. One
+argsort over the group's (block, id) keys then gives each block's distinct
+output rows and score cells. Sentence vectors are plain sums of word
+vectors, kept by text on the model;
 representative records come out of Lloyd's k-means (k-means++ seeding) as the
 medoid nearest each centroid. Word-vector sums and k-means cluster
 sums are exact in order: one ``np.bincount`` adds each row's vectors to +0.0
@@ -285,33 +289,6 @@ class _InverseCdf:
         return found
 
 
-def _block_groups(starts: np.ndarray, bounds: np.ndarray, window: int,
-                  cols: int) -> list[tuple[int, int]]:
-    """The center blocks of the corpus, whose block j holds positions
-    bounds[j]..bounds[j + 1]-1, cut into groups of consecutive blocks, each as
-    its first block and the block after its last.
-
-    A group holds the blocks whose first (pair, output id) cell, at ``cols``
-    cells a pair, falls in the same ``_PLAN_CELLS`` cells of the corpus, so it
-    holds fewer than ``_PLAN_CELLS`` cells plus one block's.
-    """
-
-    def below(n: np.ndarray) -> np.ndarray:
-        """The sum of min(i, window) over 0 <= i < n."""
-        m = np.minimum(n, window + 1)
-        return m * (m - 1) // 2 + (n - m) * window
-
-    # A position p of a sentence at s..e-1 has min(p - s, window) contexts on
-    # its left and min(e - 1 - p, window) on its right.
-    lo, hi = bounds[:-1], bounds[1:]
-    sent = starts.searchsorted(lo, "right") - 1
-    s, e = starts[sent], starts[sent + 1]
-    pairs = below(hi - s) - below(lo - s) + below(e - lo) - below(e - hi)
-    first_cells = np.concatenate(([0], np.cumsum(pairs[:-1]))) * cols
-    cuts = (np.flatnonzero(np.diff(first_cells // _PLAN_CELLS)) + 1).tolist()
-    return list(zip([0, *cuts], [*cuts, len(bounds) - 1]))
-
-
 def _block_plans(out_ids: np.ndarray, pair_pos: np.ndarray, bounds: np.ndarray,
                  size: int) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
     """Each center block of one group that has pairs, in order, as
@@ -385,12 +362,12 @@ def train_embeddings(
     then matrix products, written back with plain assignments, as the block's
     centers and its rows are each distinct.
 
-    Each epoch cuts its kept run into blocks (:func:`_kept_run`) and walks
-    them in groups (:func:`_block_groups`), each of which draws its pairs'
-    negatives with one ``rng.random`` call, the same numbers one call per
-    sentence would give, and plans its blocks with one argsort
-    (:func:`_block_plans`). Working memory is one group's ids, draws and
-    plan plus one block's rows, whatever the sentence length.
+    Each epoch cuts its kept run into blocks and walks them in groups
+    (:func:`_kept_run`), each of which draws its pairs' negatives with one
+    ``rng.random`` call, the same numbers one call per sentence would give,
+    and plans its blocks with one argsort (:func:`_block_plans`). Working
+    memory is one group's ids, draws and plan plus one block's rows,
+    whatever the sentence length.
     """
     cfg = config or TrainConfig()
     if dim < 1:
@@ -474,9 +451,16 @@ def _kept_run(tokens: np.ndarray, starts: np.ndarray, kept: np.ndarray, window: 
     """One epoch's kept positions of the corpus as one run, ``(pos, ids,
     run_starts, bounds, groups)``: the corpus position and token id of each
     run position, the run's sentence starts, its center-block bounds
-    (:func:`_center_blocks`, sentence by sentence) and their groups
-    (:func:`_block_groups`). Sentence i of the corpus, at
-    starts[i]..starts[i + 1]-1, keeps the positions where ``kept`` holds."""
+    (:func:`_center_blocks`, sentence by sentence) and their groups. Sentence
+    i of the corpus, at starts[i]..starts[i + 1]-1, keeps the positions
+    where ``kept`` holds.
+
+    A group is the consecutive blocks that start in one span of
+    ``max(1, _PLAN_CELLS // (2 * window * cols))`` run positions, given as
+    its first block and the block after its last. A position has at most
+    2 * window pairs of ``cols`` cells, so a group holds fewer than
+    ``_PLAN_CELLS`` cells plus one block's.
+    """
     pos = np.flatnonzero(kept)
     ids = tokens[pos]
     run_starts = np.concatenate(([0], np.cumsum(kept)))[starts]
@@ -484,7 +468,9 @@ def _kept_run(tokens: np.ndarray, starts: np.ndarray, kept: np.ndarray, window: 
     edges = run_starts.tolist()
     bounds = np.array([s + b for s, e in zip(edges, edges[1:])
                        for b in _center_blocks(run[s:e])[:-1]] + [ids.size])
-    return pos, ids, run_starts, bounds, _block_groups(run_starts, bounds, window, cols)
+    span = max(1, _PLAN_CELLS // (2 * window * cols))
+    cuts = (np.flatnonzero(np.diff(bounds[:-1] // span)) + 1).tolist()
+    return pos, ids, run_starts, bounds, list(zip([0, *cuts], [*cuts, len(bounds) - 1]))
 
 
 def sentence_vector(model: EmbeddingModel, text: str) -> np.ndarray:

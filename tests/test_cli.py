@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -20,9 +21,9 @@ from helpers import (family_corpus, feed_text, load_probe, make_record, masked_e
 import vulnaug
 from vulnaug import featcorr, genprompt
 from vulnaug.cli import cli
-from vulnaug.corpus import AspectKind, Corpus, mask_aspect, parse_feed
+from vulnaug.corpus import AspectKind, Corpus, Source, mask_aspect, parse_feed
 from vulnaug.embed import EmbeddingModel
-from vulnaug.errors import BackendError
+from vulnaug.errors import BackendError, GenerationFailed, MissingPrerequisite
 from vulnaug.featcorr import BackgroundStore, CorrelationModel
 
 
@@ -162,6 +163,13 @@ class TestPathErrors:
                                                "-o", str(paths / "out")])
         self.assert_fails_naming(result, paths, paths / "dir", before)
 
+    def test_directory_as_config_file(self, runner, paths):
+        # The group's own options fail like a command's.
+        before = sorted(p.name for p in paths.rglob("*"))
+        result = runner.invoke(cli, ["--config", str(paths / "dir"), "cost", "--n", "2",
+                                     "--x", "0.5"])
+        self.assert_fails_naming(result, paths, paths / "dir", before)
+
     def test_directory_as_output(self, runner, paths):
         before = sorted(p.name for p in paths.rglob("*"))
         result = runner.invoke(cli, ["ingest", str(paths / "feed.jsonl"),
@@ -173,6 +181,31 @@ class TestPathErrors:
         result = runner.invoke(cli, ["ingest", str(paths / "feed.jsonl"),
                                      "-o", str(paths / "file" / "x")])
         self.assert_fails_naming(result, paths, paths / "file", before)
+
+
+class TestErrorCodes:
+    @pytest.mark.parametrize("error,code,message", [
+        (ValueError("bad value"), 2, "bad value"),
+        (FileNotFoundError(2, "No such file or directory", "gone.txt"), 2,
+         "gone.txt: No such file or directory"),
+        (MissingPrerequisite("embedding model", "e.bin"), 3,
+         "missing prerequisite artifact: embedding model (e.bin)"),
+        (GenerationFailed("every round failed"), 1, "every round failed"),
+    ], ids=["value", "file", "prerequisite", "package"])
+    def test_a_command_added_to_the_group_has_its_errors_mapped(self, runner, error, code,
+                                                                message):
+        # The group maps the errors of every command, not only of those it was built with.
+        @click.command("throwaway")
+        def throwaway():
+            raise error
+
+        cli.add_command(throwaway)
+        try:
+            result = runner.invoke(cli, ["throwaway"])
+        finally:
+            del cli.commands["throwaway"]
+        assert result.exit_code == code, result.output
+        assert result.output == f"error: {message}\n"
 
 
 class TestPrerequisites:
@@ -601,6 +634,14 @@ def pipeline_args(command, artifacts):
     corpus, mapping, embedding, correlation = artifacts
     return [command, "--corpus", str(corpus), "--map", str(mapping),
             "--embed", str(embedding), "--corr", str(correlation)]
+
+
+def two_label_testset(path):
+    """A testset that masks two aspects of CVE-2023-1001: one cve_id, two labels."""
+    rec = small_feed_records(2)[1]
+    return write_testset(path, [(masked, kind, label)
+                                for kind in (AspectKind.IMPACT, AspectKind.ROOT_CAUSE)
+                                for masked, label in [mask_aspect(rec, kind)]])
 
 
 def without(key):
@@ -1206,6 +1247,28 @@ class TestPipelineCommands:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines and all(line["answer"] == "remote attackers" for line in lines)
 
+    def test_augment_targets_of_the_corpus_file_write_what_augment_writes(self, runner,
+                                                                          tmp_path):
+        # CVE-2023-1000 lacks its attacker type and comes from two sources, so
+        # the corpus file holds it twice; its slot still makes one row.
+        records = small_feed_records(6)
+        gov = dataclasses.replace(records[0], source=Source.GOV_JVN)
+        artifacts = build_artifacts(runner, tmp_path, records + [gov])
+        corpus = artifacts[0]
+        assert [json.loads(line)["cve_id"] for line in corpus.read_text().splitlines()
+                ].count("CVE-2023-1000") == 2
+        rows = {}
+        for name, targets in (("corpus", []), ("targets", ["--targets", str(corpus)])):
+            out = tmp_path / f"augmented-{name}.jsonl"
+            result = runner.invoke(cli, pipeline_args("augment", artifacts) + targets
+                                   + ["--rounds", "1", "-o", str(out)])
+            assert result.exit_code == 0, result.output
+            rows[name] = out.read_bytes()
+        keys = [(row["cve_id"], row["aspect"])
+                for row in map(json.loads, rows["corpus"].splitlines())]
+        assert ("CVE-2023-1000", "attacker_type") in keys and len(set(keys)) == len(keys)
+        assert rows["targets"] == rows["corpus"]
+
     def test_evaluate_masks_aspect_on_the_fly(self, runner, tmp_path):
         corpus, mapping, embedding, correlation = build_artifacts(
             runner, tmp_path, small_feed_records(12)
@@ -1290,6 +1353,48 @@ class TestPipelineCommands:
         assert (f"that masks {aspect!r}" in result.output) == (aspect is not None)
         assert loads == []
         assert not prefix.with_suffix(".txt").exists()
+
+    def test_oracle_testset_with_two_labels_for_one_cve_exits_two_before_loading(
+            self, runner, tmp_path, artifacts, monkeypatch):
+        testset = two_label_testset(tmp_path / "testset.jsonl")
+        loads = []
+        monkeypatch.setattr(EmbeddingModel, "load", lambda path: loads.append(path))
+        prefix = tmp_path / "report"
+        result = runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
+                               + ["--testset", str(testset), "-o", str(prefix)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {testset}: CVE-2023-1001 has two labels")
+        assert "--aspect" in result.output and result.output.count("\n") == 1
+        assert loads == []
+        assert not prefix.with_suffix(".txt").exists()
+
+    @pytest.mark.parametrize("aspect", ["impact", "root_cause"])
+    def test_oracle_testset_filtered_to_one_label_per_cve_scores_one(self, runner, tmp_path,
+                                                                     artifacts, aspect):
+        testset = two_label_testset(tmp_path / "testset.jsonl")
+        prefix = tmp_path / "report"
+        result = runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
+                               + ["--testset", str(testset), "--aspect", aspect,
+                                  "-o", str(prefix)])
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in prefix.with_suffix(".jsonl").read_text().splitlines()]
+        assert rows and all(row["mean_f1"] == 1.0 and row["count"] == 1 for row in rows)
+
+    @pytest.mark.parametrize("backend", ["mock", "oracle-answers"])
+    def test_two_labels_for_one_cve_evaluate_without_the_self_check(self, runner, tmp_path,
+                                                                    artifacts, backend):
+        # Only the oracle's answer table built from the testset needs one label per cve_id.
+        testset = two_label_testset(tmp_path / "testset.jsonl")
+        answers = tmp_path / "answers.json"
+        answers.write_text(json.dumps({"CVE-2023-1001": "impact result1"}))
+        flags = (["--backend", "mock"] if backend == "mock"
+                 else ["--backend", "oracle", "--oracle-answers", str(answers)])
+        prefix = tmp_path / "report"
+        result = runner.invoke(cli, pipeline_args("evaluate", artifacts) + flags
+                               + ["--testset", str(testset), "-o", str(prefix)])
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in prefix.with_suffix(".jsonl").read_text().splitlines()]
+        assert sum(row["count"] for row in rows) == 2
 
     def test_evaluate_aspect_that_no_record_can_mask_exits_two(self, runner, tmp_path,
                                                                artifacts):
@@ -1438,7 +1543,7 @@ class TestRunConfig:
         config.write_text(content if isinstance(content, str) else json.dumps(content))
         result = runner.invoke(cli, ["--config", str(config), "cost", "--n", "2", "--x", "0.9"])
         assert result.exit_code == 2, result.output
-        assert "bad config file" in result.output
+        assert result.output.startswith("error: bad config file: ")
         if needle != "config.json":
             assert needle in result.output
 

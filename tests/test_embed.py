@@ -485,25 +485,28 @@ class TestBlockTraining:
                 assert len(block) == cap or nxt[0] in block
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.integers(0, 5), max_size=30), min_size=1, max_size=8)
-           .filter(lambda sents: any(sents)),
-           st.integers(1, 6), st.integers(2, 7), st.sampled_from([1, 16, 100, 1000]))
-    def test_groups_hold_the_blocks_that_start_in_one_span_of_cells(
-            self, sentences, window, cols, cells):
-        starts = np.cumsum([0, *map(len, sentences)])
-        bounds = np.array([start + pos for sent, start in zip(sentences, starts.tolist())
-                           for pos in embed._center_blocks(sent)[:-1]] + [starts[-1]])
-        # Each block's first cell, from its pairs as _windows lists them.
-        first_cells = np.cumsum([0] + [embed._windows(starts, lo, hi, window)[0].size * cols
-                                       for lo, hi in zip(bounds[:-2], bounds[1:-1])])
-        want = []
-        for j, first in enumerate(first_cells.tolist()):
-            if want and first // cells == first_cells[want[-1][0]] // cells:
-                want[-1][1] = j + 1
-            else:
-                want.append([j, j + 1])
+    @given(st.lists(st.integers(0, 200), min_size=1, max_size=6), st.integers(1, 12),
+           st.sampled_from([0.0, 0.3, 0.9]), st.integers(0, 2**32 - 1),
+           st.integers(1, 6), st.integers(1, 6), st.integers(1, 2000))
+    def test_groups_are_consecutive_blocks_of_at_most_the_cap_plus_one_block(
+            self, lengths, distinct, drop, seed, window, negatives, cells):
+        rng = np.random.default_rng(seed)
+        starts = np.cumsum([0, *lengths])
+        tokens = rng.integers(distinct, size=int(starts[-1]))
+        kept = rng.random(tokens.size) >= drop
+        cols = 1 + negatives
         with plan_cells(cells):
-            assert embed._block_groups(starts, bounds, window, cols) == list(map(tuple, want))
+            _, _, run_starts, bounds, groups = embed._kept_run(tokens, starts, kept, window, cols)
+        blocks = len(bounds) - 1
+        assert groups[0][0] == 0 and groups[-1][1] == blocks
+        assert all(end == nxt for (_, end), (nxt, _) in zip(groups, groups[1:]))
+        assert all(b0 < b1 for b0, b1 in groups) or blocks == 0
+        cap = cells + embed._CENTER_BLOCK * 2 * window * cols
+        for b0, b1 in groups:
+            pairs = embed._windows(run_starts, int(bounds[b0]), int(bounds[b1]), window)[0]
+            assert pairs.size * cols <= cap
+        # No more groups than spans of the run: groups are not cut finer than the cap asks.
+        assert len(groups) <= int(bounds[-1]) // max(1, cells // (2 * window * cols)) + 1
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14])
     def test_planted_aspect_ranks_first(self, seed):
