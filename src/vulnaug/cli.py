@@ -19,8 +19,8 @@ from pathlib import Path
 
 import click
 
-# embed, featcorr and evalkit load numpy; each command that calls them
-# imports them itself, so ingest, build-map and --help never load it.
+# embed and featcorr load numpy; each command that calls them imports them
+# itself, so ingest, build-map, cost and --help never load it.
 from . import corpus as corpus_mod
 from . import genprompt, mapping
 from .corpus import AspectKind, Corpus, Source, TvdRecord
@@ -246,10 +246,12 @@ class _Cli(click.Group):
             return super().invoke(ctx)
         except MissingPrerequisite as exc:
             _fail(EXIT_MISSING_PREREQ, str(exc))
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        except OSError as exc:
             # os.replace names the temp file first and the target second.
             path = exc.filename if exc.filename2 is None else exc.filename2
-            _fail(EXIT_BAD_INPUT, str(exc) if path is None else f"{path}: {exc.strerror}")
+            if path is None:
+                raise
+            _fail(EXIT_BAD_INPUT, f"{path}: {exc.strerror}")
         except (FeedFormatError, ValueError) as exc:
             _fail(EXIT_BAD_INPUT, str(exc))
         except VulnaugError as exc:

@@ -255,7 +255,7 @@ class ParseResult:
 def parse_feed(raw: bytes | str | BinaryIO, source: Source = Source.CVE) -> ParseResult:
     """Parse one normalized feed (one JSON object per line) into records.
 
-    ``raw`` is the feed's bytes, its text or a seekable binary file of it.
+    ``raw`` is the feed's bytes, its text or a binary file of it, such as a pipe.
     ``source`` is the declared source of the feed and is used for lines that do
     not carry their own ``source`` field. Lines are those of
     :func:`ioutil.read_lines`. Structural damage (a line that is not a JSON

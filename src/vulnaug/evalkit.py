@@ -14,15 +14,15 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import LONG_TAIL_THRESHOLD, AspectKind, TvdRecord, classify_long_tail
-from .embed import EmbeddingModel, tokenize
 from .errors import UndefinedScore
 from .mapping import MappingDb, software_name
 from .pipeline import map_ordered
+
+if TYPE_CHECKING:
+    from .embed import EmbeddingModel
 
 LONG_TAIL = "long-tail"
 NON_LONG_TAIL = "non-long-tail"
@@ -53,6 +53,10 @@ def soft_score(
     when out of vocabulary, and ``np.vecdot`` runs one BLAS dot per row and
     per cell, so each cell equals a pairwise ``np.dot`` of unit vectors.
     """
+    import numpy as np  # here, so that cost never loads it
+
+    from .embed import tokenize
+
     cand = tokenize(candidate)
     ref = tokenize(reference)
     if not cand or not ref:

@@ -4,7 +4,6 @@ container that both model files use."""
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import io
 import json
@@ -20,9 +19,6 @@ from .errors import FeedFormatError
 if TYPE_CHECKING:
     import numpy as np
 
-#: Bytes of one read while :func:`read_lines` checks a file for UTF-8.
-_READ_CHUNK = 1 << 16
-
 
 @contextlib.contextmanager
 def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
@@ -31,16 +27,17 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     raises instead."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    except OSError as exc:  # it names the temp file, which the caller never saw
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -65,44 +62,30 @@ def read_lines(path: str | os.PathLike | None,
                data: bytes | str | BinaryIO | None = None) -> Iterator[tuple[int, str]]:
     r"""The (line number, text) of each non-blank line of the file at
     ``path``, or of ``data`` when it is given, numbering lines from 1.
-    ``data`` is bytes, a str (read as its UTF-8 bytes) or a seekable binary
-    file, read from its current position; ``path`` then only names it in
-    errors.
+    ``data`` is bytes, a str (read as its UTF-8 bytes) or a binary file, read
+    once from its current position, so a pipe will do; ``path`` then only
+    names it in errors.
 
     A line ends at "\n" alone: U+2028, U+2029, U+0085, "\x0b" and a lone "\r"
     stay in its text. One "\r" just before the "\n" is dropped, so a CRLF
-    file reads as its LF twin. A line of whitespace alone is blank. Bytes that
-    are not UTF-8 raise a FeedFormatError, naming the line that holds them,
-    before any line is returned.
+    file reads as its LF twin. A line of whitespace alone is blank. A line
+    whose bytes are not UTF-8 raises a FeedFormatError naming it, once the
+    lines before it have been returned.
 
-    The file is never held whole: a first pass checks that it is UTF-8,
-    ``_READ_CHUNK`` bytes at a time, and a second pass decodes it one line at
-    a time.
+    The file is never held whole: each line is decoded as it is read. No
+    multi-byte UTF-8 sequence holds the byte "\n", so a line fails to decode
+    exactly where a decode of the whole file would, for the same reason.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     if isinstance(data, bytes):
         data = io.BytesIO(data)
     with open(path, "rb") if data is None else contextlib.nullcontext(data) as stream:
-        start = stream.tell()
-        decoder = codecs.getincrementaldecoder("utf-8")()
-        line_no = 1  # of the chunk's first byte
-        while True:
-            chunk = stream.read(_READ_CHUNK)
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                # The error's input is the bytes the decoder held back, part
-                # of one character and so no newline, then the chunk.
-                raise FeedFormatError(f"not UTF-8 text: {exc.reason}",
-                                      line_no + exc.object.count(b"\n", 0, exc.start),
-                                      path) from None
-            if not chunk:
-                break
-            line_no += chunk.count(b"\n")
-        stream.seek(start)
         for line_no, line in enumerate(stream, start=1):
-            text = line.decode("utf-8")
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FeedFormatError(f"not UTF-8 text: {exc.reason}", line_no, path) from None
             if text.strip():
                 yield line_no, text.removesuffix("\n").removesuffix("\r")
 

@@ -208,6 +208,93 @@ class TestErrorCodes:
         assert result.output == f"error: {message}\n"
 
 
+class TestOsErrors:
+    """Every OS error that names a file exits 2 naming it; one that names
+    none is left to propagate."""
+
+    def test_output_name_too_long_names_the_path_given(self, runner, tmp_path):
+        feed = write_feed(tmp_path, small_feed_records(3))
+        out = tmp_path / ("x" * 300 + ".jsonl")
+        result = runner.invoke(cli, ["ingest", str(feed), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {out}: File name too long\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["feed.jsonl"]
+
+    def test_unreadable_input_exits_two(self, runner, tmp_path, monkeypatch):
+        feed = write_feed(tmp_path, small_feed_records(3))
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        out = tmp_path / "corpus.jsonl"
+        result = runner.invoke(cli, ["ingest", str(feed), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {feed}: Permission denied\n"
+        assert not out.exists()
+
+    def test_error_naming_no_file_propagates(self, runner):
+        @click.command("throwaway")
+        def throwaway():
+            raise OSError(5, "Input/output error")
+
+        cli.add_command(throwaway)
+        try:
+            result = runner.invoke(cli, ["throwaway"])
+        finally:
+            del cli.commands["throwaway"]
+        assert result.exit_code == 1
+        assert type(result.exception) is OSError and result.exception.filename is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/fd paths")
+class TestPipes:
+    """A line input may be a pipe, read once through its /dev/fd path."""
+
+    @pytest.fixture()
+    def piped(self):
+        """A function that writes bytes into a new pipe and returns the
+        /dev/fd path of its read end, closed after the test."""
+        ends = []
+
+        def pipe(data):
+            read_fd, write_fd = os.pipe()
+            ends.append(read_fd)
+            assert len(data) < 1 << 16  # what a pipe holds unread
+            with os.fdopen(write_fd, "wb") as writer:
+                writer.write(data)
+            return f"/dev/fd/{read_fd}"
+
+        yield pipe
+        for fd in ends:
+            os.close(fd)
+
+    def test_ingest_reads_a_pipe_as_the_file(self, runner, tmp_path, piped):
+        feed = write_feed(tmp_path, small_feed_records(6))
+        from_file, from_pipe = tmp_path / "file.jsonl", tmp_path / "pipe.jsonl"
+        assert runner.invoke(cli, ["ingest", str(feed), "-o", str(from_file)]).exit_code == 0
+        result = runner.invoke(cli, ["ingest", piped(feed.read_bytes()), "-o", str(from_pipe)])
+        assert result.exit_code == 0, result.output
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+
+    def test_stats_reads_the_map_from_a_pipe(self, runner, artifacts, piped):
+        corpus, mapping = artifacts[:2]
+        result = runner.invoke(cli, ["stats", "--corpus", str(corpus),
+                                     "--map", piped(mapping.read_bytes())])
+        assert result.exit_code == 0, result.output
+
+    def test_augment_with_bad_last_target_writes_nothing(self, runner, tmp_path, artifacts,
+                                                         piped):
+        data = feed_text(small_feed_records(3)).encode("utf-8") + b"\xff\n"
+        targets = piped(data)
+        audit, out = tmp_path / "audit.jsonl", tmp_path / "out.jsonl"
+        result = runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--audit", str(audit), "--targets", targets, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {targets}:4: not UTF-8 text: ")
+        assert not audit.exists() and not out.exists()
+
+
 class TestPrerequisites:
     def test_build_map_missing_corpus_exits_three(self, runner, tmp_path):
         result = runner.invoke(
@@ -547,12 +634,13 @@ class TestImports:
         assert done.stdout.strip() == "[]"
 
     def test_commands_without_arrays_leave_numpy_unloaded(self, tmp_path):
-        # The name-mapping stage and --help touch no array, so importing
-        # numpy would be their largest fixed cost.
+        # The name-mapping stage, cost and --help touch no array, so
+        # importing numpy would be their largest fixed cost.
         feed = write_feed(tmp_path, small_feed_records(4))
         corpus, mapping = tmp_path / "corpus.jsonl", tmp_path / "mapping.tsv"
         commands = [["--help"], ["ingest", str(feed), "-o", str(corpus)],
-                    ["build-map", "--corpus", str(corpus), "-o", str(mapping)]]
+                    ["build-map", "--corpus", str(corpus), "-o", str(mapping)],
+                    ["cost", "--n", "10", "--x", "0.5"]]
         code = (f"import sys; sys.path.insert(0, {SRC!r})\n"
                 "import vulnaug, vulnaug.cli, vulnaug.pipeline, vulnaug.genprompt\n"
                 "from click.testing import CliRunner\n"
@@ -800,7 +888,11 @@ class TestNotUtf8Lines:
                                        str(tmp_path / "map.tsv")]), bad)
 
     def test_testset(self, runner, tmp_path, artifacts):
-        bad = self.bad_copy(tmp_path, "{}")
+        # A valid first line, so that the error is line 2's bytes.
+        rec = small_feed_records(2)[1]
+        masked, label = mask_aspect(rec, AspectKind.IMPACT)
+        bad = write_testset(tmp_path / "bad.txt", [(masked, AspectKind.IMPACT, label)])
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
         self.check(runner.invoke(cli, ["--backend", "oracle"] + pipeline_args("evaluate", artifacts)
                                  + ["--testset", str(bad), "-o", str(tmp_path / "report")]), bad)
 

@@ -3,9 +3,9 @@ the line-file reader; and a round trip through every artifact's writer and
 loader."""
 
 import ast
+import io
 import struct
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vulnaug import ioutil
 from vulnaug.embed import EmbeddingModel, TrainConfig, tokenize
 from vulnaug.errors import FeedFormatError
 from vulnaug.featcorr import BackgroundStore, CorrelationModel, CorrTrainConfig
@@ -229,16 +228,16 @@ def outcome(read):
 
 def streamed_outcomes(tmp_path, data, chunk):
     """The outcome of read_lines on a file of ``data``, on its bytes and on
-    the open file, reading ``chunk`` bytes at a time."""
+    a stream whose reads return at most ``chunk`` bytes, as a pipe's do."""
     path = tmp_path / "lines.txt"
     path.write_bytes(data)
-    with mock.patch.object(ioutil, "_READ_CHUNK", chunk), path.open("rb") as stream:
-        return [outcome(lambda: read_lines(path)), outcome(lambda: read_lines(path, data)),
-                outcome(lambda: read_lines(path, stream))]
+    stream = io.BufferedReader(io.BytesIO(data), buffer_size=chunk)
+    return [outcome(lambda: read_lines(path)), outcome(lambda: read_lines(path, data)),
+            outcome(lambda: read_lines(path, stream))]
 
 
 class TestStreamedLines:
-    CHUNKS = [1, 2, 3, 5, ioutil._READ_CHUNK]
+    CHUNKS = [1, 2, 3, 5, 1 << 16]
 
     @pytest.mark.parametrize("data", [
         b"ok\nmid \xff byte\nend\n",
@@ -272,11 +271,12 @@ class TestStreamedLines:
         text = "a\u2028b\r\n\nc\u00e9\n"
         assert list(read_lines(None, text)) == whole_file_lines(text.encode("utf-8"))
 
-    def test_bad_bytes_raise_before_any_line(self, tmp_path):
-        # The error is on line 3; line 1 comes back only if the file is good.
+    def test_lines_before_bad_bytes_come_back_first(self, tmp_path):
         path = tmp_path / "lines.txt"
-        path.write_bytes(b"first\n" + b"x" * (3 * ioutil._READ_CHUNK) + b"\n\xff\n")
+        path.write_bytes(b"first\n" + b"x" * (3 << 16) + b"\n\xff\n")
         lines = read_lines(path)
+        assert next(lines) == (1, "first")
+        assert next(lines) == (2, "x" * (3 << 16))
         with pytest.raises(FeedFormatError) as info:
             next(lines)
         assert info.value.line == 3
