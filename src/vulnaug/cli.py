@@ -551,6 +551,8 @@ def evaluate(cfg: RunConfig, testset_path, aspect, threshold, out_prefix, **shar
         if not testset:
             raise ValueError(f"nothing to evaluate: no corpus record can mask {kind.json_key!r}")
         dataset_id = f"masked:{kind.json_key}"
+        click.echo(f"warning: the {kind.json_key!r} labels come from the corpus the models were"
+                   f" trained on; pass --testset for held-out slots", err=True)
 
     if self_check:
         pipeline.backend = _make_backend(cfg, {rec.cve_id: label for rec, _, label in testset})

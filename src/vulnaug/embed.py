@@ -24,12 +24,16 @@ output rows and score cells. Sentence vectors are plain sums of word
 vectors, kept by text on the model;
 representative records come out of Lloyd's k-means (k-means++ seeding) as the
 medoid nearest each centroid. Word-vector sums and k-means cluster
-sums are exact in order: one ``np.bincount`` adds each row's vectors to +0.0
-one by one, in order, at every dim.
+sums are exact in order: each row's vectors are added to +0.0 one by one, in
+order, at every dim, position by position across token lists
+(:meth:`EmbeddingModel.token_sums`) and by one ``np.bincount`` across
+clusters.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 import sys
 import threading
@@ -37,7 +41,7 @@ import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,9 +83,9 @@ _PLAN_CELLS = 8192
 _SUBSAMPLE = 1e-3
 _SUBSAMPLE_FLOOR = 20
 
-#: Token cells summed by one ``np.bincount`` in :meth:`EmbeddingModel.token_sums`;
-#: bounds its (cells, d) weights.
-_SUM_CELLS = 512
+#: Token cells summed at a time by :meth:`EmbeddingModel.token_sums`; bounds
+#: its ids and the rows it gathers at once.
+_SUM_CELLS = 4096
 
 
 def tokenize(text: str) -> list[str]:
@@ -109,8 +113,8 @@ class _TextCache:
     :meth:`stack` looks every text up, and when any is missing it takes the
     lock, looks again and computes the distinct texts still missing with one
     ``fill`` call, so threads that ask for the same text together compute it
-    once. The rows come back stacked into a new array, so a caller cannot
-    change a kept row.
+    once. The rows come back copied into a new array by one
+    ``np.concatenate``, so a caller cannot change a kept row.
     """
 
     def __init__(self, dim: int) -> None:
@@ -128,7 +132,9 @@ class _TextCache:
                 missed = [text for text in dict.fromkeys(texts) if text not in self._rows]
                 self._rows.update(zip(missed, fill(missed)))
                 found = list(map(self._rows.get, texts))
-        return np.stack(found) if found else np.empty((0, self._dim))
+        if not found:
+            return np.empty((0, self._dim))
+        return np.concatenate(found).reshape(len(found), self._dim)
 
 
 @dataclass
@@ -156,32 +162,17 @@ class EmbeddingModel:
         Out-of-vocabulary tokens add nothing. Each row is its tokens' vectors
         added one by one, in token order, to +0.0 at every dim: the lists'
         tokens are taken as one run of cells, ``_SUM_CELLS`` at a time, and
-        each chunk is one :func:`_row_sums`. A list that a chunk ends in the
-        middle of goes into the next chunk with its partial sum as its first
-        row, and 0.0 + s is s. Working memory is one chunk's ids and (cells,
-        d) weights, however many lists there are and however long they are.
+        each chunk's in-vocabulary ids are added to their rows by one
+        :func:`_add_by_position`. A list that a chunk ends in the middle of
+        goes into the next chunk with its partial sum in its row, and the next
+        chunk adds on to it. Working memory is one chunk's ids and rows,
+        however many lists there are and however long they are.
         """
         out = np.zeros((len(token_lists), self.dim))
-        # starts[i]: the first cell of list i, one cell per token; the last
-        # entry counts every cell.
-        starts = np.cumsum([0, *map(len, token_lists)])
-        total = int(starts[-1])
         get = self.vocab.get
-        for lo in range(0, total, _SUM_CELLS):
-            hi = lo + _SUM_CELLS
-            # Lists first..last hold the cells lo..hi-1.
-            first, last = (starts.searchsorted([lo, min(hi, total) - 1], "right") - 1).tolist()
-            bounds = starts[first : last + 1].tolist()
-            pieces = [tokens[max(lo - start, 0) : hi - start]
-                      for tokens, start in zip(token_lists[first : last + 1], bounds)]
-            ids = np.array([get(t, -1) for piece in pieces for t in piece], dtype=np.intp)
-            known = ids >= 0
-            rows = np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])[known]
-            vecs = self.vectors[ids[known]]
-            if lo > bounds[0]:  # the first list's partial sum goes in first
-                rows = np.concatenate(([0], rows))
-                vecs = np.concatenate((out[first : first + 1], vecs))
-            out[first : last + 1] = _row_sums(rows, vecs, len(pieces))
+        for first, pieces in _chunks(token_lists, _SUM_CELLS):
+            ids = [[i for i in map(get, piece) if i is not None] for piece in pieces]
+            _add_by_position(self.vectors, ids, out[first : first + len(pieces)])
         return out
 
     def sentence_vectors(self, texts: Sequence[str]) -> np.ndarray:
@@ -217,6 +208,73 @@ class EmbeddingModel:
             row = " ".join(repr(float(x)) for x in self.vectors[self.vocab[token]])
             lines.append(f"{token} {row}")
         atomic_write_lines(path, lines)
+
+
+def _chunks(token_lists: Sequence[Sequence[str]],
+            cells: int) -> Iterator[tuple[int, list[Sequence[str]]]]:
+    """The lists' tokens, laid end to end as one run of cells, cut into
+    chunks of ``cells``: for each chunk, its first list and its piece of
+    every list it holds, in order. A list that a chunk ends in the middle of
+    goes on in the next chunk."""
+    first, pieces, room = 0, [], cells
+    for i, tokens in enumerate(token_lists):
+        start = 0
+        while len(tokens) - start > room:
+            pieces.append(tokens[start : start + room])
+            yield first, pieces
+            first, pieces, room, start = i, [], cells, start + room
+        pieces.append(tokens[start:] if start else tokens)
+        room -= len(tokens) - start
+    if pieces:
+        yield first, pieces
+
+
+def _add_by_position(vectors: np.ndarray, ids: Sequence[list[int]], rows: np.ndarray) -> None:
+    """Add the vectors of each id list to its row of ``rows``, in place, one
+    by one in list order.
+
+    The lists are ranked longest first, so the lists that still hold a j-th
+    id are a prefix of the ranking, and one gather-add adds the j-th vector
+    of all of them. That runs for the first ``head`` positions; the rest of
+    each longer list, its tail, is added with one :func:`_add_rows`. ``head``
+    is the length that takes the fewest steps, passes plus tails.
+    """
+    sizes = [*map(len, ids)]
+    order = sorted(range(len(ids)), key=sizes.__getitem__, reverse=True)
+    ranked = [ids[i] for i in order]
+    lens = [sizes[i] for i in order] + [0]
+    # The lists ranked below `tails` run past the head: of equal lengths the
+    # first costs least, so lens[tails - 1] > head.
+    costs = [*map(operator.add, lens, itertools.count())]
+    tails = costs.index(min(costs))
+    head = lens[tails]
+    # active[j]: the lists that hold a j-th id; their j-th ids follow those
+    # of position j - 1 in `flat`.
+    active, n = [], len(ranked)
+    for j in range(head):
+        while lens[n - 1] <= j:
+            n -= 1
+        active.append(n)
+    flat = np.array([r[j] for j, n in enumerate(active) for r in ranked[:n]], dtype=np.intp)
+    sums = rows[order]
+    lo = 0
+    for n in active:
+        part = sums[:n]
+        np.add(part, vectors.take(flat[lo : lo + n], axis=0), out=part)
+        lo += n
+    for r in range(tails):
+        tail = vectors.take(ranked[r][head:], axis=0)
+        sums[r] = _add_rows(np.concatenate((sums[r : r + 1], tail)))
+    rows[order] = sums
+
+
+def _add_rows(rows: np.ndarray) -> np.ndarray:
+    """The sum of ``rows`` over axis 0, added one by one in index order.
+
+    A reduction over axis 0 adds each row to the running sum when a row holds
+    two or more numbers; rows of one number it sums as a column, pairwise, so
+    those are accumulated instead."""
+    return np.add.reduce(rows, axis=0) if rows[0].size > 1 else np.add.accumulate(rows)[-1]
 
 
 def _row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -496,19 +554,21 @@ class Clustering:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _draw_by_d2(d2: np.ndarray, rng: np.random.Generator) -> int:
+def _draw_by_d2(d2: np.ndarray, rng: np.random.Generator,
+                cumulative: np.ndarray | None = None) -> int:
     """An index drawn with probability proportional to ``d2`` (squared
-    distances), or uniformly when they are all zero."""
-    total = d2.sum()
+    distances), or uniformly when they are all zero; ``cumulative``, when
+    given, is a buffer of d2's size that takes its running sums."""
+    total = np.add.reduce(d2)
     if total <= 0.0:
         return int(rng.integers(d2.size))
     r = rng.random() * total
-    return min(int(np.searchsorted(np.cumsum(d2), r)), d2.size - 1)
+    return min(int(np.cumsum(d2, out=cumulative).searchsorted(r)), d2.size - 1)
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     diff = np.empty_like(x)
-    d2, to_chosen = np.empty(x.shape[0]), np.empty(x.shape[0])
+    d2, to_chosen, cumulative = np.empty((3, x.shape[0]))
 
     def squared_distances(idx: int, out: np.ndarray) -> None:
         np.subtract(x, x[idx], out=diff)
@@ -518,7 +578,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     chosen = [int(rng.integers(x.shape[0]))]
     squared_distances(chosen[0], d2)
     for _ in range(1, k):
-        chosen.append(_draw_by_d2(d2, rng))
+        chosen.append(_draw_by_d2(d2, rng, cumulative))
         # After a uniform draw d2 is all zero and stays so.
         squared_distances(chosen[-1], to_chosen)
         np.minimum(d2, to_chosen, out=d2)
@@ -529,13 +589,19 @@ _KMEANS_MAX_ITER = 200
 _KMEANS_TOL = 1e-6
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        - 2.0 * (x @ centroids.T)
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, as ``np.sum(x**2, axis=1)`` adds it."""
+    return np.add.reduce(x * x, axis=1)
+
+
+def _assign(x: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each point's nearest centroid by ``|x|^2 - 2 x.c + |c|^2``, with
+    ``norms`` the points' (n, 1) squared norms."""
+    d2 = x @ centroids.T
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(norms, d2, out=d2)
+    np.add(d2, _squared_norms(centroids), out=d2)
+    return d2.argmin(axis=1)
 
 
 def _wcss(x: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
@@ -582,7 +648,8 @@ def kmeans(
         )
 
     centroids = _kmeanspp_init(x, k, rng)
-    assignments = _assign(x, centroids)
+    norms = _squared_norms(x)[:, None]
+    assignments = _assign(x, norms, centroids)
     history: list[float] = []
     reseeded = False
     for _ in range(_KMEANS_MAX_ITER):
@@ -590,12 +657,12 @@ def kmeans(
         occupied = counts > 0
         if not reseeded and not occupied.all():
             reseeded = True
-            d2 = np.sum((x - centroids[assignments]) ** 2, axis=1)
+            d2 = _squared_norms(x - centroids[assignments])
             for c in np.flatnonzero(~occupied):
                 idx = _draw_by_d2(d2, rng)
                 centroids[c] = x[idx]
                 d2[idx] = 0.0
-            assignments = _assign(x, centroids)
+            assignments = _assign(x, norms, centroids)
             counts = np.bincount(assignments, minlength=k)
             occupied = counts > 0
 
@@ -606,18 +673,18 @@ def kmeans(
                 new_centroids[c] = x[assignments == c].mean(axis=0)
         else:
             # mean adds the rows to +0.0 one by one, in index order.
-            sums = _row_sums(assignments, x, k)
-            new_centroids[occupied] = sums[occupied] / counts[occupied, None]
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+            np.divide(_row_sums(assignments, x, k), counts[:, None], out=new_centroids,
+                      where=occupied[:, None])
+        shift = float(np.sqrt(np.max(_squared_norms(new_centroids - centroids))))
         centroids = new_centroids
         history.append(_wcss(x, centroids, assignments))
         if shift < _KMEANS_TOL:
             break
-        assignments = _assign(x, centroids)
+        assignments = _assign(x, norms, centroids)
 
     # Rows by cluster, then distance to its centroid, then index: the first
     # row of each cluster is its medoid, ties going to the lower index.
-    dists = np.linalg.norm(x - centroids[assignments], axis=1)
+    dists = np.sqrt(_squared_norms(x - centroids[assignments]))
     order = np.lexsort((dists, assignments))
     firsts = order[np.flatnonzero(np.diff(assignments[order], prepend=-1))]
     medoids = [None] * k

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AspectKind, Corpus, TvdRecord
-from .embed import EmbeddingModel, _sigmoid, _TextCache, tokenize
+from .embed import EmbeddingModel, _add_rows, _sigmoid, _TextCache, tokenize
 from .errors import DivergedTraining, EmptyTrainingSet
 from .genprompt import CandidateAnswer
 from .ioutil import atomic_write_lines, read_lines, read_model_file, write_model_file
@@ -322,9 +322,10 @@ def _compute_towers(embedding: EmbeddingModel, texts: Sequence[str],
         total[block] = [len(t) for t in tokens]
         if store is not None:
             sums, counts = body_sums
-            for picks in store._best_rows(tokens).T:
-                towers[block] += sums[picks]
-                total[block] += counts[picks]
+            picks = store._best_rows(tokens)
+            # Each text's own sum, then its bodies in rank order.
+            towers[block] = _add_rows(np.concatenate((towers[None, block], sums[picks.T])))
+            total[block] += np.add.reduce(counts[picks], axis=1)
     towers /= np.maximum(total, 1)[:, None]
     return towers
 

@@ -1242,6 +1242,20 @@ class TestPipelineCommands:
         assert sum(row["count"] for row in rows) == impact_rows
         assert all(row["dataset"] == str(testset_path) for row in rows)
 
+    def test_evaluate_warns_only_when_labels_come_from_the_training_corpus(self, runner,
+                                                                          tmp_path):
+        corpus_obj, _, testset = masked_eval_fixture(10)
+        artifacts = build_artifacts(runner, tmp_path, list(corpus_obj))
+        testset_path = write_testset(tmp_path / "testset.jsonl", testset)
+        warning = ("warning: the 'impact' labels come from the corpus the models were trained on;"
+                   " pass --testset for held-out slots\n")
+        for extra, stderr in [([], warning), (["--testset", str(testset_path)], "")]:
+            result = runner.invoke(cli, ["--backend", "oracle"]
+                                   + pipeline_args("evaluate", artifacts) + extra
+                                   + ["--aspect", "impact", "-o", str(tmp_path / "report")])
+            assert result.exit_code == 0, result.output
+            assert result.stderr == stderr
+
     def test_build_map_resolves_struts(self, runner, tmp_path):
         feed = write_feed(tmp_path, struts_gov_records(), "gov.jsonl")
         corpus = tmp_path / "corpus.jsonl"

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (counted_sums, family_aspects, family_corpus, family_mapping, feed_text,
@@ -966,6 +966,19 @@ class TestTokenSums:
                     got = model.token_sums(token_lists)
                 assert got.tobytes() == looped_sums(model, token_lists).tobytes(), (edge, offset)
 
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    def test_a_long_list_among_short_empty_and_unknown_ones(self, dim):
+        # The 20,000-token list spans several chunks at the default cap, and
+        # each chunk adds its piece as one tail; the short lists beside it
+        # are added position by position.
+        model = spread_embedding(dim + 4, dim)
+        rng = np.random.default_rng(dim)
+        long = [TOKENS[i] for i in rng.integers(0, len(TOKENS), 20_000)]
+        token_lists = [["alpha", "beta"], [], long, ["oov"] * 3, ["zero"], long[:9],
+                       ["delta", "oov", "gamma"], [], ["oov"]]
+        got = model.token_sums(token_lists)
+        assert got.tobytes() == looped_sums(model, token_lists).tobytes()
+
     def test_negative_zero_rows_carried_across_chunks_sum_to_positive_zero(self):
         model = spread_embedding(1, 4)
         with cell_cap(1):
@@ -1020,6 +1033,23 @@ class TestPersistence:
             EmbeddingModel.load(path)
 
 
+def reference_draw(d2, rng):
+    """An index drawn with probability proportional to ``d2``, or uniformly
+    when it is all zero: one ``rng.random()`` against the running sums."""
+    total = d2.sum()
+    if total <= 0.0:
+        return int(rng.integers(d2.size))
+    r = rng.random() * total
+    return min(int(np.searchsorted(np.cumsum(d2), r)), d2.size - 1)
+
+
+def reference_assign(x, centroids):
+    """Each point's nearest centroid by ``|x|^2 - 2 x.c + |c|^2``."""
+    d2 = (np.sum(x**2, axis=1)[:, None] - 2.0 * (x @ centroids.T)
+          + np.sum(centroids**2, axis=1)[None, :])
+    return np.argmin(d2, axis=1)
+
+
 def reference_kmeans(vectors, k, seed=0, max_iter=200, tol=1e-6):
     """Lloyd's algorithm one cluster at a time, for k below the number of
     points: each centroid is the mean of its members, and each medoid the
@@ -1030,10 +1060,10 @@ def reference_kmeans(vectors, k, seed=0, max_iter=200, tol=1e-6):
     chosen = [int(rng.integers(x.shape[0]))]
     d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
     for _ in range(1, k):
-        chosen.append(embed._draw_by_d2(d2, rng))
+        chosen.append(reference_draw(d2, rng))
         d2 = np.minimum(d2, np.sum((x - x[chosen[-1]]) ** 2, axis=1))
     centroids = x[chosen].copy()
-    assignments = embed._assign(x, centroids)
+    assignments = reference_assign(x, centroids)
     history = []
     reseeded = False
     for _ in range(max_iter):
@@ -1042,10 +1072,10 @@ def reference_kmeans(vectors, k, seed=0, max_iter=200, tol=1e-6):
             reseeded = True
             d2 = np.sum((x - centroids[assignments]) ** 2, axis=1)
             for c in np.flatnonzero(~occupied):
-                idx = embed._draw_by_d2(d2, rng)
+                idx = reference_draw(d2, rng)
                 centroids[c] = x[idx]
                 d2[idx] = 0.0
-            assignments = embed._assign(x, centroids)
+            assignments = reference_assign(x, centroids)
             occupied = np.bincount(assignments, minlength=k) > 0
         new_centroids = centroids.copy()
         for c in np.flatnonzero(occupied):
@@ -1055,7 +1085,7 @@ def reference_kmeans(vectors, k, seed=0, max_iter=200, tol=1e-6):
         history.append(float(np.sum((x - centroids[assignments]) ** 2)))
         if shift < tol:
             break
-        assignments = embed._assign(x, centroids)
+        assignments = reference_assign(x, centroids)
     medoids = []
     for c in range(k):
         members = np.flatnonzero(assignments == c)
@@ -1086,9 +1116,23 @@ def kmeans_inputs(draw):
     return x, k, draw(st.integers(0, 2**16))
 
 
+def benchmark_shaped(seed, distinct):
+    """(points, k, seed) at the shape of the long-tail benchmark's largest
+    pool: 151 points of 64 dims, from ``distinct`` rows spread over many
+    binades, in 30 clusters."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((distinct, 64)) * 10.0 ** rng.uniform(-4, 4, (distinct, 64))
+    return rows[rng.integers(0, distinct, 151)], 30, seed
+
+
 class TestKmeans:
     @settings(max_examples=400, deadline=None)
     @given(kmeans_inputs())
+    # 20 distinct rows are fewer than the clusters: k-means++ picks
+    # duplicates, and the empty clusters are reseeded.
+    @example(benchmark_shaped(0, 151))
+    @example(benchmark_shaped(1, 40))
+    @example(benchmark_shaped(7, 20))
     def test_matches_the_per_cluster_loop(self, case):
         x, k, seed = case
         assignments, centroids, medoids, history = reference_kmeans(x, k, seed=seed)
