@@ -101,10 +101,11 @@ _TEXT_OR_NULL = (str, type(None))
 class TvdRecord:
     """One vulnerability description plus its structured key aspects.
 
-    ``aspects`` always holds an entry for all five kinds, first and in kind
-    order; missing aspects are ``None``. ``first_sentence`` is only populated
-    for government-source rows and carries the original (possibly
-    non-English) opening sentence used for software-name extraction.
+    ``aspects`` holds exactly the five kinds, in kind order; missing aspects
+    are ``None``, and a key that is not an :class:`AspectKind` raises
+    ValueError. ``first_sentence`` is only populated for government-source
+    rows and carries the original (possibly non-English) opening sentence
+    used for software-name extraction.
     """
 
     cve_id: str
@@ -124,26 +125,26 @@ class TvdRecord:
             raise ValueError(f"{self.cve_id}: empty description")
         if self.revision_tag is not None and self.revision_tag not in REVISION_TAGS:
             raise ValueError(f"{self.cve_id}: bad revision_tag {self.revision_tag!r}")
-        # Keys compare by identity. A partial or reordered dict is put in kind
-        # order in place, with any other keys after the kinds.
+        # Keys compare by identity. A partial or reordered dict is rebuilt in
+        # kind order.
         if tuple(self.aspects) != _KINDS:
-            given = self.aspects.copy()
-            self.aspects.clear()
-            self.aspects.update({kind: given.pop(kind, None) for kind in _KINDS})
-            self.aspects.update(given)
+            stray = [key for key in self.aspects if key not in _NO_ASPECTS]
+            if stray:
+                raise ValueError(f"{self.cve_id}: aspects keys that are not kinds: {stray!r}")
+            self.aspects = {kind: self.aspects.get(kind) for kind in _KINDS}
 
     def known_aspects(self) -> dict[AspectKind, str]:
         return {k: v for k, v in self.aspects.items() if v}
 
     def missing_aspects(self) -> list[AspectKind]:
-        return [k for k in AspectKind if not self.aspects.get(k)]
+        return [k for k, v in self.aspects.items() if not v]
 
     def to_json_obj(self) -> dict:
         obj: dict = {
             "cve_id": self.cve_id,
             "description": self.description,
             "cwe_id": self.cwe_id,
-            "aspects": {k.json_key: self.aspects.get(k) for k in AspectKind},
+            "aspects": {k.json_key: v for k, v in self.aspects.items()},
             "source": self.source.value,
             "published": self.published.isoformat(),
         }

@@ -37,7 +37,6 @@ import operator
 import re
 import sys
 import threading
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -618,34 +617,20 @@ def kmeans(
     Stops after ``_KMEANS_MAX_ITER`` iterations or when the largest centroid
     shift falls below ``_KMEANS_TOL``. Empty clusters are reseeded
     (distance-squared sampling) once; surviving empties are accepted. ``k``
-    larger than the number of points degrades to one singleton cluster per
-    point plus empty surplus clusters, with a warning.
+    must be at most the number of points; ``k`` equal to it gives one
+    singleton cluster per point.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("kmeans requires a non-empty 2-D array of vectors")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n, dim = x.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}] for {n} vectors, got {k}")
     rng = np.random.default_rng(seed)
 
-    if k >= n:
-        if k > n:
-            warnings.warn(
-                f"k={k} exceeds {n} vectors; surplus clusters left empty",
-                stacklevel=2,
-            )
-        centroids = np.zeros((k, dim))
-        centroids[:n] = x
-        assignments = np.arange(n)
-        medoids: list[int | None] = list(range(n)) + [None] * (k - n)
-        return Clustering(
-            k=k,
-            assignments=assignments,
-            centroids=centroids,
-            medoids=medoids,
-            objective_history=[0.0],
-        )
+    if k == n:
+        return Clustering(k=k, assignments=np.arange(n), centroids=x.copy(),
+                          medoids=list(range(n)), objective_history=[0.0])
 
     centroids = _kmeanspp_init(x, k, rng)
     norms = _squared_norms(x)[:, None]

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -139,7 +138,7 @@ def evaluate(
     pipeline: Callable[[TvdRecord, AspectKind], str],
     testset: Sequence[tuple[TvdRecord, AspectKind, str]],
     model: EmbeddingModel,
-    db: MappingDb | None = None,
+    db: MappingDb,
     threshold: int = LONG_TAIL_THRESHOLD,
     pipeline_id: str = "",
     dataset_id: str = "",
@@ -148,18 +147,13 @@ def evaluate(
     """Run the pipeline over (masked record, kind, label) triples.
 
     Each answer is scored against its label and aggregated per aspect and
-    software class. Classes come from long-tail classification over per-name
-    mapping link counts when a db is given, otherwise over ``software_name``
-    counts in the test set. Per-record pipeline failures are excluded from the
-    means and reported separately. With ``jobs`` above 1 the records run on
-    that many threads; results are gathered in test-set order, so the report
-    does not depend on ``jobs``.
+    software class. Classes come from long-tail classification over the
+    per-name link counts of ``db``, the mapping database. Per-record pipeline
+    failures are excluded from the means and reported separately. With
+    ``jobs`` above 1 the records run on that many threads; results are
+    gathered in test-set order, so the report does not depend on ``jobs``.
     """
-    if db is not None:
-        counts = {name: len(cves) for name, cves in db.name_to_cves.items()}
-    else:
-        counts = Counter(software_name(rec, None) for rec, _, _ in testset)
-        counts.pop(None, None)
+    counts = {name: len(cves) for name, cves in db.name_to_cves.items()}
     report_classes = classify_long_tail(counts, threshold) if counts else None
 
     def class_of(rec: TvdRecord) -> str:

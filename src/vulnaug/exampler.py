@@ -34,7 +34,6 @@ class ExamplePool:
     lexicographically ordered merge.
     """
 
-    target: str
     from_software: set[str]
     from_cwe: set[str]
     union: list[str]
@@ -62,12 +61,7 @@ def retrieve_pool(target: TvdRecord, db: MappingDb, corpus: Corpus) -> ExamplePo
         from_cwe = set(corpus.with_cwe(target.cwe_id)) - {target.cve_id}
 
     union = sorted(from_software | from_cwe)
-    return ExamplePool(
-        target=target.cve_id,
-        from_software=from_software,
-        from_cwe=from_cwe,
-        union=union,
-    )
+    return ExamplePool(from_software=from_software, from_cwe=from_cwe, union=union)
 
 
 def select_examples(

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AspectKind, Corpus, TvdRecord
+from .corpus import Corpus, TvdRecord
 from .embed import EmbeddingModel, _add_rows, _sigmoid, _TextCache, tokenize
-from .errors import DivergedTraining, EmptyTrainingSet
+from .errors import DivergedTraining, EmptyTrainingSet, FeedFormatError
 from .genprompt import CandidateAnswer
 from .ioutil import atomic_write_lines, read_lines, read_model_file, write_model_file
 from .mapping import MappingDb, siblings
@@ -56,6 +56,9 @@ _TOWER_BLOCK = 64
 #: Cells of one (texts, articles) overlap matrix: a store of more than
 #: _OVERLAP_CELLS / _TOWER_BLOCK articles ranks fewer texts at a time.
 _OVERLAP_CELLS = 2**18
+
+#: Articles whose bodies make up a text's background.
+_BACKGROUND_ARTICLES = 3
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def build_training_pairs(corpus: Corpus, seed: int = 0) -> TrainingPairs:
     spans: list[range] = []  # per record: its instances
     cve_ids: list[str] = []
     for rec in corpus:
-        texts = [v for v in (rec.aspects.get(k) for k in AspectKind) if v]
+        texts = [v for v in rec.aspects.values() if v]
         spans.append(range(len(instance_text), len(instance_text) + len(texts)))
         instance_text.extend(text_ids.setdefault(text, len(text_ids)) for text in texts)
         cve_ids.append(rec.cve_id)
@@ -235,9 +238,10 @@ class BackgroundStore:
     def __len__(self) -> int:
         return len(self.articles)
 
-    def _best_rows(self, token_lists: Sequence[Iterable[str]], max_terms: int = 3) -> np.ndarray:
-        """The (k, ``max_terms``) sorted-title indices of the articles sharing
-        the most distinct tokens with each of the k token lists, best first.
+    def _best_rows(self, token_lists: Sequence[Iterable[str]]) -> np.ndarray:
+        """The (k, ``_BACKGROUND_ARTICLES``) sorted-title indices of the
+        articles sharing the most distinct tokens with each of the k token
+        lists, best first.
 
         One comprehension pairs the posting array of each distinct token of
         each list with the list's row times A, and one ``np.bincount`` over
@@ -247,16 +251,16 @@ class BackgroundStore:
         no overlap is A, the index of :meth:`body_sums`' zero row.
         """
         n = len(self._titles)
-        picks = np.full((len(token_lists), max(max_terms, 0)), n, dtype=np.intp)
+        picks = np.full((len(token_lists), _BACKGROUND_ARTICLES), n, dtype=np.intp)
         hits = [(row * n, found) for row, tokens in enumerate(token_lists)
                 for found in map(self._postings.get, set(tokens)) if found is not None]
-        if not hits or max_terms <= 0:
+        if not hits:
             return picks
         offsets, found = zip(*hits)
         flat = np.concatenate(found) + np.repeat(offsets, [len(f) for f in found])
         overlap = np.bincount(flat, minlength=len(token_lists) * n).reshape(-1, n)
         every = np.arange(len(token_lists))
-        for rank in range(min(max_terms, n)):
+        for rank in range(min(_BACKGROUND_ARTICLES, n)):
             best = overlap.argmax(axis=1)
             picks[:, rank] = np.where(overlap[every, best] > 0, best, n)
             overlap[every, best] = 0
@@ -282,13 +286,25 @@ class BackgroundStore:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BackgroundStore":
-        return cls(articles=dict(line.partition("\t")[::2] for _, line in read_lines(path)))
+        """Read a file written by :meth:`save`. A FeedFormatError names
+        ``path:line`` for a line without a tab, a blank term and a term that
+        an earlier line holds."""
+        articles: dict[str, str] = {}
+        for line_no, line in read_lines(path):
+            term, tab, body = line.partition("\t")
+            if not tab:
+                raise FeedFormatError("expected term TAB body", line_no, path)
+            if not term.strip():
+                raise FeedFormatError("blank term", line_no, path)
+            if term in articles:
+                raise FeedFormatError(f"term {term!r} is on an earlier line", line_no, path)
+            articles[term] = body
+        return cls(articles=articles)
 
 
-def fetch_background(
-    aspect_text: str, store: BackgroundStore | None, max_terms: int = 3
-) -> str:
-    """Concatenated bodies of the ``max_terms`` best-overlapping articles.
+def fetch_background(aspect_text: str, store: BackgroundStore | None) -> str:
+    """Concatenated bodies of the ``_BACKGROUND_ARTICLES`` best-overlapping
+    articles.
 
     Articles are ranked by how many of the aspect's tokens they contain (title
     and body both count), ties broken by title. No overlap means no background,
@@ -296,7 +312,7 @@ def fetch_background(
     """
     if store is None:
         return ""
-    picks = store._best_rows([tokenize(aspect_text)], max_terms)[0].tolist()
+    picks = store._best_rows([tokenize(aspect_text)])[0].tolist()
     return " ".join(store.articles[store._titles[i]] for i in picks if i < len(store))
 
 
@@ -626,13 +642,12 @@ def software_features(
     masked aspect never leaks back in. With no resolvable software the
     target's own known aspects serve as the feature list.
     """
-    kinds = len(AspectKind)
     records = (target if cve_id == target.cve_id else corpus.get(cve_id)
                for cve_id in sorted({*siblings(db, target.cve_id), target.cve_id}))
-    # A record's aspects start with every kind, in kind order; the first
-    # copy of a value is kept.
+    # A record's aspects are every kind, in kind order; the first copy of a
+    # value is kept.
     return list(dict.fromkeys(value for rec in records if rec is not None
-                              for value in itertools.islice(rec.aspects.values(), kinds) if value))
+                              for value in rec.aspects.values() if value))
 
 
 @dataclass(frozen=True)

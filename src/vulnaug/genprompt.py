@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
-from .corpus import AspectKind, TvdRecord
+from .corpus import CVE_ID_RE, AspectKind, TvdRecord
 from .errors import BackendError, GenerationFailed, MissingPrerequisite
 
 if TYPE_CHECKING:
@@ -379,7 +379,8 @@ class EchoBackend:
         return _digest_phrase(prompt, seed, temperature)
 
 
-_CVE_IN_PROMPT_RE = re.compile(r"CVE-\d{4}-\d{4,7}")
+# An id that matches CVE_ID_RE, anywhere in a prompt.
+_CVE_IN_PROMPT_RE = re.compile(CVE_ID_RE.pattern.strip("^$"))
 
 
 @dataclass

@@ -930,6 +930,24 @@ class TestMappingFile:
         assert not out.exists()
 
 
+class TestBackgroundFile:
+    @pytest.mark.parametrize("lines, line_no, needle", [
+        (["widget0 has no tab"], 2, "expected term TAB body"),
+        (["  \twidget zero is a tool"], 2, "blank term"),
+        (["widget1\tone", "", "widget1\tanother body"], 4, "term 'widget1' is on an earlier line"),
+    ])
+    def test_bad_line_exits_two_naming_the_file_and_line(self, runner, tmp_path, artifacts,
+                                                          lines, line_no, needle):
+        bad = tmp_path / "background.tsv"
+        bad.write_text("\n".join(["widget0\twidget zero is a tool", *lines]) + "\n")
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(cli, pipeline_args("augment", artifacts) + [
+            "--background", str(bad), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {bad}:{line_no}: {needle}\n"
+        assert not out.exists()
+
+
 def edited_header(corr_bin: bytes, edit) -> bytes:
     """A correlation model file whose JSON header ``edit`` has changed in place."""
     (size,) = struct.unpack_from("<I", corr_bin, 8)

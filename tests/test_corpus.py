@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 
 import pytest
@@ -79,18 +80,26 @@ class TestParseFeed:
                          published=date(2002, 7, 3))
         assert list(bare.aspects.items()) == [(k, None) for k in kinds]
 
-    def test_record_keeps_the_given_aspects_dict_in_kind_order(self):
+    def test_record_holds_every_kind_in_kind_order(self):
         kinds = list(AspectKind)
         for given in ({AspectKind.ROOT_CAUSE: "bug", AspectKind.IMPACT: "leak"},
                       {kind: kind.value for kind in reversed(kinds)},
-                      {"note": "kept", AspectKind.IMPACT: "leak"}):
-            expected = {kind: given.get(kind) for kind in kinds}
-            others = {key: value for key, value in given.items() if key not in expected}
+                      {kind: kind.value for kind in kinds}, {}):
             aspects = dict(given)
             rec = TvdRecord(cve_id="CVE-2002-0683", description="d.", source=Source.CVE,
                             published=date(2002, 7, 3), aspects=aspects)
-            assert rec.aspects is aspects
-            assert list(rec.aspects.items()) == [*expected.items(), *others.items()]
+            assert list(rec.aspects.items()) == [(kind, given.get(kind)) for kind in kinds]
+            # A dict already in kind order is kept as it is; any other is a new dict.
+            assert (rec.aspects is aspects) == (list(given) == kinds)
+            assert aspects == given
+
+    @pytest.mark.parametrize("stray", ["note", "impact", None, 3])
+    def test_record_rejects_aspects_keys_that_are_not_kinds(self, stray):
+        for aspects in ({stray: "x"}, {AspectKind.IMPACT: "leak", stray: "x"},
+                        {**dict.fromkeys(AspectKind), stray: None}):
+            with pytest.raises(ValueError, match=re.escape(repr([stray]))):
+                TvdRecord(cve_id="CVE-2002-0683", description="d.", source=Source.CVE,
+                          published=date(2002, 7, 3), aspects=aspects)
 
     def test_duplicate_cve_rejected_with_diagnostic(self):
         rec = make_record("CVE-2020-0001", "something broke.")

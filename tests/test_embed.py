@@ -1162,12 +1162,16 @@ class TestKmeans:
         assert sorted(result.assignments.tolist()) == [0, 1, 2]
         assert result.medoids == [0, 1, 2]
 
-    def test_k_above_n_warns_and_leaves_empties(self):
+    def test_k_above_n_raises(self):
         pts = np.array([[0.0], [1.0]])
-        with pytest.warns(UserWarning):
-            result = kmeans(pts, 5, seed=0)
-        assert result.medoids[:2] == [0, 1]
-        assert result.medoids[2:] == [None, None, None]
+        for k in (3, 5):
+            with pytest.raises(ValueError, match=f"got {k}"):
+                kmeans(pts, k, seed=0)
+        result = kmeans(pts, 2, seed=0)
+        assert result.centroids.tobytes() == pts.tobytes()
+        assert result.centroids is not pts
+        assert result.medoids == [0, 1]
+        assert result.objective_history == [0.0]
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(11)

@@ -193,7 +193,7 @@ class TestEvaluate:
             assert row.mean_f1 == 0.0
 
     def test_empty_testset(self, model):
-        report = evaluate(lambda rec, kind: "x", [], model)
+        report = evaluate(lambda rec, kind: "x", [], model, MappingDb())
         assert report.rows == []
         assert report.evaluated == 0
 
@@ -204,15 +204,21 @@ class TestEvaluate:
         classes = {row.software_class for row in report.rows}
         assert classes == {LONG_TAIL, NON_LONG_TAIL}
 
-    def test_raw_names_canonicalized_without_db(self, model):
+    def test_classes_come_from_mapping_counts_not_test_set_counts(self, model):
+        # Three test records name "Foo Bar", above the threshold, but the
+        # mapping links one CVE to it; "Baz" is named once and has three links.
+        db = MappingDb()
+        db.insert("Foo Bar", "CVE-2020-7100")
+        for j in range(3):
+            db.insert("Baz", f"CVE-2019-{7200 + j}")
         testset = [
             (make_record(f"CVE-2020-{7100 + i}", "buffer overflow.", software=[name]),
              AspectKind.IMPACT, "crash")
             for i, name in enumerate(["Foo  Bar", "Foo Bar", "Foo Bar", " ", "Baz"])
         ]
-        report = evaluate(lambda rec, kind: "crash", testset, model, db=None, threshold=2)
+        report = evaluate(lambda rec, kind: "crash", testset, model, db=db, threshold=2)
         counts = {row.software_class: row.count for row in report.rows}
-        assert counts == {NON_LONG_TAIL: 3, LONG_TAIL: 2}
+        assert counts == {NON_LONG_TAIL: 1, LONG_TAIL: 4}
 
     def test_pipeline_failure_recorded_and_excluded(self, model):
         _, db, testset = build_testset()

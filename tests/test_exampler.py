@@ -173,7 +173,7 @@ def signed_zero_pool():
     records = [make_record(f"CVE-2011-{1000 + i}", text) for i, text in enumerate(texts)]
     corpus = Corpus.from_records([records[i] for i in rng.permutation(len(records))])
     union = sorted(rec.cve_id for rec in records)
-    pool = ExamplePool(target="CVE-2011-0001", from_software=set(), from_cwe=set(union), union=union)
+    pool = ExamplePool(from_software=set(), from_cwe=set(union), union=union)
     return pool, corpus, model
 
 

@@ -39,7 +39,8 @@ from vulnaug.featcorr import (
     software_features,
     train_correlation,
 )
-from vulnaug.genprompt import CandidateAnswer, MockBackend, PromptKind
+from vulnaug.exampler import ExampleSet, SelectionMode
+from vulnaug.genprompt import CandidateAnswer, MockBackend, PromptKind, build_direct
 from vulnaug.mapping import MappingDb
 from vulnaug.pipeline import AugmentPipeline
 
@@ -85,8 +86,9 @@ def reference_training_pairs(corpus, seed=0):
     ]
 
 
-def reference_best_terms(aspect_text, store, max_terms=3):
-    """Score every article against the aspect and sort every overlap."""
+def reference_best_terms(aspect_text, store):
+    """Score every article against the aspect, sort every overlap and keep
+    the best three."""
     if store is None:
         return []
     tokens = set(tokenize(aspect_text))
@@ -96,12 +98,11 @@ def reference_best_terms(aspect_text, store, max_terms=3):
         if overlap > 0:
             scored.append((-overlap, term))
     scored.sort()
-    return [term for _, term in scored[:max(max_terms, 0)]]
+    return [term for _, term in scored[:3]]
 
 
-def reference_fetch_background(aspect_text, store, max_terms=3):
-    return " ".join(store.articles[term]
-                    for term in reference_best_terms(aspect_text, store, max_terms))
+def reference_fetch_background(aspect_text, store):
+    return " ".join(store.articles[term] for term in reference_best_terms(aspect_text, store))
 
 
 def token_loop_sum(model, tokens):
@@ -478,15 +479,15 @@ class TestBackgroundStore:
         })
         assert fetch_background("term", store) == "body one shared body two shared"
 
-    def test_max_terms_limits_concatenation(self):
+    def test_at_most_three_of_four_matching_articles(self):
         store = BackgroundStore(articles={
-            "a flaw": "one flaw body",
-            "b flaw": "two flaw body",
-            "c flaw": "three flaw body",
             "d flaw": "four flaw body",
+            "c flaw": "three flaw body",
+            "b flaw": "two flaw body",
+            "a flaw": "one flaw body",
         })
-        text = fetch_background("flaw", store, max_terms=2)
-        assert text == "one flaw body two flaw body"
+        text = fetch_background("flaw", store)
+        assert text == "one flaw body two flaw body three flaw body"
 
     def test_file_round_trip(self, tmp_path):
         store = self.fixture()
@@ -500,25 +501,24 @@ class TestBackgroundStore:
         assert fetch_background("anything", BackgroundStore()) == ""
 
     @settings(max_examples=300, deadline=None)
-    @given(article_maps, phrases, st.integers(0, 5))
-    def test_matches_full_scan(self, articles, aspect, max_terms):
+    @given(article_maps, phrases)
+    def test_matches_full_scan(self, articles, aspect):
         store = BackgroundStore(articles=articles)
-        assert fetch_background(aspect, store, max_terms) == reference_fetch_background(
-            aspect, store, max_terms)
+        assert fetch_background(aspect, store) == reference_fetch_background(aspect, store)
 
     @settings(max_examples=300, deadline=None)
-    @given(article_maps, st.lists(phrases, max_size=6), st.integers(0, 5))
-    def test_batched_ranking_matches_full_scan(self, articles, aspects, max_terms):
+    @given(article_maps, st.lists(phrases, max_size=6))
+    def test_batched_ranking_matches_full_scan(self, articles, aspects):
         # Several rows at once: ties go to the earlier title, and a row that
         # matches nothing holds only the no-article index.
         store = BackgroundStore(articles=articles)
         titles = sorted(articles) + [None]
-        picks = store._best_rows([tokenize(a) for a in aspects + ["zeta"]], max_terms)
-        assert picks.shape == (len(aspects) + 1, max_terms)
+        picks = store._best_rows([tokenize(a) for a in aspects + ["zeta"]])
+        assert picks.shape == (len(aspects) + 1, 3)
         got = [[titles[i] for i in row] for row in picks.tolist()]
         for aspect, row in zip(aspects + ["zeta"], got):
-            want = reference_best_terms(aspect, store, max_terms)
-            assert row == want + [None] * (max_terms - len(want))
+            want = reference_best_terms(aspect, store)
+            assert row == want + [None] * (3 - len(want))
 
 
 class TestTowerVector:
@@ -1068,13 +1068,13 @@ class TestSoftwareFeatures:
 
 
     def test_same_features_as_the_kind_walk_for_any_aspects_dict(self):
-        # The target's own dict is partial or reordered; the kind walk reads
-        # every record's aspects in kind order.
-        def kind_walk(records):
+        # The target is built from a partial or reordered dict; the kind walk
+        # reads each given dict in kind order.
+        def kind_walk(dicts):
             features = []
-            for rec in records:
+            for given in dicts:
                 for kind in AspectKind:
-                    value = rec.aspects.get(kind)
+                    value = given.get(kind)
                     if value and value not in features:
                         features.append(value)
             return features
@@ -1084,14 +1084,54 @@ class TestSoftwareFeatures:
             kind: f"shared {i}" for i, kind in enumerate(kinds)})
         for aspects in ({AspectKind.ROOT_CAUSE: "bug", AspectKind.IMPACT: "shared 3"},
                         {kind: f"own {i}" for i, kind in reversed(list(enumerate(kinds)))},
-                        {"note": "not an aspect", AspectKind.ATTACK_VECTOR: "via port"}):
+                        {AspectKind.VULNERABILITY_TYPE: "shared 0",
+                         AspectKind.ATTACK_VECTOR: "via port"}):
             target = TvdRecord(cve_id="CVE-2020-8010", description="t.", source=Source.CVE,
                                published=EPOCH, aspects=dict(aspects))
             db = MappingDb()
             db.insert("Widget", target.cve_id)
             db.insert("Widget", sibling.cve_id)
             corpus = Corpus.from_records([sibling])
-            assert software_features(target, db, corpus) == kind_walk([target, sibling])
+            assert software_features(target, db, corpus) == kind_walk([aspects, sibling.aspects])
+
+
+class TestAspectReaders:
+    """Each reader of a record's aspects gives what a walk of the given dict
+    in kind order gives, whatever the dict's order and coverage."""
+
+    GIVEN = (
+        {AspectKind.ROOT_CAUSE: "null check", AspectKind.IMPACT: "crash"},
+        {kind: f"{kind.value} text" for kind in reversed(list(AspectKind))},
+        {AspectKind.IMPACT: "leak", AspectKind.ATTACK_VECTOR: "network",
+         AspectKind.VULNERABILITY_TYPE: "overflow"},
+        {AspectKind.ATTACKER_TYPE: "local user"},
+        {},
+    )
+
+    def test_readers_follow_the_kind_walk(self):
+        kinds = list(AspectKind)
+        records = [TvdRecord(cve_id=f"CVE-2020-{8100 + i}", description=f"flaw {i}.",
+                             source=Source.CVE, published=EPOCH, aspects=dict(given))
+                   for i, given in enumerate(self.GIVEN)]
+        # make_record fills every kind, in kind order, before the given values.
+        walked = [make_record(rec.cve_id, rec.description, aspects=given)
+                  for rec, given in zip(records, self.GIVEN)]
+        for rec, given in zip(records, self.GIVEN):
+            walk = [(kind, given.get(kind)) for kind in kinds]
+            assert rec.missing_aspects() == [kind for kind, value in walk if not value]
+            assert list(rec.known_aspects().items()) == [(k, v) for k, v in walk if v]
+            assert list(rec.to_json_obj()["aspects"].items()) == [
+                (kind.json_key, value) for kind, value in walk]
+        assert build_training_pairs(Corpus.from_records(records)) == reference_training_pairs(
+            Corpus.from_records(walked))
+        examples = ExampleSet(members=records, selection_mode=SelectionMode.ALL)
+        walked_examples = ExampleSet(members=walked, selection_mode=SelectionMode.ALL)
+        for rec, ref in zip(records, walked):
+            known, missing = rec.known_aspects(), rec.missing_aspects()
+            prompt = build_direct(examples, known, missing, rec.description, rec.cve_id)
+            want = build_direct(walked_examples, ref.known_aspects(), ref.missing_aspects(),
+                                ref.description, ref.cve_id)
+            assert prompt.text == want.text
 
 
 class TestRankCandidates:
